@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .fbm import FbmConfig, dump_path_csv, sample_fbm
+from .fbm import DENSE_GRID_LIMIT, FbmConfig, dump_path_csv, sample_fbm
 from .grids import make_grid
 from .solver import StepSizeError
 
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ref", type=int, default=12, help="reference exponent")
     run.add_argument("--seeds", default="1", help="seed count n (seeds 0..n-1) or explicit list")
     run.add_argument("--out", default=None, help="output directory for CSV files")
-    run.add_argument("--max-dense-n", type=int, default=4096)
+    run.add_argument("--max-dense-n", type=int, default=DENSE_GRID_LIMIT)
     run.set_defaults(func=_cmd_run)
 
     stab = sub.add_parser("stability", help="stiffness demonstration")
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     samp.add_argument("--seed", type=int, required=True)
     samp.add_argument("--out", required=True)
     samp.add_argument("--T", type=float, default=1.0)
-    samp.add_argument("--max-dense-n", type=int, default=4096)
+    samp.add_argument("--max-dense-n", type=int, default=DENSE_GRID_LIMIT)
     samp.set_defaults(func=_cmd_sample_fbm)
     return parser
 

@@ -1,9 +1,17 @@
 """Fractional Brownian motion driver.
 
-Paths are sampled exactly on a fine reference grid by factorizing the fBm
-covariance matrix (Cholesky) and multiplying a standard normal vector, then
-restricted to coarser grids for convergence studies.  Sampling is
-deterministic per (config, seed) and bitwise reproducible.
+Paths are sampled exactly on a fine reference grid as L @ V, with V
+standard normal and L the Cholesky factor of the fBm covariance at the grid
+nodes, then restricted to coarser grids for convergence studies.  Sampling
+is deterministic per (config, seed) and bitwise reproducible.
+
+The increments of fBm on a uniform grid (fractional Gaussian noise) are
+stationary, so their covariance is a symmetric positive definite Toeplitz
+matrix.  Its Cholesky factor comes from the Schur algorithm in O(N^2) time
+without forming the N x N matrix, and the cumulative sum of its rows is the
+Cholesky factor of the path covariance.  The dense ``covariance_matrix`` and
+``cholesky`` stay as the public API and as the reference the fast factor is
+tested against.
 """
 
 from __future__ import annotations
@@ -29,8 +37,9 @@ __all__ = [
     "dump_path_csv",
 ]
 
-# Dense Cholesky sampling is O(N^3) time / O(N^2) memory; grids beyond this
-# need an explicit opt-in through FbmConfig.max_dense_n.
+# The factor is a dense N x N array: 8*N^2 bytes per cached factor (128 MB at
+# N = 4096), built in O(N^2) time.  Grids beyond this need an explicit opt-in
+# through FbmConfig.max_dense_n.
 DENSE_GRID_LIMIT = 4096
 
 
@@ -120,6 +129,47 @@ def cholesky(M) -> np.ndarray:
     return c
 
 
+def _fgn_autocovariance(H: float, grid: Grid) -> np.ndarray:
+    """Autocovariance gamma(k) = E[dB_0 dB_k] of the fBm increments on ``grid``,
+    0.5*h^2H*(|k+1|^2H - 2|k|^2H + |k-1|^2H) for lags k = 0..N-1."""
+    k = np.arange(grid.N, dtype=float)
+    two_h = 2.0 * H
+    return 0.5 * grid.h**two_h * (
+        (k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h
+    )
+
+
+def _toeplitz_cholesky(c) -> np.ndarray:
+    """Upper-triangular C-ordered R with R.T @ R == toeplitz(c), by the Schur
+    algorithm on the generators of the displacement T - Z T Z.T = u u.T - v v.T.
+
+    Row j of R is the generator u after j hyperbolic rotations, applied in the
+    mixed form (Bojanczyk, Brent, de Hoog & Sweet 1995), which is backward
+    stable for positive definite Toeplitz matrices.  Raises
+    ``NotPositiveDefiniteError`` with the same 1-based index as ``cholesky``.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    if not c[0] > 0.0:
+        raise NotPositiveDefiniteError(1)
+    R = np.zeros((n, n))
+    R[0] = c / np.sqrt(c[0])
+    v = R[0].copy()
+    v[0] = 0.0
+    for j in range(1, n):
+        # The generator u shifted down by one is row j-1 read from column j-1.
+        u = R[j - 1, j - 1 : n - 1]
+        w = v[j:]
+        rho = w[0] / u[0]
+        if not abs(rho) < 1.0:
+            raise NotPositiveDefiniteError(j + 1)
+        s = np.sqrt((1.0 - rho) * (1.0 + rho))
+        R[j, j:] = (u - rho * w) / s
+        w *= s
+        w -= rho * R[j, j:]
+    return R
+
+
 # Factor cache: the Cholesky of the covariance is reused across Monte Carlo
 # seeds.  Reads are lock-free on the returned (read-only) arrays; writes are
 # serialized.
@@ -129,13 +179,23 @@ _chol_lock = threading.Lock()
 
 
 def _cholesky_factor(H: float, grid: Grid) -> np.ndarray:
+    """Lower-triangular Cholesky factor of ``covariance_matrix(H, grid)``,
+    cached and read-only.
+
+    The path is the cumulative sum of its increments, X = C dX with C the
+    lower-triangular matrix of ones, and C @ L_inc is lower triangular with
+    the diagonal of L_inc, so it is the Cholesky factor of C Gamma C.T.  The
+    cumsum along the rows of R = L_inc.T gives its transpose in place.
+    """
     key = (float(H), float(grid.T), int(grid.N))
     with _chol_lock:
         if key in _chol_cache:
             _chol_cache.move_to_end(key)
             return _chol_cache[key]
-    L = cholesky(covariance_matrix(H, grid))
-    L.setflags(write=False)
+    R = _toeplitz_cholesky(_fgn_autocovariance(H, grid))
+    np.cumsum(R, axis=1, out=R)
+    R.setflags(write=False)
+    L = R.T  # F-ordered, the layout dpotrf returns
     with _chol_lock:
         _chol_cache[key] = L
         while len(_chol_cache) > _CHOLESKY_CACHE_SIZE:
@@ -159,8 +219,9 @@ def sample_fbm(config: FbmConfig, seed: int | None = None) -> SamplePath:
     grid = config.grid
     if grid.N > config.max_dense_n:
         raise ValueError(
-            f"grid has N={grid.N} > max_dense_n={config.max_dense_n}; dense Cholesky "
-            "sampling at this size is expensive, raise FbmConfig.max_dense_n to allow it"
+            f"grid has N={grid.N} > max_dense_n={config.max_dense_n}; the cached dense "
+            f"factor would take {8 * grid.N**2 / 2**20:.0f} MiB, raise "
+            "FbmConfig.max_dense_n to allow it"
         )
     s = config.seed if seed is None else seed
     if int(s) != s or s < 0:

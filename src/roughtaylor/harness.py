@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fbm import FbmConfig, SamplePath, restrict, sample_fbm
+from .fbm import DENSE_GRID_LIMIT, FbmConfig, SamplePath, restrict, sample_fbm
 from .fields import (
     cosine_diffusion,
     cubic_radial_drift,
@@ -150,7 +150,7 @@ class StudyConfig:
     seeds: tuple[int, ...] = (0,)
     out_dir: str | Path | None = None
     zero_noise: bool = False
-    max_dense_n: int = 4096
+    max_dense_n: int = DENSE_GRID_LIMIT
 
 
 @dataclass(frozen=True)

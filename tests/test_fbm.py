@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roughtaylor import fbm
 from roughtaylor.fbm import (
     FbmConfig,
     NotPositiveDefiniteError,
@@ -67,6 +71,142 @@ class TestCholesky:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             cholesky([[1.0, 0.5], [0.0, 1.0]])
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _cold_factor(H, grid):
+    fbm._chol_cache.clear()
+    return fbm._cholesky_factor(H, grid)
+
+
+def _extended_schur_factor(H, N):
+    """The path factor on the unit grid by the plain (not mixed) Schur
+    recursion in extended precision: an independent reference accurate far
+    beyond float64 rounding."""
+    ld = np.longdouble
+    two_h = 2 * ld(H)
+    k = np.arange(N, dtype=ld)
+    c = (ld(1) / N) ** two_h / 2 * ((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h)
+    u = c / np.sqrt(c[0])
+    v = u.copy()
+    v[0] = 0
+    R = np.zeros((N, N), dtype=ld)
+    R[0] = u
+    for j in range(1, N):
+        u = np.concatenate(([ld(0)], u[:-1]))
+        rho = v[j] / u[j]
+        s = np.sqrt((1 - rho) * (1 + rho))
+        u, v = (u - rho * v) / s, (v - rho * u) / s
+        R[j, j:] = u[j:]
+    return np.cumsum(R, axis=1).T
+
+
+HURSTS = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+
+# Tolerance against the dense oracle: at H = 0.99, N = 1024 dpotrf's own factor
+# is off by 1.7e-10 relative (measured against _extended_schur_factor), while
+# the Schur factor is within 1.6e-12 of it.
+DENSE_ORACLE_RTOL = 1e-9
+
+
+def _assert_matches_dense(H, N, T):
+    grid = make_grid(T, N)
+    L = _cold_factor(H, grid)
+    C = covariance_matrix(H, grid)
+    assert _max_rel(L, cholesky(C)) <= DENSE_ORACLE_RTOL
+    assert np.max(np.abs(L @ L.T - C)) <= 1e-12 * np.max(np.abs(C))
+
+
+class TestSchurFactor:
+    @pytest.mark.parametrize("T", [1.0, 0.37])
+    @pytest.mark.parametrize("N", [1, 2, 3, 17, 256, 1024])
+    @pytest.mark.parametrize("H", HURSTS)
+    def test_matches_dense_cholesky(self, H, N, T):
+        _assert_matches_dense(H, N, T)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="long double has no extra precision here"
+    )
+    @pytest.mark.parametrize("H", HURSTS)
+    def test_matches_extended_precision(self, H):
+        N = 512
+        L = _cold_factor(H, make_grid(1.0, N))
+        ref = _extended_schur_factor(H, N)
+        assert float(_max_rel(L, ref)) <= 1e-11
+
+    @settings(max_examples=30, deadline=None)
+    @given(H=st.floats(0.01, 0.99), N=st.integers(1, 512), T=st.floats(0.1, 10.0))
+    def test_property_matches_dense_cholesky(self, H, N, T):
+        _assert_matches_dense(H, N, T)
+
+    def test_autocovariance_is_increment_covariance(self):
+        grid = make_grid(0.37, 9)
+        C = covariance_matrix(0.3, grid)
+        D = np.diff(np.vstack([np.zeros(9), C]), axis=0)
+        Gamma = np.diff(np.hstack([np.zeros((9, 1)), D]), axis=1)
+        c = fbm._fgn_autocovariance(0.3, grid)
+        assert np.allclose(scipy.linalg.toeplitz(c), Gamma, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "c", [[1.0, 1.5], [0.0], [-1.0, 0.5], [1.0, 0.9, 0.1], [1.0, 0.5, -0.9, 0.3]]
+    )
+    def test_not_positive_definite_index(self, c):
+        with pytest.raises(NotPositiveDefiniteError) as dense:
+            cholesky(scipy.linalg.toeplitz(c))
+        with pytest.raises(NotPositiveDefiniteError) as schur:
+            fbm._toeplitz_cholesky(c)
+        assert schur.value.index == dense.value.index
+
+    @pytest.mark.parametrize("T", [1.0, 0.37])
+    @pytest.mark.parametrize("H", [0.1, 0.25, 5 / 12, 0.5, 0.75])
+    def test_paths_match_dense_oracle(self, H, T):
+        # The Hurst values of the built-in studies.  Above them the dense
+        # oracle's own path error exceeds this bound (1.3e-10 at H = 0.9).
+        grid = make_grid(T, 1024)
+        fbm._chol_cache.clear()
+        x = sample_fbm(FbmConfig((H,), 1, grid, seed=11)).values[1:, 0]
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, 0))))
+        expected = cholesky(covariance_matrix(H, grid)) @ rng.standard_normal(grid.N)
+        assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+class TestFactorCache:
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        fbm._chol_cache.clear()
+        yield
+        fbm._chol_cache.clear()
+
+    def test_second_call_returns_same_object(self):
+        grid = make_grid(1.0, 16)
+        assert fbm._cholesky_factor(0.3, grid) is fbm._cholesky_factor(0.3, grid)
+
+    def test_factor_is_read_only(self):
+        L = fbm._cholesky_factor(0.3, make_grid(1.0, 16))
+        assert not L.flags.writeable
+        with pytest.raises(ValueError):
+            L[0, 0] = 1.0
+
+    def test_key_separates_horizon_and_size(self):
+        a = fbm._cholesky_factor(0.3, make_grid(1.0, 16))
+        b = fbm._cholesky_factor(0.3, make_grid(0.5, 16))
+        c = fbm._cholesky_factor(0.3, make_grid(1.0, 8))
+        assert a is not b and not np.array_equal(a, b)
+        assert c.shape == (8, 8)
+        assert len(fbm._chol_cache) == 2
+
+    def test_two_slots_least_recently_used_evicted(self):
+        ga, gb, gc = make_grid(1.0, 16), make_grid(1.0, 32), make_grid(1.0, 64)
+        a = fbm._cholesky_factor(0.3, ga)
+        b = fbm._cholesky_factor(0.3, gb)
+        assert fbm._cholesky_factor(0.3, ga) is a  # a is now the most recent
+        fbm._cholesky_factor(0.3, gc)  # evicts b
+        assert list(fbm._chol_cache) == [(0.3, 1.0, 16), (0.3, 1.0, 64)]
+        assert fbm._cholesky_factor(0.3, ga) is a
+        assert fbm._cholesky_factor(0.3, gb) is not b
 
 
 class TestSampling:
