@@ -27,6 +27,7 @@ from .harness import (
     StudyResult,
     eoc,
     local_error_probe,
+    run_scheme,
     run_study,
     stability_demo,
 )
@@ -37,12 +38,7 @@ from .schemes import (
     Trajectory,
     boundedness_bound,
     explicit_euler,
-    implicit_euler_additive,
-    semi_implicit_euler,
-    semi_implicit_milstein,
-    semi_implicit_milstein3,
-    simplified_milstein,
-    simplified_milstein3,
+    semi_implicit_taylor,
 )
 from .solver import ConvergenceError, SolveReport, StepSizeError, solve_step
 

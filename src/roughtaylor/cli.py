@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     stab.set_defaults(func=_cmd_stability)
 
     probe = sub.add_parser("probe-local", help="local-order probe")
-    probe.add_argument("--scheme", required=True, choices=["euler", "milstein", "milstein3"])
+    probe.add_argument("--scheme", required=True, choices=list(harness._PROBE_SCHEMES))
     probe.add_argument("--out", default=None)
     probe.set_defaults(func=_cmd_probe_local)
 

@@ -46,15 +46,13 @@ class DriftField:
 
     ``one_sided_lipschitz`` may be negative (contractive drift).  ``jacobian``
     is optional; the implicit solver falls back to finite differences without
-    it.  ``local_lipschitz`` is a nondecreasing modulus r -> L(r) valid on the
-    centered ball of radius r.
+    it.
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     one_sided_lipschitz: float
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    local_lipschitz: Callable[[float], float] | None = None
 
     def __call__(self, y) -> np.ndarray:
         return np.asarray(self.func(np.asarray(y, dtype=float)), dtype=float).reshape(self.dim)
@@ -156,7 +154,6 @@ def zero_drift(dim: int = 1) -> DriftField:
         lambda y: np.zeros(dim),
         0.0,
         jacobian=lambda y: np.zeros((dim, dim)),
-        local_lipschitz=lambda r: 0.0,
     )
 
 
@@ -169,7 +166,7 @@ def double_well_drift() -> DriftField:
     def jac(y):
         return np.array([[1.0 - 3.0 * y[0] ** 2]])
 
-    return DriftField(1, b, 1.0, jacobian=jac, local_lipschitz=lambda r: 1.0 + 3.0 * r * r)
+    return DriftField(1, b, 1.0, jacobian=jac)
 
 
 def linear_drift(coeff: float, dim: int = 1) -> DriftField:
@@ -181,7 +178,6 @@ def linear_drift(coeff: float, dim: int = 1) -> DriftField:
         lambda y: coeff * y,
         coeff,
         jacobian=lambda y: coeff * np.eye(dim),
-        local_lipschitz=lambda r: abs(coeff),
     )
 
 
@@ -194,7 +190,7 @@ def cubic_radial_drift(dim: int = 2) -> DriftField:
     def jac(y):
         return (1.0 - y @ y) * np.eye(dim) - 2.0 * np.outer(y, y)
 
-    return DriftField(dim, b, 1.0, jacobian=jac, local_lipschitz=lambda r: 1.0 + 3.0 * r * r)
+    return DriftField(dim, b, 1.0, jacobian=jac)
 
 
 def constant_diffusion(matrix) -> DiffusionField:

@@ -33,12 +33,7 @@ from .schemes import (
     Trajectory,
     boundedness_bound,
     explicit_euler,
-    implicit_euler_additive,
-    semi_implicit_euler,
-    semi_implicit_milstein,
-    semi_implicit_milstein3,
-    simplified_milstein,
-    simplified_milstein3,
+    semi_implicit_taylor,
 )
 
 __all__ = [
@@ -95,14 +90,21 @@ EXAMPLES = {
     ),
 }
 
-ADDITIVE_SCHEMES = ("implicit_euler", "explicit_euler")
-MULTIPLICATIVE_SCHEMES = (
-    "explicit_euler",
-    "semi_implicit_euler",
-    "semi_implicit_milstein",
-    "semi_implicit_milstein3",
-    "simplified_milstein",
-    "simplified_milstein3",
+# scheme name -> (order of semi_implicit_taylor, or None for forward Euler;
+# problem kinds it applies to).  Implicit schemes run on the piecewise-linear
+# lift, whose tensors are the increment products of the "simplified" schemes.
+_SCHEMES = {
+    "implicit_euler": (1, ("additive",)),
+    "explicit_euler": (None, ("additive", "multiplicative")),
+    "semi_implicit_euler": (1, ("multiplicative",)),
+    "semi_implicit_milstein": (2, ("multiplicative",)),
+    "semi_implicit_milstein3": (3, ("multiplicative",)),
+    "simplified_milstein": (2, ("multiplicative",)),
+    "simplified_milstein3": (3, ("multiplicative",)),
+}
+ADDITIVE_SCHEMES = tuple(name for name, (_, kinds) in _SCHEMES.items() if "additive" in kinds)
+MULTIPLICATIVE_SCHEMES = tuple(
+    name for name, (_, kinds) in _SCHEMES.items() if "multiplicative" in kinds
 )
 
 
@@ -114,23 +116,26 @@ def example_problem(name: str) -> tuple[Problem, int, tuple[float, ...]]:
     return ex.build(), ex.noise_dim, ex.default_hurst
 
 
+def _scheme_order(scheme: str, problem: Problem) -> int | None:
+    """Look a scheme up in _SCHEMES and check that it applies to the problem."""
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {sorted(_SCHEMES)}")
+    order, kinds = _SCHEMES[scheme]
+    kind = "additive" if problem.additive else "multiplicative"
+    if kind not in kinds:
+        allowed = ADDITIVE_SCHEMES if problem.additive else MULTIPLICATIVE_SCHEMES
+        raise ValueError(f"scheme {scheme!r} does not apply to {kind} problems ({allowed})")
+    return order
+
+
 def run_scheme(scheme: str, problem: Problem, path: SamplePath) -> Trajectory:
-    """Run one named scheme on one driver path (lifts are built on demand)."""
-    if scheme == "implicit_euler":
-        return implicit_euler_additive(problem, path)
-    if scheme == "explicit_euler":
+    """Run one named scheme (ADDITIVE_SCHEMES / MULTIPLICATIVE_SCHEMES) on one
+    driver path; the implicit schemes run on its piecewise-linear lift."""
+    order = _scheme_order(scheme, problem)
+    if order is None:
         return explicit_euler(problem, path)
-    if scheme == "semi_implicit_euler":
-        return semi_implicit_euler(problem, piecewise_linear_lift(path, include_level3=False))
-    if scheme == "semi_implicit_milstein":
-        return semi_implicit_milstein(problem, piecewise_linear_lift(path, include_level3=False))
-    if scheme == "semi_implicit_milstein3":
-        return semi_implicit_milstein3(problem, piecewise_linear_lift(path, include_level3=True))
-    if scheme == "simplified_milstein":
-        return simplified_milstein(problem, path)
-    if scheme == "simplified_milstein3":
-        return simplified_milstein3(problem, path)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    lift = piecewise_linear_lift(path, include_level3=order == 3)
+    return semi_implicit_taylor(problem, lift, order)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +232,6 @@ def _validate_config(config: StudyConfig, problem: Problem | None) -> None:
         raise ValueError("need at least one seed")
 
 
-def _check_compat(scheme: str, problem: Problem) -> None:
-    allowed = ADDITIVE_SCHEMES if problem.additive else MULTIPLICATIVE_SCHEMES
-    if scheme not in allowed:
-        kind = "additive" if problem.additive else "multiplicative"
-        raise ValueError(f"scheme {scheme!r} does not apply to {kind} problems ({allowed})")
-
-
 def _zero_path(grid: Grid, m: int) -> SamplePath:
     return SamplePath(grid, np.zeros((grid.N + 1, m)))
 
@@ -280,7 +278,7 @@ def run_study(
     else:
         problem, m, default_hurst = example_problem(config.problem)
         hurst = config.hurst if config.hurst is not None else default_hurst
-    _check_compat(config.scheme, problem)
+    _scheme_order(config.scheme, problem)
 
     exponents = tuple(sorted(config.step_exponents))
     ref_grid = make_grid(problem.T, 2**config.ref_exponent)
@@ -465,7 +463,7 @@ def stability_demo(
     else:
         path = sample_fbm(FbmConfig((hurst,), m, grid, seed))
     expl = explicit_euler(problem, path)
-    impl = implicit_euler_additive(problem, path)
+    impl = run_scheme("implicit_euler", problem, path)
     rate = -problem.drift.one_sided_lipschitz  # 70
     return StabilityReport(
         h=h,
@@ -510,11 +508,8 @@ def probe_default_problem() -> Problem:
     return Problem(zero_drift(1), xi=[1.0], T=1.0, diffusion=geometric_diffusion())
 
 
-_PROBE_SCHEMES = {
-    "euler": semi_implicit_euler,
-    "milstein": semi_implicit_milstein,
-    "milstein3": semi_implicit_milstein3,
-}
+# probe scheme name -> order of semi_implicit_taylor
+_PROBE_SCHEMES = {"euler": 1, "milstein": 2, "milstein3": 3}
 
 
 def local_error_probe(
@@ -543,10 +538,10 @@ def local_error_probe(
         fine_grid = make_grid(h, sub_steps)
         fine_lift = piecewise_linear_lift(smooth_driver_path(fine_grid, m))
         prob_h = Problem(problem.drift, base, h, diffusion=problem.diffusion)
-        ref = semi_implicit_milstein3(prob_h, fine_lift).states[-1]
+        ref = semi_implicit_taylor(prob_h, fine_lift, 3).states[-1]
         x, X2, X3 = tensors_over(fine_lift, 0, sub_steps)
         one_lift = RoughLift(make_grid(h, 1), x[None], X2[None], X3[None])
-        y1 = _PROBE_SCHEMES[scheme](prob_h, one_lift).states[-1]
+        y1 = semi_implicit_taylor(prob_h, one_lift, _PROBE_SCHEMES[scheme]).states[-1]
         errors.append(float(np.linalg.norm(ref - y1)))
     usable = [(h, e) for h, e in zip(steps, errors) if e > 1e-15]
     if len(usable) >= 2:

@@ -1,9 +1,11 @@
 """One-step schemes and full-trajectory drivers.
 
-All implicit schemes are semi-implicit: the drift is evaluated at the new
-state and resolved by the nonlinear solver, every noise term is evaluated at
-the old state and enters the solver's right-hand side.  The drift-implicit
-schemes refuse to run unless C_b*h < 1 (well-posedness gate).
+Every implicit scheme is the semi-implicit Taylor recursion of order 1, 2
+or 3 (``semi_implicit_taylor``): the drift is evaluated at the new state and
+resolved by the nonlinear solver, every noise term is evaluated at the old
+state and enters the solver's right-hand side.  The recursion refuses to run
+unless C_b*h < 1 (well-posedness gate).  Forward Euler (``explicit_euler``)
+has no solve and keeps its own loop.
 
 Trajectory blow-up (state norm above 1e12, or non-finite) is a reportable
 runtime event, raised as BlowupError with the offending step index.
@@ -32,13 +34,8 @@ __all__ = [
     "Trajectory",
     "BlowupError",
     "SchemeStepError",
-    "implicit_euler_additive",
+    "semi_implicit_taylor",
     "explicit_euler",
-    "semi_implicit_euler",
-    "semi_implicit_milstein",
-    "semi_implicit_milstein3",
-    "simplified_milstein",
-    "simplified_milstein3",
     "boundedness_bound",
     "dump_trajectory_csv",
 ]
@@ -113,18 +110,10 @@ def _check_grid(problem: Problem, grid: Grid) -> None:
         raise ValueError(f"driver lives on [0, {grid.T}] but the problem horizon is {problem.T}")
 
 
-def _require_additive(problem: Problem, path: SamplePath) -> None:
-    if not problem.additive:
-        raise ValueError("additive-noise scheme applied to a multiplicative problem")
-    if path.m != problem.dim:
-        raise ValueError(f"additive driver has {path.m} components, state has {problem.dim}")
-
-
-def _require_multiplicative(problem: Problem, m: int) -> None:
-    if problem.additive:
-        raise ValueError("multiplicative scheme needs a diffusion field")
-    if m != problem.diffusion.noise_dim:
-        raise ValueError(f"driver has {m} components, diffusion expects {problem.diffusion.noise_dim}")
+def _check_noise_dim(problem: Problem, m: int) -> None:
+    expected = problem.dim if problem.additive else problem.diffusion.noise_dim
+    if m != expected:
+        raise ValueError(f"driver has {m} components, the problem expects {expected}")
 
 
 def _guard(y: np.ndarray, step: int) -> None:
@@ -150,22 +139,48 @@ def _implicit_trajectory(problem, grid, explicit_term, tol) -> Trajectory:
     return Trajectory(grid, states)
 
 
-def implicit_euler_additive(problem: Problem, path: SamplePath, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Drift-implicit Euler for additive noise:
-    y_{j+1} = y_j + h*b(y_{j+1}) + (x_{j+1} - x_j)."""
-    _require_additive(problem, path)
-    dx = np.diff(path.values, axis=0)
-    return _implicit_trajectory(problem, path.grid, lambda j, y: dx[j], tol)
+def _taylor_term(problem: Problem, lift: RoughLift, order: int):
+    """The noise term of step j as a function of (j, y_j); for additive noise
+    sigma is the identity, so it is the increment with no matrix product."""
+    dx = lift.increments
+    if problem.additive:
+        return lambda j, y: dx[j]
+    sig = problem.diffusion
+    X2 = lift.level2
+    X3 = lift.level3
+
+    def term(j, y):
+        out = sig.func(y) @ dx[j]
+        if order >= 2:
+            out = out + np.einsum("ija,ij->a", first_order_composition(sig, y), X2[j])
+        if order >= 3:
+            out = out + np.einsum("ijka,ijk->a", second_order_composition(sig, y), X3[j])
+        return out
+
+    return term
+
+
+def semi_implicit_taylor(
+    problem: Problem, lift: RoughLift, order: int, tol: float = DEFAULT_TOL
+) -> Trajectory:
+    """Semi-implicit Taylor scheme of order 1 (Euler), 2 (Milstein) or 3:
+    y_{j+1} = y_j + h*b(y_{j+1}) + sum_{k <= order} C_k(y_j) : X^k_{j,j+1},
+    with C_1 = sigma and C_2, C_3 its first- and second-order compositions
+    contracted against the level-k tensors X^k of the lift.  For additive
+    problems sigma is the identity and every order is drift-implicit Euler."""
+    if order not in (1, 2, 3):
+        raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
+    if order == 3 and not lift.has_level3:
+        raise ValueError("third-order scheme needs a lift with level-3 tensors")
+    _check_noise_dim(problem, lift.m)
+    return _implicit_trajectory(problem, lift.grid, _taylor_term(problem, lift, order), tol)
 
 
 def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
     """Forward Euler: y_{j+1} = y_j + h*b(y_j) + noise increment, with the
     noise increment x_{j+1} - x_j for additive problems and
     sigma(y_j) (x_{j+1} - x_j) for multiplicative ones."""
-    if problem.additive:
-        _require_additive(problem, path)
-    else:
-        _require_multiplicative(problem, path.m)
+    _check_noise_dim(problem, path.m)
     _check_grid(problem, path.grid)
     grid = path.grid
     dx = np.diff(path.values, axis=0)
@@ -180,98 +195,15 @@ def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
     return Trajectory(grid, states)
 
 
-def semi_implicit_euler(problem: Problem, lift: RoughLift, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Semi-implicit Euler: noise term sigma(y_j) x_{j,j+1}, drift implicit."""
-    _require_multiplicative(problem, lift.m)
-    sig = problem.diffusion
-    dx = lift.increments
-
-    def term(j, y):
-        return sig.func(y) @ dx[j]
-
-    return _implicit_trajectory(problem, lift.grid, term, tol)
-
-
-def semi_implicit_milstein(problem: Problem, lift: RoughLift, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Semi-implicit Milstein: adds the first-order composition contracted
-    against the level-2 tensor of the supplied lift."""
-    _require_multiplicative(problem, lift.m)
-    sig = problem.diffusion
-    dx = lift.increments
-    X2 = lift.level2
-
-    def term(j, y):
-        E = first_order_composition(sig, y)
-        return sig.func(y) @ dx[j] + np.einsum("ija,ij->a", E, X2[j])
-
-    return _implicit_trajectory(problem, lift.grid, term, tol)
-
-
-def semi_implicit_milstein3(problem: Problem, lift: RoughLift, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Third-order semi-implicit Milstein: additionally contracts the
-    second-order composition against the level-3 tensor."""
-    _require_multiplicative(problem, lift.m)
-    if not lift.has_level3:
-        raise ValueError("third-order scheme needs a lift with level-3 tensors")
-    sig = problem.diffusion
-    dx = lift.increments
-    X2 = lift.level2
-    X3 = lift.level3
-
-    def term(j, y):
-        E = first_order_composition(sig, y)
-        F = second_order_composition(sig, y)
-        return (
-            sig.func(y) @ dx[j]
-            + np.einsum("ija,ij->a", E, X2[j])
-            + np.einsum("ijka,ijk->a", F, X3[j])
-        )
-
-    return _implicit_trajectory(problem, lift.grid, term, tol)
-
-
-def simplified_milstein(problem: Problem, path: SamplePath, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Simplified Milstein: the level-2 tensor is replaced by half the product
-    of increments, so only the path is needed."""
-    _require_multiplicative(problem, path.m)
-    sig = problem.diffusion
-    dx = np.diff(path.values, axis=0)
-
-    def term(j, y):
-        v = dx[j]
-        E = first_order_composition(sig, y)
-        return sig.func(y) @ v + 0.5 * np.einsum("ija,i,j->a", E, v, v)
-
-    return _implicit_trajectory(problem, path.grid, term, tol)
-
-
-def simplified_milstein3(problem: Problem, path: SamplePath, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Simplified third-order Milstein: level-2 and level-3 tensors replaced
-    by scaled products of increments."""
-    _require_multiplicative(problem, path.m)
-    sig = problem.diffusion
-    dx = np.diff(path.values, axis=0)
-
-    def term(j, y):
-        v = dx[j]
-        E = first_order_composition(sig, y)
-        F = second_order_composition(sig, y)
-        return (
-            sig.func(y) @ v
-            + 0.5 * np.einsum("ija,i,j->a", E, v, v)
-            + np.einsum("ijka,i,j,k->a", F, v, v, v) / 6.0
-        )
-
-    return _implicit_trajectory(problem, path.grid, term, tol)
-
-
 def boundedness_bound(problem: Problem, path: SamplePath) -> float:
     """A-priori uniform bound for the drift-implicit additive recursion,
     valid whenever 2*C_b*h <= 1:
 
     exp(2*C_b*T) * (|xi| + T * max_{n>=1} |b(x_n)|) + max_n |x_n|.
     """
-    _require_additive(problem, path)
+    if not problem.additive:
+        raise ValueError("the boundedness bound holds for additive problems only")
+    _check_noise_dim(problem, path.m)
     cb = problem.drift.one_sided_lipschitz
     T = path.grid.T
     b_max = max(float(np.linalg.norm(problem.drift(x))) for x in path.values[1:])

@@ -13,20 +13,14 @@ from roughtaylor.harness import (
     StudyConfig,
     local_error_probe,
     probe_default_problem,
+    run_scheme,
     run_study,
     stability_demo,
 )
 from roughtaylor.lift import chen_defect, geometricity_defect, piecewise_linear_lift
-from roughtaylor.schemes import (
-    Problem,
-    boundedness_bound,
-    implicit_euler_additive,
-    semi_implicit_milstein,
-    semi_implicit_milstein3,
-    simplified_milstein,
-    simplified_milstein3,
-)
+from roughtaylor.schemes import Problem, boundedness_bound, semi_implicit_taylor
 from roughtaylor.solver import solve_step
+from test_schemes import simplified_taylor
 from test_solver import cubic_equation_root
 
 
@@ -65,13 +59,10 @@ def test_criterion_2_coincidence_of_simplified_schemes():
         path = sample_fbm(FbmConfig((5.0 / 12.0, 5.0 / 12.0), 2, grid, seed))
         lift = piecewise_linear_lift(path)
         gap2 = np.max(
-            np.abs(simplified_milstein(problem, path).states - semi_implicit_milstein(problem, lift).states)
+            np.abs(simplified_taylor(problem, path, 2) - semi_implicit_taylor(problem, lift, 2).states)
         )
         gap3 = np.max(
-            np.abs(
-                simplified_milstein3(problem, path).states
-                - semi_implicit_milstein3(problem, lift).states
-            )
+            np.abs(simplified_taylor(problem, path, 3) - semi_implicit_taylor(problem, lift, 3).states)
         )
         worst2 = max(worst2, float(gap2))
         worst3 = max(worst3, float(gap3))
@@ -236,7 +227,7 @@ def test_criterion_8_boundedness_certificate():
     # direct re-check on a fresh trajectory
     problem = Problem(double_well_drift(), xi=[-3.0], T=1.0)
     path = sample_fbm(FbmConfig((0.75,), 1, make_grid(1.0, 256), 11))
-    traj = implicit_euler_additive(problem, path)
+    traj = run_scheme("implicit_euler", problem, path)
     peak = float(np.max(np.abs(traj.states)))
     bound = boundedness_bound(problem, path)
     assert peak <= bound

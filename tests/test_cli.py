@@ -1,4 +1,7 @@
-from roughtaylor.cli import main
+import pytest
+
+from roughtaylor import harness
+from roughtaylor.cli import build_parser, main
 
 
 def test_sample_fbm_writes_csv(tmp_path, capsys):
@@ -67,6 +70,21 @@ def test_run_rejects_incompatible_scheme(capsys):
     assert code == 2
 
 
+def test_run_rejects_unknown_scheme(capsys):
+    code = main(
+        [
+            "run",
+            "--problem", "example1",
+            "--scheme", "implicit_eular",
+            "--steps", "4..5",
+            "--ref", "8",
+            "--seeds", "1",
+        ]
+    )
+    assert code == 2
+    assert "unknown scheme 'implicit_eular'" in capsys.readouterr().err
+
+
 def test_stability_command(capsys):
     code = main(["stability", "--h", "0.03125"])
     assert code == 0
@@ -87,3 +105,11 @@ def test_probe_local_command(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "h,error"
     assert len(lines) >= 3
+
+
+def test_probe_local_choices_follow_probe_table(capsys):
+    for scheme in harness._PROBE_SCHEMES:
+        assert build_parser().parse_args(["probe-local", "--scheme", scheme]).scheme == scheme
+    with pytest.raises(SystemExit):
+        main(["probe-local", "--scheme", "heun"])
+    assert "invalid choice" in capsys.readouterr().err

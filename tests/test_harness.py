@@ -3,19 +3,23 @@ import pytest
 
 from roughtaylor.fields import linear_drift, constant_diffusion, zero_drift
 from roughtaylor.harness import (
+    ADDITIVE_SCHEMES,
+    MULTIPLICATIVE_SCHEMES,
     StudyConfig,
     eoc,
     example_problem,
     increment_flip_count,
     local_error_probe,
     probe_default_problem,
+    run_scheme,
     run_study,
     sign_change_count,
     smooth_driver_path,
     stability_demo,
 )
 from roughtaylor.grids import make_grid
-from roughtaylor.schemes import Problem
+from roughtaylor.lift import piecewise_linear_lift
+from roughtaylor.schemes import Problem, semi_implicit_taylor
 
 
 class TestEoc:
@@ -99,6 +103,11 @@ class TestRunStudy:
             run_study(cfg)
         cfg = StudyConfig("example3", "implicit_euler", step_exponents=(4,), ref_exponent=6)
         with pytest.raises(ValueError):
+            run_study(cfg)
+
+    def test_rejects_unknown_scheme(self):
+        cfg = StudyConfig("example1", "implicit_eular", step_exponents=(4,), ref_exponent=6)
+        with pytest.raises(ValueError, match="unknown scheme 'implicit_eular'; choose from"):
             run_study(cfg)
 
     def test_overflow_becomes_flagged_row(self):
@@ -233,3 +242,49 @@ def test_example_problem_lookup():
     assert hurst == (5.0 / 12.0, 5.0 / 12.0)
     with pytest.raises(ValueError):
         example_problem("example9")
+
+
+class TestRunScheme:
+    def test_scheme_names_by_problem_kind(self):
+        assert ADDITIVE_SCHEMES == ("implicit_euler", "explicit_euler")
+        assert MULTIPLICATIVE_SCHEMES == (
+            "explicit_euler",
+            "semi_implicit_euler",
+            "semi_implicit_milstein",
+            "semi_implicit_milstein3",
+            "simplified_milstein",
+            "simplified_milstein3",
+        )
+
+    def test_enforces_problem_kind(self):
+        additive, _, _ = example_problem("example1")
+        multiplicative, _, _ = example_problem("example3")
+        path1 = smooth_driver_path(make_grid(1.0, 8), m=1)
+        path2 = smooth_driver_path(make_grid(1.0, 8), m=2)
+        with pytest.raises(ValueError, match="does not apply to multiplicative"):
+            run_scheme("implicit_euler", multiplicative, path2)
+        with pytest.raises(ValueError, match="does not apply to additive"):
+            run_scheme("semi_implicit_euler", additive, path1)
+
+    def test_rejects_unknown_scheme(self):
+        problem, _, _ = example_problem("example1")
+        path = smooth_driver_path(make_grid(1.0, 8), m=1)
+        with pytest.raises(ValueError, match="unknown scheme 'implicit_eular'"):
+            run_scheme("implicit_eular", problem, path)
+
+    @pytest.mark.parametrize(
+        "problem_name, scheme, order",
+        [
+            ("example1", "implicit_euler", 1),
+            ("example3", "semi_implicit_euler", 1),
+            ("example3", "semi_implicit_milstein", 2),
+            ("example3", "semi_implicit_milstein3", 3),
+            ("example3", "simplified_milstein", 2),
+            ("example3", "simplified_milstein3", 3),
+        ],
+    )
+    def test_implicit_scheme_is_driver_of_its_order(self, problem_name, scheme, order):
+        problem, m, _ = example_problem(problem_name)
+        path = smooth_driver_path(make_grid(1.0, 64), m=m)
+        expected = semi_implicit_taylor(problem, piecewise_linear_lift(path), order)
+        assert np.array_equal(run_scheme(scheme, problem, path).states, expected.states)

@@ -7,11 +7,14 @@ from roughtaylor.fields import (
     cosine_diffusion,
     cubic_radial_drift,
     double_well_drift,
+    first_order_composition,
     geometric_diffusion,
     linear_drift,
+    second_order_composition,
     zero_drift,
 )
 from roughtaylor.grids import make_grid
+from roughtaylor.harness import run_scheme
 from roughtaylor.lift import RoughLift, piecewise_linear_lift
 from roughtaylor.schemes import (
     BlowupError,
@@ -19,14 +22,29 @@ from roughtaylor.schemes import (
     boundedness_bound,
     dump_trajectory_csv,
     explicit_euler,
-    implicit_euler_additive,
-    semi_implicit_euler,
-    semi_implicit_milstein,
-    semi_implicit_milstein3,
-    simplified_milstein,
-    simplified_milstein3,
+    semi_implicit_taylor,
 )
-from roughtaylor.solver import StepSizeError
+from roughtaylor.solver import StepSizeError, solve_step
+
+
+def simplified_taylor(problem, path, order):
+    """Reference oracle for the "simplified" schemes: the semi-implicit
+    Taylor recursion with the level-2/3 tensors replaced by the increment
+    products v⊗v/2 and v⊗v⊗v/6, in its own loop.  Returns the states."""
+    sig = problem.diffusion
+    dx = np.diff(path.values, axis=0)
+    y = problem.xi.copy()
+    states = [y]
+    for v in dx:
+        term = sig.func(y) @ v
+        if order >= 2:
+            term = term + 0.5 * np.einsum("ija,i,j->a", first_order_composition(sig, y), v, v)
+        if order >= 3:
+            F = second_order_composition(sig, y)
+            term = term + np.einsum("ijka,i,j,k->a", F, v, v, v) / 6.0
+        y = solve_step(problem.drift, path.grid.h, y + term).solution
+        states.append(y)
+    return np.array(states)
 
 
 def fbm_path(seed, N=64, m=1, hurst=0.5):
@@ -41,14 +59,14 @@ class TestImplicitEulerAdditive:
     def test_pure_noise_integration(self):
         problem = Problem(zero_drift(1), xi=[1.5], T=1.0)
         path = fbm_path(0)
-        traj = implicit_euler_additive(problem, path)
+        traj = run_scheme("implicit_euler", problem, path)
         assert np.allclose(traj.states[:, 0], 1.5 + path.values[:, 0], atol=1e-12)
 
     def test_linear_recursion_oracle(self):
         lam = 0.8
         problem = Problem(linear_drift(lam), xi=[0.4], T=1.0)
         path = fbm_path(3, N=32)
-        traj = implicit_euler_additive(problem, path)
+        traj = run_scheme("implicit_euler", problem, path)
         h = path.grid.h
         dx = np.diff(path.values[:, 0])
         y = 0.4
@@ -60,7 +78,7 @@ class TestImplicitEulerAdditive:
         problem = Problem(linear_drift(-70.0), xi=[2.7], T=1.0)
         grid = make_grid(1.0, 32)
         path = SamplePath(grid, np.zeros((33, 1)))
-        traj = implicit_euler_additive(problem, path)
+        traj = run_scheme("implicit_euler", problem, path)
         y = np.abs(traj.states[:, 0])
         assert np.all(np.diff(y) <= 0.0)
         expected = 2.7 / (1.0 + 70.0 * grid.h) ** np.arange(33)
@@ -69,13 +87,13 @@ class TestImplicitEulerAdditive:
 
     def test_rejects_multiplicative_problem(self):
         with pytest.raises(ValueError):
-            implicit_euler_additive(example3_problem(), fbm_path(0, m=2))
+            run_scheme("implicit_euler", example3_problem(), fbm_path(0, m=2))
 
     def test_well_posedness_gate(self):
         problem = Problem(double_well_drift(), xi=[-3.0], T=1.0)
         path = SamplePath(make_grid(1.0, 1), np.zeros((2, 1)))  # h = 1, C_b h = 1
         with pytest.raises(StepSizeError):
-            implicit_euler_additive(problem, path)
+            run_scheme("implicit_euler", problem, path)
 
 
 class TestExplicitEuler:
@@ -83,7 +101,7 @@ class TestExplicitEuler:
         problem = Problem(zero_drift(1), xi=[0.0], T=1.0)
         path = fbm_path(5)
         a = explicit_euler(problem, path)
-        b = implicit_euler_additive(problem, path)
+        b = run_scheme("implicit_euler", problem, path)
         assert np.allclose(a.states, b.states, atol=1e-12)
 
     def test_divergence_factor(self):
@@ -114,7 +132,7 @@ class TestSemiImplicitEuler:
     def test_no_dynamics(self):
         problem = Problem(zero_drift(1), xi=[0.7], T=1.0, diffusion=constant_diffusion([[0.0]]))
         lift = piecewise_linear_lift(fbm_path(1))
-        traj = semi_implicit_euler(problem, lift)
+        traj = semi_implicit_taylor(problem, lift, 1)
         assert np.array_equal(traj.states[:, 0], np.full(65, 0.7))
 
     def test_identity_diffusion_matches_additive(self):
@@ -122,8 +140,8 @@ class TestSemiImplicitEuler:
         path = fbm_path(2, N=32)
         additive = Problem(drift, xi=[-3.0], T=1.0)
         multiplicative = Problem(drift, xi=[-3.0], T=1.0, diffusion=constant_diffusion([[1.0]]))
-        a = implicit_euler_additive(additive, path)
-        b = semi_implicit_euler(multiplicative, piecewise_linear_lift(path))
+        a = run_scheme("implicit_euler", additive, path)
+        b = semi_implicit_taylor(multiplicative, piecewise_linear_lift(path), 1)
         assert np.array_equal(a.states, b.states)
 
     def test_geometric_recursion(self):
@@ -131,7 +149,7 @@ class TestSemiImplicitEuler:
         N = 16
         problem = Problem(zero_drift(1), xi=[2.0], T=1.0, diffusion=geometric_diffusion())
         path = SamplePath(make_grid(1.0, N), delta * np.arange(N + 1.0))
-        traj = semi_implicit_euler(problem, piecewise_linear_lift(path))
+        traj = semi_implicit_taylor(problem, piecewise_linear_lift(path), 1)
         assert np.allclose(traj.states[:, 0], 2.0 * (1.0 + delta) ** np.arange(N + 1), rtol=1e-12)
 
 
@@ -141,9 +159,9 @@ class TestMilsteinFamily:
             double_well_drift(), xi=[-3.0], T=1.0, diffusion=constant_diffusion([[0.8]])
         )
         lift = piecewise_linear_lift(fbm_path(4, N=32))
-        a = semi_implicit_euler(problem, lift)
-        b = semi_implicit_milstein(problem, lift)
-        c = semi_implicit_milstein3(problem, lift)
+        a = semi_implicit_taylor(problem, lift, 1)
+        b = semi_implicit_taylor(problem, lift, 2)
+        c = semi_implicit_taylor(problem, lift, 3)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.states, c.states)
 
@@ -152,8 +170,8 @@ class TestMilsteinFamily:
         problem = Problem(zero_drift(1), xi=[2.0], T=0.5, diffusion=geometric_diffusion())
         path = SamplePath(make_grid(0.5, 1), np.array([0.0, delta]))
         lift = piecewise_linear_lift(path)
-        y2 = semi_implicit_milstein(problem, lift).states[-1, 0]
-        y3 = semi_implicit_milstein3(problem, lift).states[-1, 0]
+        y2 = semi_implicit_taylor(problem, lift, 2).states[-1, 0]
+        y3 = semi_implicit_taylor(problem, lift, 3).states[-1, 0]
         assert y2 == pytest.approx(2.0 * (1.0 + delta + delta**2 / 2.0))
         assert y3 == pytest.approx(2.0 * (1.0 + delta + delta**2 / 2.0 + delta**3 / 6.0))
 
@@ -162,8 +180,8 @@ class TestMilsteinFamily:
         path = fbm_path(6, N=16, m=2, hurst=5.0 / 12.0)
         lift = piecewise_linear_lift(path)
         zero2 = RoughLift(lift.grid, lift.increments, np.zeros_like(lift.level2))
-        a = semi_implicit_euler(problem, lift)
-        b = semi_implicit_milstein(problem, zero2)
+        a = semi_implicit_taylor(problem, lift, 1)
+        b = semi_implicit_taylor(problem, zero2, 2)
         assert np.allclose(a.states, b.states, atol=1e-14)
 
     def test_zero_level3_reduces_to_milstein(self):
@@ -171,15 +189,47 @@ class TestMilsteinFamily:
         path = fbm_path(7, N=16, m=2, hurst=5.0 / 12.0)
         lift = piecewise_linear_lift(path)
         zero3 = RoughLift(lift.grid, lift.increments, lift.level2, np.zeros((16, 2, 2, 2)))
-        a = semi_implicit_milstein(problem, lift)
-        b = semi_implicit_milstein3(problem, zero3)
+        a = semi_implicit_taylor(problem, lift, 2)
+        b = semi_implicit_taylor(problem, zero3, 3)
         assert np.allclose(a.states, b.states, atol=1e-14)
 
     def test_milstein3_requires_level3(self):
         problem = example3_problem()
         lift = piecewise_linear_lift(fbm_path(0, m=2), include_level3=False)
         with pytest.raises(ValueError, match="level-3"):
-            semi_implicit_milstein3(problem, lift)
+            semi_implicit_taylor(problem, lift, 3)
+
+
+class TestSemiImplicitTaylor:
+    @pytest.mark.parametrize("order", [0, 4])
+    def test_rejects_order_outside_one_to_three(self, order):
+        lift = piecewise_linear_lift(fbm_path(0, m=2))
+        with pytest.raises(ValueError, match="order"):
+            semi_implicit_taylor(example3_problem(), lift, order)
+
+    def test_order3_on_additive_problem_requires_level3(self):
+        problem = Problem(double_well_drift(), xi=[-3.0], T=1.0)
+        lift = piecewise_linear_lift(fbm_path(0), include_level3=False)
+        with pytest.raises(ValueError, match="level-3"):
+            semi_implicit_taylor(problem, lift, 3)
+
+    def test_rejects_noise_dimension_mismatch(self):
+        additive = Problem(double_well_drift(), xi=[-3.0], T=1.0)
+        with pytest.raises(ValueError, match="components"):
+            semi_implicit_taylor(example3_problem(), piecewise_linear_lift(fbm_path(0)), 1)
+        with pytest.raises(ValueError, match="components"):
+            semi_implicit_taylor(additive, piecewise_linear_lift(fbm_path(0, m=2)), 1)
+        with pytest.raises(ValueError, match="components"):
+            explicit_euler(example3_problem(), fbm_path(0))
+        with pytest.raises(ValueError, match="components"):
+            explicit_euler(additive, fbm_path(0, m=2))
+
+    def test_additive_orders_coincide_bitwise(self):
+        problem = Problem(double_well_drift(), xi=[-3.0], T=1.0)
+        lift = piecewise_linear_lift(fbm_path(8, N=128, hurst=0.75))
+        first = semi_implicit_taylor(problem, lift, 1).states
+        for order in (2, 3):
+            assert np.array_equal(semi_implicit_taylor(problem, lift, order).states, first)
 
 
 class TestSimplifiedSchemes:
@@ -188,12 +238,12 @@ class TestSimplifiedSchemes:
         problem = example3_problem()
         path = fbm_path(seed, N=128, m=2, hurst=5.0 / 12.0)
         lift = piecewise_linear_lift(path)
-        s2 = simplified_milstein(problem, path)
-        f2 = semi_implicit_milstein(problem, lift)
-        s3 = simplified_milstein3(problem, path)
-        f3 = semi_implicit_milstein3(problem, lift)
-        assert np.max(np.abs(s2.states - f2.states)) <= 1e-12
-        assert np.max(np.abs(s3.states - f3.states)) <= 1e-12
+        s2 = simplified_taylor(problem, path, 2)
+        f2 = semi_implicit_taylor(problem, lift, 2)
+        s3 = simplified_taylor(problem, path, 3)
+        f3 = semi_implicit_taylor(problem, lift, 3)
+        assert np.max(np.abs(s2 - f2.states)) <= 1e-12
+        assert np.max(np.abs(s3 - f3.states)) <= 1e-12
 
     def test_scalar_geometric_lift_equivalence(self):
         # any scalar geometric lift has X2 = dx^2/2, so the full scheme on it
@@ -202,18 +252,18 @@ class TestSimplifiedSchemes:
         path = fbm_path(9, N=32)
         dx = np.diff(path.values, axis=0)
         lift = RoughLift(path.grid, dx, 0.5 * np.einsum("ni,nj->nij", dx, dx))
-        a = simplified_milstein(problem, path)
-        b = semi_implicit_milstein(problem, lift)
-        assert np.max(np.abs(a.states - b.states)) <= 1e-12
+        a = simplified_taylor(problem, path, 2)
+        b = semi_implicit_taylor(problem, lift, 2)
+        assert np.max(np.abs(a - b.states)) <= 1e-12
 
     def test_constant_sigma_reduces_to_euler(self):
         problem = Problem(
             double_well_drift(), xi=[-3.0], T=1.0, diffusion=constant_diffusion([[1.2]])
         )
         path = fbm_path(10, N=32)
-        a = semi_implicit_euler(problem, piecewise_linear_lift(path))
-        b = simplified_milstein(problem, path)
-        c = simplified_milstein3(problem, path)
+        a = semi_implicit_taylor(problem, piecewise_linear_lift(path), 1)
+        b = run_scheme("simplified_milstein", problem, path)
+        c = run_scheme("simplified_milstein3", problem, path)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.states, c.states)
 
@@ -225,11 +275,11 @@ class TestInvariants:
         path = SamplePath(grid, np.zeros((33, 2)))
         lift = piecewise_linear_lift(path)
         trajectories = [
-            semi_implicit_euler(problem, lift).states,
-            semi_implicit_milstein(problem, lift).states,
-            semi_implicit_milstein3(problem, lift).states,
-            simplified_milstein(problem, path).states,
-            simplified_milstein3(problem, path).states,
+            semi_implicit_taylor(problem, lift, 1).states,
+            semi_implicit_taylor(problem, lift, 2).states,
+            semi_implicit_taylor(problem, lift, 3).states,
+            run_scheme("simplified_milstein", problem, path).states,
+            run_scheme("simplified_milstein3", problem, path).states,
         ]
         for states in trajectories[1:]:
             assert np.array_equal(states, trajectories[0])
@@ -238,7 +288,7 @@ class TestInvariants:
     def test_boundedness_certificate(self, seed):
         problem = Problem(double_well_drift(), xi=[-3.0], T=1.0)
         path = fbm_path(seed, N=64, hurst=0.75)
-        traj = implicit_euler_additive(problem, path)
+        traj = run_scheme("implicit_euler", problem, path)
         assert 2.0 * problem.drift.one_sided_lipschitz * path.grid.h <= 1.0
         bound = boundedness_bound(problem, path)
         assert np.max(np.abs(traj.states)) <= bound
@@ -249,11 +299,11 @@ class TestInvariants:
         path = SamplePath(grid, np.zeros((2, 2)))
         lift = piecewise_linear_lift(path)
         for run in (
-            lambda: semi_implicit_euler(problem, lift),
-            lambda: semi_implicit_milstein(problem, lift),
-            lambda: semi_implicit_milstein3(problem, lift),
-            lambda: simplified_milstein(problem, path),
-            lambda: simplified_milstein3(problem, path),
+            lambda: semi_implicit_taylor(problem, lift, 1),
+            lambda: semi_implicit_taylor(problem, lift, 2),
+            lambda: semi_implicit_taylor(problem, lift, 3),
+            lambda: run_scheme("simplified_milstein", problem, path),
+            lambda: run_scheme("simplified_milstein3", problem, path),
         ):
             with pytest.raises(StepSizeError):
                 run()
@@ -262,7 +312,7 @@ class TestInvariants:
 def test_dump_trajectory_csv(tmp_path):
     problem = Problem(zero_drift(1), xi=[1.0], T=1.0)
     path = fbm_path(0, N=4)
-    traj = implicit_euler_additive(problem, path)
+    traj = run_scheme("implicit_euler", problem, path)
     target = tmp_path / "traj.csv"
     dump_trajectory_csv(traj, target)
     lines = target.read_text().strip().splitlines()
