@@ -173,22 +173,21 @@ def linear_drift(coeff: float, dim: int = 1) -> DriftField:
     """b(y) = coeff * y; one-sided Lipschitz constant coeff (negative coeff
     gives a stiff contractive drift with no implicit step-size restriction)."""
     coeff = float(coeff)
-    return DriftField(
-        dim,
-        lambda y: coeff * y,
-        coeff,
-        jacobian=lambda y: coeff * np.eye(dim),
-    )
+    J = coeff * np.eye(dim)
+    J.flags.writeable = False
+    return DriftField(dim, lambda y: coeff * y, coeff, jacobian=lambda y: J)
 
 
 def cubic_radial_drift(dim: int = 2) -> DriftField:
     """b(y) = y - |y|^2 y; one-sided Lipschitz constant 1 in any dimension."""
 
+    eye = np.eye(dim)
+
     def b(y):
         return y - (y @ y) * y
 
     def jac(y):
-        return (1.0 - y @ y) * np.eye(dim) - 2.0 * np.outer(y, y)
+        return (1.0 - y @ y) * eye - 2.0 * (y[:, None] * y)
 
     return DriftField(dim, b, 1.0, jacobian=jac)
 

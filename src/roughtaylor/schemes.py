@@ -13,6 +13,7 @@ runtime event, raised as BlowupError with the offending step index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .fields import (
 )
 from .grids import Grid
 from .lift import RoughLift
-from .solver import DEFAULT_TOL, ConvergenceError, StepSizeError, solve_step
+from .solver import DEFAULT_TOL, ConvergenceError, StepSizeError, _norm, solve_step
 
 __all__ = [
     "BLOWUP_NORM",
@@ -117,8 +118,8 @@ def _check_noise_dim(problem: Problem, m: int) -> None:
 
 
 def _guard(y: np.ndarray, step: int) -> None:
-    n = float(np.linalg.norm(y))
-    if not np.isfinite(n) or n > BLOWUP_NORM:
+    n = _norm(y)
+    if not math.isfinite(n) or n > BLOWUP_NORM:
         raise BlowupError(step, n)
 
 
@@ -206,9 +207,9 @@ def boundedness_bound(problem: Problem, path: SamplePath) -> float:
     _check_noise_dim(problem, path.m)
     cb = problem.drift.one_sided_lipschitz
     T = path.grid.T
-    b_max = max(float(np.linalg.norm(problem.drift(x))) for x in path.values[1:])
+    b_max = max(_norm(problem.drift(x)) for x in path.values[1:])
     x_max = float(np.max(np.linalg.norm(path.values, axis=1)))
-    xi_norm = float(np.linalg.norm(problem.xi))
+    xi_norm = _norm(problem.xi)
     return float(np.exp(2.0 * cb * T) * (xi_norm + b_max * T) + x_max)
 
 

@@ -8,9 +8,12 @@ strongly monotone with constant 1 - C_b*h, so G is invertible with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .fields import DriftField
 
@@ -50,9 +53,23 @@ class SolveReport:
     method_used: str  # "newton" | "contraction"
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float array, computed the way np.linalg.norm
+    computes it (the square root of the dot product), so the two agree
+    bitwise without its call overhead."""
+    return math.sqrt(v.dot(v))
+
+
+@cache
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def _fd_jacobian(drift: DriftField, y: np.ndarray) -> np.ndarray:
     # column-wise central differences, step scaled by the state magnitude
-    eps = _FD_STEP * max(1.0, float(np.linalg.norm(y)))
+    eps = _FD_STEP * max(1.0, _norm(y))
     d = y.size
     J = np.empty((d, d))
     for p in range(d):
@@ -73,18 +90,22 @@ def solve_step(
     """Solve y - h*b(y) = r for the unique root.
 
     Newton iteration from the initial guess r (Jacobian analytic when the
-    drift supplies one, otherwise central finite differences); if the Newton
-    residual fails to decrease for five consecutive iterations the solver
-    falls back to the damped fixed-point iteration y <- (y + r + h*b(y))/2.
-    The residual |y - h*b(y) - r| of the returned solution is re-checked and
-    guaranteed <= tol.
+    drift supplies one, otherwise central finite differences; the linear
+    system is solved by LAPACK ``dgesv``); if the Newton residual fails to
+    decrease for five consecutive iterations, or the Newton matrix is
+    singular, the solver falls back to the damped fixed-point iteration
+    y <- (y + r + h*b(y))/2.  The residual |y - h*b(y) - r| is evaluated
+    once per iterate; the returned solution is the iterate whose residual
+    was found <= tol, and that residual is the one reported.
 
     Raises
     ------
     StepSizeError
         If C_b*h >= 1.
     ConvergenceError
-        If both iteration budgets are exhausted.
+        If both iteration budgets are exhausted, or at the first NaN or
+        infinite residual instead of spending the budgets on non-finite
+        iterates.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -98,34 +119,33 @@ def solve_step(
     def residual_of(y):
         return y - h * drift(y) - r
 
-    def finish(y, iters, method):
-        res = float(np.linalg.norm(residual_of(y)))
-        if res > tol:
-            raise ConvergenceError("implicit step did not converge", res, iters)
-        return SolveReport(y, iters, res, method)
+    def norm_of(F, iters):
+        res = _norm(F)
+        if not math.isfinite(res):
+            raise ConvergenceError("implicit step residual is not finite", res, iters)
+        return res
 
     y = r.copy()
     F = residual_of(y)
-    res = float(np.linalg.norm(F))
     iters = 0
+    res = norm_of(F, iters)
     stall = 0
-    eye = np.eye(drift.dim)
+    eye = _identity(drift.dim)
     while iters < max_newton:
         if res <= tol:
-            return finish(y, iters, "newton")
+            return SolveReport(y, iters, res, "newton")
         if drift.jacobian is not None:
             Jb = np.asarray(drift.jacobian(y), dtype=float)
         else:
             Jb = _fd_jacobian(drift, y)
-        try:
-            step = np.linalg.solve(eye - h * Jb, F)
-        except np.linalg.LinAlgError:
+        step, info = dgesv(eye - h * Jb, F)[2:]
+        if info != 0:
             break
         y = y - step
         prev = res
         F = residual_of(y)
-        res = float(np.linalg.norm(F))
         iters += 1
+        res = norm_of(F, iters)
         if res >= prev:
             stall += 1
             if stall >= _STALL_LIMIT:
@@ -133,13 +153,13 @@ def solve_step(
         else:
             stall = 0
     if res <= tol:
-        return finish(y, iters, "newton")
+        return SolveReport(y, iters, res, "newton")
     # damped fixed point; convergent near the solution for moderate h*Lip(b),
     # budget-limited with a clear error otherwise
     for _ in range(max_fallback):
         y = 0.5 * (y + r + h * drift(y))
         iters += 1
-        res = float(np.linalg.norm(residual_of(y)))
+        res = norm_of(residual_of(y), iters)
         if res <= tol:
-            return finish(y, iters, "contraction")
+            return SolveReport(y, iters, res, "contraction")
     raise ConvergenceError("implicit step did not converge", res, iters)

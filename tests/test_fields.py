@@ -146,6 +146,24 @@ class TestCatalogue:
         pts = [rng.uniform(-2, 2, size=2) for _ in range(4)]
         assert validate_drift_jacobian(drift, pts) < 1e-5
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_jacobians_equal_closed_forms_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        linear = linear_drift(-70.0, dim=dim)
+        radial = cubic_radial_drift(dim)
+        for _ in range(50):
+            y = rng.normal(size=dim) * 10.0 ** rng.uniform(-6, 6)
+            assert np.array_equal(linear.jacobian(y), -70.0 * np.eye(dim))
+            want = (1.0 - y @ y) * np.eye(dim) - 2.0 * np.outer(y, y)
+            assert np.array_equal(radial.jacobian(y), want)
+
+    def test_linear_jacobian_is_shared_read_only(self):
+        drift = linear_drift(3.0, dim=2)
+        J = drift.jacobian(np.zeros(2))
+        assert drift.jacobian(np.ones(2)) is J
+        with pytest.raises(ValueError):
+            J[0, 0] = 0.0
+
     @pytest.mark.parametrize(
         "drift",
         [double_well_drift(), linear_drift(-70.0), linear_drift(0.8, dim=3), cubic_radial_drift(2)],

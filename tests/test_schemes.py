@@ -17,11 +17,13 @@ from roughtaylor.grids import make_grid
 from roughtaylor.harness import run_scheme
 from roughtaylor.lift import RoughLift, piecewise_linear_lift
 from roughtaylor.schemes import (
+    BLOWUP_NORM,
     BlowupError,
     Problem,
     boundedness_bound,
     dump_trajectory_csv,
     explicit_euler,
+    _guard,
     semi_implicit_taylor,
 )
 from roughtaylor.solver import StepSizeError, solve_step
@@ -126,6 +128,35 @@ class TestExplicitEuler:
         with pytest.raises(BlowupError) as exc:
             explicit_euler(problem, path)
         assert 0 <= exc.value.step < 64
+
+
+class TestGuard:
+    @pytest.mark.parametrize(
+        "y", [[np.nan], [np.inf], [-np.inf], [1.0, np.nan], [-np.inf, 0.0]]
+    )
+    def test_non_finite_state_raises(self, y):
+        with pytest.raises(BlowupError) as exc:
+            _guard(np.array(y), 7)
+        assert exc.value.step == 7
+        assert not np.isfinite(exc.value.value_norm)
+
+    def test_norm_just_above_threshold_raises(self):
+        with pytest.raises(BlowupError) as exc:
+            _guard(np.array([np.nextafter(BLOWUP_NORM, np.inf)]), 3)
+        assert exc.value.value_norm > BLOWUP_NORM
+
+    @pytest.mark.parametrize("y", [[1e200], [1e200, -1e200]])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_squared_norm_overflow_raises(self, y):
+        # |y| is finite, but y.y overflows to inf and the guard sees inf
+        with pytest.raises(BlowupError) as exc:
+            _guard(np.array(y), 0)
+        assert exc.value.value_norm == np.inf
+
+    @pytest.mark.parametrize("y", [[BLOWUP_NORM], [-BLOWUP_NORM], [0.6e12, 0.8e12]])
+    def test_norm_at_threshold_passes(self, y):
+        assert np.linalg.norm(y) == BLOWUP_NORM
+        _guard(np.array(y), 0)
 
 
 class TestSemiImplicitEuler:
@@ -292,6 +323,10 @@ class TestInvariants:
         assert 2.0 * problem.drift.one_sided_lipschitz * path.grid.h <= 1.0
         bound = boundedness_bound(problem, path)
         assert np.max(np.abs(traj.states)) <= bound
+        b_max = max(np.linalg.norm(problem.drift(x)) for x in path.values[1:])
+        x_max = np.max(np.linalg.norm(path.values, axis=1))
+        formula = np.exp(2.0 * problem.drift.one_sided_lipschitz) * (3.0 + b_max) + x_max
+        assert bound == formula
 
     def test_gate_on_all_implicit_schemes(self):
         problem = example3_problem()

@@ -1,8 +1,29 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roughtaylor import schemes
+from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import DriftField, cubic_radial_drift, double_well_drift, linear_drift, zero_drift
-from roughtaylor.solver import ConvergenceError, StepSizeError, solve_step
+from roughtaylor.grids import make_grid
+from roughtaylor.harness import (
+    ADDITIVE_SCHEMES,
+    MULTIPLICATIVE_SCHEMES,
+    example_problem,
+    run_scheme,
+)
+from roughtaylor.schemes import Problem, SchemeStepError
+from roughtaylor.solver import (
+    MAX_FALLBACK,
+    MAX_NEWTON,
+    ConvergenceError,
+    SolveReport,
+    StepSizeError,
+    solve_step,
+)
 
 
 def bisection_root(f, lo, hi, tol=1e-14, max_iter=200):
@@ -31,6 +52,127 @@ def cubic_equation_root(h, r):
     while f(hi) < 0:
         hi *= 2.0
     return bisection_root(f, lo, hi)
+
+
+def reference_fd_jacobian(drift, y):
+    eps = 1e-7 * max(1.0, float(np.linalg.norm(y)))
+    d = y.size
+    J = np.empty((d, d))
+    for p in range(d):
+        e = np.zeros(d)
+        e[p] = eps
+        J[:, p] = (drift(y + e) - drift(y - e)) / (2.0 * eps)
+    return J
+
+
+def reference_solve_step(drift, h, r, tol=1e-12, max_newton=MAX_NEWTON, max_fallback=MAX_FALLBACK):
+    """Oracle: the solver as it was before its per-step overhead was cut, with
+    np.linalg.solve, np.linalg.norm, a fresh identity per call and the
+    residual of the returned iterate evaluated a second time."""
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    cb = drift.one_sided_lipschitz
+    if cb * h >= 1.0:
+        raise StepSizeError(f"C_b*h = {cb * h}")
+    r = np.asarray(r, dtype=float).reshape(drift.dim)
+
+    def residual_of(y):
+        return y - h * drift(y) - r
+
+    def finish(y, iters, method):
+        res = float(np.linalg.norm(residual_of(y)))
+        if res > tol:
+            raise ConvergenceError("implicit step did not converge", res, iters)
+        return SolveReport(y, iters, res, method)
+
+    y = r.copy()
+    F = residual_of(y)
+    res = float(np.linalg.norm(F))
+    iters = 0
+    stall = 0
+    eye = np.eye(drift.dim)
+    while iters < max_newton:
+        if res <= tol:
+            return finish(y, iters, "newton")
+        if drift.jacobian is not None:
+            Jb = np.asarray(drift.jacobian(y), dtype=float)
+        else:
+            Jb = reference_fd_jacobian(drift, y)
+        try:
+            step = np.linalg.solve(eye - h * Jb, F)
+        except np.linalg.LinAlgError:
+            break
+        y = y - step
+        prev = res
+        F = residual_of(y)
+        res = float(np.linalg.norm(F))
+        iters += 1
+        if res >= prev:
+            stall += 1
+            if stall >= 5:
+                break
+        else:
+            stall = 0
+    if res <= tol:
+        return finish(y, iters, "newton")
+    for _ in range(max_fallback):
+        y = 0.5 * (y + r + h * drift(y))
+        iters += 1
+        res = float(np.linalg.norm(residual_of(y)))
+        if res <= tol:
+            return finish(y, iters, "contraction")
+    raise ConvergenceError("implicit step did not converge", res, iters)
+
+
+# drifts of the equivalence property: (drift, smallest and largest log10 h)
+EQUIVALENCE_DRIFTS = {
+    "double_well": (double_well_drift(), -4.0, np.log10(0.99)),
+    "linear_-70": (linear_drift(-70.0), -4.0, 3.0),
+    "cubic_radial_2": (cubic_radial_drift(2), -4.0, np.log10(0.99)),
+    "double_well_fd": (DriftField(1, lambda y: y - y**3, 1.0), -4.0, np.log10(0.99)),
+    "cubic_radial_2_fd": (DriftField(2, lambda y: y - (y @ y) * y, 1.0), -4.0, np.log10(0.99)),
+}
+
+
+class TestAgainstReferenceSolver:
+    """The solver gives bitwise the same reports and trajectories as the
+    oracle; the one intended difference is that a non-finite residual raises
+    at once, where the oracle raises only after its budgets are spent."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(EQUIVALENCE_DRIFTS)),
+        h_frac=st.floats(0.0, 1.0),
+        decade=st.floats(-6.0, 4.0),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+    )
+    def test_reports_equal_oracle(self, name, h_frac, decade, direction):
+        drift, lo, hi = EQUIVALENCE_DRIFTS[name]
+        h = 10.0 ** (lo + h_frac * (hi - lo))
+        r = 10.0**decade * np.array(direction[: drift.dim])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                want = reference_solve_step(drift, h, r)
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    solve_step(drift, h, r)
+                return
+            got = solve_step(drift, h, r)
+        assert np.array_equal(got.solution, want.solution)
+        assert got.iterations == want.iterations
+        assert got.residual == want.residual
+        assert got.method_used == want.method_used
+
+    @pytest.mark.parametrize("example", ["example1", "example2", "example3"])
+    def test_trajectories_equal_oracle(self, example, monkeypatch):
+        problem, m, hursts = example_problem(example)
+        names = ADDITIVE_SCHEMES if problem.additive else MULTIPLICATIVE_SCHEMES
+        paths = [sample_fbm(FbmConfig(hursts[0], m, make_grid(1.0, 1024), seed)) for seed in range(3)]
+        got = {(name, k): run_scheme(name, problem, path).states for name in names for k, path in enumerate(paths)}
+        monkeypatch.setattr(schemes, "solve_step", reference_solve_step)
+        for (name, k), states in got.items():
+            assert np.array_equal(states, run_scheme(name, problem, paths[k]).states), (name, k)
 
 
 class TestSolveStep:
@@ -115,3 +257,47 @@ class TestSolveStep:
         rep = solve_step(drift, 0.1, np.array([1.0]), tol=1e-12, max_newton=0, max_fallback=500)
         assert rep.method_used == "contraction"
         assert rep.solution[0] == pytest.approx(1.0 / 1.05, rel=1e-10)
+
+    def test_singular_newton_matrix_falls_back(self):
+        # the declared Jacobian [[1/h]] makes I - h*J singular, so Newton stops
+        # at once and the damped fixed point solves y - 0.05 y = 1
+        h = 0.1
+        drift = DriftField(1, lambda y: 0.5 * y, 0.5, jacobian=lambda y: np.array([[1.0 / h]]))
+        rep = solve_step(drift, h, np.array([1.0]))
+        assert rep.method_used == "contraction"
+        assert rep.residual <= 1e-12
+        assert rep.solution[0] == pytest.approx(1.0 / 0.95, rel=1e-10)
+
+
+def steep_cubic_drift():
+    """b(y) = -1e3 y^3: monotone (C_b = 0), so every step is well posed, but
+    Newton from r = 1e4 overshoots until the residual overflows."""
+    return DriftField(1, lambda y: -1e3 * y**3, 0.0, jacobian=lambda y: np.array([[-3e3 * y[0] ** 2]]))
+
+
+class TestNonFiniteResidual:
+    @pytest.mark.parametrize("h", [0.01, 1.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_at_first_nonfinite_residual(self, h):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_step(steep_cubic_drift(), h, np.array([1e4]))
+        assert not np.isfinite(exc.value.residual)
+        # the oracle spends both budgets (about 1030 iterations) before raising
+        assert exc.value.iterations <= MAX_NEWTON
+
+    def test_nan_drift_raises_before_iterating(self):
+        drift = DriftField(1, lambda y: np.full(1, np.nan), 0.0)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_step(drift, 0.1, np.array([1.0]))
+        assert exc.value.iterations == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_trajectory_reports_the_failing_step(self):
+        grid = make_grid(1.0, 100)  # h = 0.01
+        values = np.zeros((101, 1))
+        values[6:] = 1e4  # the increment of step 5 sends r to 1e4
+        problem = Problem(steep_cubic_drift(), xi=[0.0], T=1.0)
+        with pytest.raises(SchemeStepError) as exc:
+            run_scheme("implicit_euler", problem, SamplePath(grid, values))
+        assert exc.value.step == 5
+        assert not np.isfinite(exc.value.residual)
