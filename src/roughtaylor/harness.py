@@ -224,12 +224,16 @@ def _validate_config(config: StudyConfig, problem: Problem | None) -> None:
         raise ValueError("problem='custom' requires an explicit Problem")
     if not config.step_exponents:
         raise ValueError("need at least one step exponent")
+    if len(set(config.step_exponents)) != len(config.step_exponents):
+        raise ValueError(f"step exponents must be distinct, got {tuple(config.step_exponents)}")
     if config.ref_exponent <= max(config.step_exponents):
         raise ValueError(
             f"reference exponent {config.ref_exponent} must exceed every step exponent"
         )
     if not config.seeds:
         raise ValueError("need at least one seed")
+    if len(set(config.seeds)) != len(config.seeds):
+        raise ValueError(f"seeds must be distinct, got {tuple(config.seeds)}")
 
 
 def _zero_path(grid: Grid, m: int) -> SamplePath:

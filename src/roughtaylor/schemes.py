@@ -117,27 +117,37 @@ def _check_noise_dim(problem: Problem, m: int) -> None:
         raise ValueError(f"driver has {m} components, the problem expects {expected}")
 
 
-def _guard(y: np.ndarray, step: int) -> None:
+def _guard(y, step: int) -> None:
     n = _norm(y)
     if not math.isfinite(n) or n > BLOWUP_NORM:
         raise BlowupError(step, n)
 
 
+def _on_floats(problem: Problem) -> bool:
+    """Additive scalar problems carry the state as a Python float and their
+    increments as a list of floats; the solver runs d = 1 on floats too, with
+    the same IEEE operations as on 1-element arrays."""
+    return problem.additive and problem.dim == 1
+
+
 def _implicit_trajectory(problem, grid, explicit_term, tol) -> Trajectory:
     _check_gate(problem, grid.h)
     _check_grid(problem, grid)
-    states = np.empty((grid.N + 1, problem.dim))
-    states[0] = problem.xi
-    y = problem.xi.copy()
+    drift, h = problem.drift, grid.h
+    on_floats = _on_floats(problem)
+    y = problem.xi.item() if on_floats else problem.xi.copy()
+    states = [y]
     for j in range(grid.N):
         r = y + explicit_term(j, y)
         try:
-            y = solve_step(problem.drift, grid.h, r, tol=tol).solution
+            y = solve_step(drift, h, r, tol=tol).solution
         except ConvergenceError as err:
             raise SchemeStepError(j, err) from err
+        if on_floats:
+            y = y.item()
         _guard(y, j)
-        states[j + 1] = y
-    return Trajectory(grid, states)
+        states.append(y)
+    return Trajectory(grid, np.array(states).reshape(grid.N + 1, problem.dim))
 
 
 def _taylor_term(problem: Problem, lift: RoughLift, order: int):
@@ -145,6 +155,8 @@ def _taylor_term(problem: Problem, lift: RoughLift, order: int):
     sigma is the identity, so it is the increment with no matrix product."""
     dx = lift.increments
     if problem.additive:
+        if _on_floats(problem):
+            dx = dx[:, 0].tolist()
         return lambda j, y: dx[j]
     sig = problem.diffusion
     X2 = lift.level2

@@ -53,11 +53,11 @@ class SolveReport:
     method_used: str  # "newton" | "contraction"
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-d float array, computed the way np.linalg.norm
-    computes it (the square root of the dot product), so the two agree
-    bitwise without its call overhead."""
-    return math.sqrt(v.dot(v))
+def _norm(v) -> float:
+    """Euclidean norm of a Python float or a 1-d float array, computed the way
+    np.linalg.norm computes a 1-d norm (the square root of the dot product),
+    so the two agree bitwise without its call overhead."""
+    return math.sqrt(v * v if type(v) is float else v.dot(v))
 
 
 @cache
@@ -67,7 +67,7 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-def _fd_jacobian(drift: DriftField, y: np.ndarray) -> np.ndarray:
+def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
     # column-wise central differences, step scaled by the state magnitude
     eps = _FD_STEP * max(1.0, _norm(y))
     d = y.size
@@ -75,8 +75,32 @@ def _fd_jacobian(drift: DriftField, y: np.ndarray) -> np.ndarray:
     for p in range(d):
         e = np.zeros(d)
         e[p] = eps
-        J[:, p] = (drift(y + e) - drift(y - e)) / (2.0 * eps)
+        J[:, p] = (b(y + e) - b(y - e)) / (2.0 * eps)
     return J
+
+
+def _newton_step(drift: DriftField, b, h: float, y: np.ndarray, F: np.ndarray):
+    """The Newton correction (I - h*Jb)^{-1} F by LAPACK dgesv, or None if
+    I - h*Jb is singular; Jb is the drift's Jacobian, or central differences
+    of b where the drift has none."""
+    if drift.jacobian is not None:
+        Jb = np.asarray(drift.jacobian(y), dtype=float)
+    else:
+        Jb = _fd_jacobian(b, y)
+    step, info = dgesv(_identity(drift.dim) - h * Jb, F)[2:]
+    return None if info != 0 else step
+
+
+def _scalar_newton_step(drift: DriftField, b, h: float, y: float, F: float):
+    """_newton_step on floats: F / (1 - h*Jb) is bitwise what dgesv returns
+    for a 1x1 system, and a zero divisor is its singular (info != 0) exit."""
+    if drift.jacobian is not None:
+        Jb = np.asarray(drift.jacobian(np.array([y])), dtype=float).item()
+    else:
+        eps = _FD_STEP * max(1.0, _norm(y))
+        Jb = (b(y + eps) - b(y - eps)) / (2.0 * eps)
+    a = 1.0 - h * Jb
+    return None if a == 0.0 else F / a
 
 
 def solve_step(
@@ -98,6 +122,12 @@ def solve_step(
     once per iterate; the returned solution is the iterate whose residual
     was found <= tol, and that residual is the one reported.
 
+    For d = 1 the same iteration runs on Python floats: the norm is
+    sqrt(F*F) and the Newton system is solved as F / (1 - h*Jb), the one
+    correctly rounded division that dgesv performs on a 1x1 system, so the
+    report is bitwise the one the array arithmetic gives.  The solution is
+    a shape-(d,) array in either case.
+
     Raises
     ------
     StepSizeError
@@ -114,10 +144,29 @@ def solve_step(
         raise StepSizeError(
             f"implicit step needs C_b*h < 1, got C_b={cb} and h={h} (C_b*h={cb * h})"
         )
-    r = np.asarray(r, dtype=float).reshape(drift.dim)
+    if drift.dim == 1:
+        # scalar problems iterate on Python floats: the same IEEE operations
+        # in the same order as on 1-element arrays, without their overhead
+        h = float(h)
+        if type(r) is not float:
+            r = np.asarray(r, dtype=float).reshape(1).item()
+        y = r
+        func = drift.func
+
+        def b(y):
+            # the drift still sees a fresh shape-(1,) array; its output is
+            # normalised as DriftField.__call__ does (float64, exactly one value)
+            return np.asarray(func(np.array([y])), dtype=float).item()
+
+        newton_step = _scalar_newton_step
+    else:
+        r = np.asarray(r, dtype=float).reshape(drift.dim)
+        y = r.copy()
+        b = drift
+        newton_step = _newton_step
 
     def residual_of(y):
-        return y - h * drift(y) - r
+        return y - h * b(y) - r
 
     def norm_of(F, iters):
         res = _norm(F)
@@ -125,21 +174,19 @@ def solve_step(
             raise ConvergenceError("implicit step residual is not finite", res, iters)
         return res
 
-    y = r.copy()
+    def report(y, iters, res, method):
+        solution = np.array([y]) if drift.dim == 1 else y
+        return SolveReport(solution, iters, res, method)
+
     F = residual_of(y)
     iters = 0
     res = norm_of(F, iters)
     stall = 0
-    eye = _identity(drift.dim)
     while iters < max_newton:
         if res <= tol:
-            return SolveReport(y, iters, res, "newton")
-        if drift.jacobian is not None:
-            Jb = np.asarray(drift.jacobian(y), dtype=float)
-        else:
-            Jb = _fd_jacobian(drift, y)
-        step, info = dgesv(eye - h * Jb, F)[2:]
-        if info != 0:
+            return report(y, iters, res, "newton")
+        step = newton_step(drift, b, h, y, F)
+        if step is None:
             break
         y = y - step
         prev = res
@@ -153,13 +200,13 @@ def solve_step(
         else:
             stall = 0
     if res <= tol:
-        return SolveReport(y, iters, res, "newton")
+        return report(y, iters, res, "newton")
     # damped fixed point; convergent near the solution for moderate h*Lip(b),
     # budget-limited with a clear error otherwise
     for _ in range(max_fallback):
-        y = 0.5 * (y + r + h * drift(y))
+        y = 0.5 * (y + r + h * b(y))
         iters += 1
         res = norm_of(residual_of(y), iters)
         if res <= tol:
-            return SolveReport(y, iters, res, "contraction")
+            return report(y, iters, res, "contraction")
     raise ConvergenceError("implicit step did not converge", res, iters)

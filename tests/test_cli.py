@@ -85,6 +85,29 @@ def test_run_rejects_unknown_scheme(capsys):
     assert "unknown scheme 'implicit_eular'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--steps", "5,5", "step exponents must be distinct, got (5, 5)"),
+        ("--seeds", "0,0", "seeds must be distinct, got (0, 0)"),
+    ],
+)
+def test_run_rejects_duplicates(flag, value, message, capsys):
+    args = {"--steps": "4..5", "--seeds": "1"}
+    args[flag] = value
+    code = main(
+        [
+            "run",
+            "--problem", "example1",
+            "--scheme", "implicit_euler",
+            "--ref", "8",
+            *(tok for item in args.items() for tok in item),
+        ]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_stability_command(capsys):
     code = main(["stability", "--h", "0.03125"])
     assert code == 0

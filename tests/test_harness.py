@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roughtaylor import harness
 from roughtaylor.fields import linear_drift, constant_diffusion, zero_drift
 from roughtaylor.harness import (
     ADDITIVE_SCHEMES,
@@ -95,6 +96,27 @@ class TestRunStudy:
     def test_rejects_bad_reference_exponent(self):
         cfg = StudyConfig("example1", "implicit_euler", step_exponents=(5, 6), ref_exponent=6)
         with pytest.raises(ValueError):
+            run_study(cfg)
+
+    @pytest.mark.parametrize("steps", [(5, 5, 6), (6, 5, 6)])
+    def test_rejects_duplicate_step_exponents(self, steps, monkeypatch):
+        def no_sampling(*_):
+            raise AssertionError("a study with duplicate step exponents must not start")
+
+        monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+        cfg = StudyConfig("example1", "implicit_euler", step_exponents=steps, ref_exponent=8)
+        with pytest.raises(ValueError, match=r"step exponents must be distinct, got \(.*\)"):
+            run_study(cfg)
+
+    def test_rejects_duplicate_seeds(self, monkeypatch):
+        def no_sampling(*_):
+            raise AssertionError("a study with duplicate seeds must not start")
+
+        monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+        cfg = StudyConfig(
+            "example1", "implicit_euler", step_exponents=(4, 5), ref_exponent=7, seeds=(0, 0, 0)
+        )
+        with pytest.raises(ValueError, match=r"seeds must be distinct, got \(0, 0, 0\)"):
             run_study(cfg)
 
     def test_rejects_incompatible_scheme(self):

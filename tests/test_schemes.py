@@ -3,6 +3,7 @@ import pytest
 
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import (
+    DriftField,
     constant_diffusion,
     cosine_diffusion,
     cubic_radial_drift,
@@ -14,19 +15,20 @@ from roughtaylor.fields import (
     zero_drift,
 )
 from roughtaylor.grids import make_grid
-from roughtaylor.harness import run_scheme
+from roughtaylor.harness import example_problem, run_scheme
 from roughtaylor.lift import RoughLift, piecewise_linear_lift
 from roughtaylor.schemes import (
     BLOWUP_NORM,
     BlowupError,
     Problem,
+    SchemeStepError,
     boundedness_bound,
     dump_trajectory_csv,
     explicit_euler,
     _guard,
     semi_implicit_taylor,
 )
-from roughtaylor.solver import StepSizeError, solve_step
+from roughtaylor.solver import ConvergenceError, StepSizeError, solve_step
 
 
 def simplified_taylor(problem, path, order):
@@ -47,6 +49,39 @@ def simplified_taylor(problem, path, order):
         y = solve_step(problem.drift, path.grid.h, y + term).solution
         states.append(y)
     return np.array(states)
+
+
+def array_trajectory(problem, path):
+    """Reference oracle for the additive trajectory loop: the loop as it ran
+    on 1-element arrays, with a preallocated state array written per step
+    and the np.linalg.norm blow-up guard.  Returns the states."""
+    grid = path.grid
+    dx = piecewise_linear_lift(path).increments
+    states = np.empty((grid.N + 1, problem.dim))
+    states[0] = problem.xi
+    y = problem.xi.copy()
+    for j in range(grid.N):
+        r = y + dx[j]
+        try:
+            y = solve_step(problem.drift, grid.h, r).solution
+        except ConvergenceError as err:
+            raise SchemeStepError(j, err) from err
+        n = np.linalg.norm(y)
+        if not np.isfinite(n) or n > BLOWUP_NORM:
+            raise BlowupError(j, n)
+        states[j + 1] = y
+    return states
+
+
+def outcome(run):
+    """What a trajectory run ends in, with every float as its bytes."""
+    try:
+        states = run()
+    except BlowupError as err:
+        return "blowup", err.step, np.float64(err.value_norm).tobytes()
+    except SchemeStepError as err:
+        return "solver", err.step, np.float64(err.residual).tobytes()
+    return "states", states.shape, states.tobytes()
 
 
 def fbm_path(seed, N=64, m=1, hurst=0.5):
@@ -96,6 +131,91 @@ class TestImplicitEulerAdditive:
         path = SamplePath(make_grid(1.0, 1), np.zeros((2, 1)))  # h = 1, C_b h = 1
         with pytest.raises(StepSizeError):
             run_scheme("implicit_euler", problem, path)
+
+
+def scalar_drift(func, cb, jacobian=None):
+    return DriftField(1, func, cb, jacobian=jacobian)
+
+
+def steep_cubic_drift():
+    """b(y) = -1e3 y^3: monotone, but Newton from r = 1e4 overshoots until
+    the residual overflows."""
+    return scalar_drift(lambda y: -1e3 * y**3, 0.0, lambda y: np.array([[-3e3 * y[0] ** 2]]))
+
+
+def steep_cubic_case():
+    values = np.zeros((101, 1))
+    values[6:] = 1e4  # the increment of step 5 sends r to 1e4
+    return Problem(steep_cubic_drift(), xi=[0.0], T=1.0), SamplePath(make_grid(1.0, 100), values)
+
+
+def scaled_path(seed, scale):
+    path = fbm_path(seed, N=64)
+    return SamplePath(path.grid, scale * path.values)
+
+
+# name: () -> (problem, path, how the run ends)
+SCALAR_CASES = {
+    **{
+        f"{name}_seed{seed}": (
+            lambda name=name, seed=seed: (
+                example_problem(name)[0], fbm_path(seed, N=1024, hurst=0.75), "states"
+            )
+        )
+        for name in ("example1", "example2")
+        for seed in range(3)
+    },
+    "example1_rough": lambda: (
+        example_problem("example1")[0], fbm_path(3, N=1024, hurst=0.1), "states"
+    ),
+    "finite_difference_jacobian": lambda: (
+        Problem(scalar_drift(lambda y: y - y**3, 1.0), xi=[-3.0], T=1.0),
+        fbm_path(4, N=256, hurst=0.75),
+        "states",
+    ),
+    "python_scalar_output": lambda: (
+        Problem(
+            scalar_drift(
+                lambda y: float(y[0] - y[0] ** 3), 1.0, lambda y: 1.0 - 3.0 * y[0] ** 2
+            ),
+            xi=[-3.0],
+            T=1.0,
+        ),
+        fbm_path(5, N=256, hurst=0.75),
+        "states",
+    ),
+    "list_output": lambda: (
+        Problem(
+            scalar_drift(lambda y: [-70.0 * y[0]], -70.0, lambda y: [[-70.0]]), xi=[2.7], T=1.0
+        ),
+        fbm_path(6, N=256, hurst=0.75),
+        "states",
+    ),
+    # a growing drift such as linear_drift(30) at h = 1/64 ends in a solver
+    # failure near |y| = 1e5, where the absolute tolerance drops below the
+    # residual's rounding; a noise path scaled past the threshold blows up
+    "blowup": lambda: (Problem(zero_drift(1), xi=[0.0], T=1.0), scaled_path(7, 1e12), "blowup"),
+    "blowup_squared_norm_overflow": lambda: (
+        Problem(zero_drift(1), xi=[0.0], T=1.0),
+        scaled_path(8, 1e200),
+        "blowup",
+    ),
+    "failing_step": lambda: (*steep_cubic_case(), "solver"),
+}
+
+
+class TestScalarLoopAgainstArrayLoop:
+    """Additive d = 1 trajectories carry the state as a Python float; they
+    end exactly as the array loop does: the same states bit for bit, or the
+    same blow-up step and norm, or the same failing step and residual."""
+
+    @pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_array_loop(self, case):
+        problem, path, ending = SCALAR_CASES[case]()
+        want = outcome(lambda: array_trajectory(problem, path))
+        assert want[0] == ending
+        assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
 
 
 class TestExplicitEuler:

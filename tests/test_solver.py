@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgesv
 
 from roughtaylor import schemes
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
@@ -164,6 +165,19 @@ class TestAgainstReferenceSolver:
         assert got.residual == want.residual
         assert got.method_used == want.method_used
 
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_DRIFTS))
+    @pytest.mark.parametrize("max_newton", [0, 1])
+    def test_fixed_point_equals_oracle(self, name, max_newton):
+        # Newton starved, so the damped fixed point does the work
+        drift = EQUIVALENCE_DRIFTS[name][0]
+        for h in (0.002, 0.01):
+            for r in (0.3, -1.7, 2.5):
+                want = reference_solve_step(drift, h, np.full(drift.dim, r), max_newton=max_newton)
+                got = solve_step(drift, h, np.full(drift.dim, r), max_newton=max_newton)
+                assert np.array_equal(got.solution, want.solution)
+                assert (got.iterations, got.residual) == (want.iterations, want.residual)
+                assert got.method_used == want.method_used
+
     @pytest.mark.parametrize("example", ["example1", "example2", "example3"])
     def test_trajectories_equal_oracle(self, example, monkeypatch):
         problem, m, hursts = example_problem(example)
@@ -173,6 +187,42 @@ class TestAgainstReferenceSolver:
         monkeypatch.setattr(schemes, "solve_step", reference_solve_step)
         for (name, k), states in got.items():
             assert np.array_equal(states, run_scheme(name, problem, paths[k]).states), (name, k)
+
+
+# finite floats of magnitude up to 1e300, zero and subnormals included
+MAGNITUDES = st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
+
+
+def float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestOneByOneLapack:
+    """For d = 1 the solver divides F / (1 - h*Jb) in place of calling dgesv.
+    That is bitwise the same only because LAPACK solves a 1x1 system with
+    one correctly rounded division, and signals a zero pivot and nothing
+    else; a BLAS that breaks either fails here with that cause."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(a=MAGNITUDES, f=MAGNITUDES)
+    @example(a=0.0, f=1.0)
+    @example(a=-0.0, f=1.0)
+    @example(a=5e-324, f=1e300)
+    @example(a=-5e-324, f=-5e-324)
+    @example(a=1e300, f=5e-324)
+    @example(a=-1.0, f=0.0)
+    def test_dgesv_is_one_division(self, a, f):
+        x, info = dgesv(np.array([[a]]), np.array([f]))[2:]
+        assert (info != 0) == (a == 0.0)
+        if a != 0.0:
+            assert float_bits(x[0]) == float_bits(f / a)
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pivot_is_not_singular(self, a):
+        x, info = dgesv(np.array([[a]]), np.array([3.0]))[2:]
+        assert info == 0
+        want = 3.0 / a
+        assert np.isnan(x[0]) if np.isnan(want) else float_bits(x[0]) == float_bits(want)
 
 
 class TestSolveStep:
