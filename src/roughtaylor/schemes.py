@@ -3,8 +3,8 @@
 Every implicit scheme is the semi-implicit Taylor recursion of order 1, 2
 or 3 (``semi_implicit_taylor``): the drift is evaluated at the new state and
 resolved by the nonlinear solver, every noise term is evaluated at the old
-state and enters the solver's right-hand side.  The recursion refuses to run
-unless C_b*h < 1 (well-posedness gate).  Forward Euler (``explicit_euler``)
+state and enters the solver's right-hand side, whose well-posedness gate
+raises StepSizeError unless C_b*h < 1.  Forward Euler (``explicit_euler``)
 has no solve and keeps its own loop.
 
 Trajectory blow-up (state norm above 1e12, or non-finite) is a reportable
@@ -27,7 +27,7 @@ from .fields import (
 )
 from .grids import Grid
 from .lift import RoughLift
-from .solver import DEFAULT_TOL, ConvergenceError, StepSizeError, _norm, solve_step
+from .solver import DEFAULT_TOL, ConvergenceError, _norm, solve_step
 
 __all__ = [
     "BLOWUP_NORM",
@@ -98,14 +98,6 @@ class Trajectory:
     states: np.ndarray  # (N + 1, d)
 
 
-def _check_gate(problem: Problem, h: float) -> None:
-    cb = problem.drift.one_sided_lipschitz
-    if cb * h >= 1.0:
-        raise StepSizeError(
-            f"implicit scheme needs C_b*h < 1, got C_b={cb}, h={h} (C_b*h={cb * h})"
-        )
-
-
 def _check_grid(problem: Problem, grid: Grid) -> None:
     if abs(grid.T - problem.T) > 1e-12 * max(1.0, problem.T):
         raise ValueError(f"driver lives on [0, {grid.T}] but the problem horizon is {problem.T}")
@@ -131,7 +123,6 @@ def _on_floats(problem: Problem) -> bool:
 
 
 def _implicit_trajectory(problem, grid, explicit_term, tol) -> Trajectory:
-    _check_gate(problem, grid.h)
     _check_grid(problem, grid)
     drift, h = problem.drift, grid.h
     on_floats = _on_floats(problem)

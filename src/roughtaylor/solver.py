@@ -9,6 +9,7 @@ strongly monotone with constant 1 - C_b*h, so G is invertible with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -26,10 +27,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-MAX_NEWTON = 50
-MAX_FALLBACK = 1000
-_STALL_LIMIT = 5
+MAX_NEWTON = 100
 _FD_STEP = 1e-7
+_ROUNDING = 16.0 * sys.float_info.epsilon  # residual rounding floor per unit |r|
+_ARMIJO = 0.25  # sufficient decrease of the residual norm per unit step
 
 
 class StepSizeError(ValueError):
@@ -37,7 +38,7 @@ class StepSizeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the last residual."""
+    """Iteration budget exhausted or residual not finite; carries the last residual."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
@@ -50,7 +51,7 @@ class SolveReport:
     solution: np.ndarray
     iterations: int
     residual: float
-    method_used: str  # "newton" | "contraction"
+    method_used: str  # "newton" | "safeguarded"
 
 
 def _norm(v) -> float:
@@ -109,33 +110,41 @@ def solve_step(
     r,
     tol: float = DEFAULT_TOL,
     max_newton: int = MAX_NEWTON,
-    max_fallback: int = MAX_FALLBACK,
 ) -> SolveReport:
     """Solve y - h*b(y) = r for the unique root.
 
-    Newton iteration from the initial guess r (Jacobian analytic when the
-    drift supplies one, otherwise central finite differences; the linear
-    system is solved by LAPACK ``dgesv``); if the Newton residual fails to
-    decrease for five consecutive iterations, or the Newton matrix is
-    singular, the solver falls back to the damped fixed-point iteration
-    y <- (y + r + h*b(y))/2.  The residual |y - h*b(y) - r| is evaluated
-    once per iterate; the returned solution is the iterate whose residual
-    was found <= tol, and that residual is the one reported.
+    Safeguarded Newton iteration from the initial guess r (Jacobian analytic
+    when the drift supplies one, otherwise central finite differences; the
+    linear system is solved by LAPACK ``dgesv``).  A pass keeps the full
+    Newton step if it cuts the residual norm |y - h*b(y) - r| to 3/4 or to
+    the tolerance.  Otherwise, for d > 1, the step is halved until it cuts
+    by 1 - t/4 at length t (Armijo backtracking); a singular Newton matrix
+    steps along the residual, a descent direction too, as G(y) = y - h*b(y)
+    is strongly monotone with constant m = 1 - C_b*h.  For d = 1 the iterate
+    moves to the midpoint of a bracket of the root, which lies within |F|/m
+    of an iterate with residual F: built at the first rejected step as
+    y -+ 2|F|/min(1, m), the bracket is narrowed at each rejected step by
+    the residual's sign at the iterate and at the Newton point.  A Newton
+    point outside it is not tried; a zero Newton divisor bisects too.
 
-    For d = 1 the same iteration runs on Python floats: the norm is
-    sqrt(F*F) and the Newton system is solved as F / (1 - h*Jb), the one
-    correctly rounded division that dgesv performs on a 1x1 system, so the
-    report is bitwise the one the array arithmetic gives.  The solution is
-    a shape-(d,) array in either case.
+    The tolerance is max(tol, 16*eps*|r|), as below that the residual is the
+    rounding of y - h*b(y) - r.  Every residual after the first counts as an
+    iteration.  The solution is the iterate whose residual was found within
+    tolerance, reported with it; ``method_used`` is "newton" if every full
+    Newton step was kept, else "safeguarded".
+
+    For d = 1 the iteration runs on Python floats: the norm is sqrt(F*F) and
+    the Newton system is solved as F / (1 - h*Jb), the one correctly rounded
+    division dgesv performs on a 1x1 system, so the report is bitwise the
+    array arithmetic's.  The solution is a shape-(d,) array in either case.
 
     Raises
     ------
     StepSizeError
         If C_b*h >= 1.
     ConvergenceError
-        If both iteration budgets are exhausted, or at the first NaN or
-        infinite residual instead of spending the budgets on non-finite
-        iterates.
+        If the iteration budget is exhausted, or at the first NaN or
+        infinite residual.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -164,49 +173,49 @@ def solve_step(
         y = r.copy()
         b = drift
         newton_step = _newton_step
+    floor = _ROUNDING * _norm(r)
+    tol = floor if floor > tol else tol
+    iters = -1  # the residual of the initial guess is iteration 0
 
-    def residual_of(y):
-        return y - h * b(y) - r
+    def residual_at(y):
+        nonlocal iters
+        if iters >= max_newton:
+            raise ConvergenceError("implicit step did not converge", res, iters)
+        iters += 1
+        F = y - h * b(y) - r
+        norm = _norm(F)
+        if not math.isfinite(norm):
+            raise ConvergenceError("implicit step residual is not finite", norm, iters)
+        return F, norm
 
-    def norm_of(F, iters):
-        res = _norm(F)
-        if not math.isfinite(res):
-            raise ConvergenceError("implicit step residual is not finite", res, iters)
-        return res
-
-    def report(y, iters, res, method):
-        solution = np.array([y]) if drift.dim == 1 else y
-        return SolveReport(solution, iters, res, method)
-
-    F = residual_of(y)
-    iters = 0
-    res = norm_of(F, iters)
-    stall = 0
-    while iters < max_newton:
-        if res <= tol:
-            return report(y, iters, res, "newton")
+    F, res = residual_at(y)
+    lo = hi = None  # d = 1: the bracket, built at the first rejected step
+    method = "newton"
+    while res > tol:
         step = newton_step(drift, b, h, y, F)
-        if step is None:
-            break
-        y = y - step
-        prev = res
-        F = residual_of(y)
-        iters += 1
-        res = norm_of(F, iters)
-        if res >= prev:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                break
-        else:
-            stall = 0
-    if res <= tol:
-        return report(y, iters, res, "newton")
-    # damped fixed point; convergent near the solution for moderate h*Lip(b),
-    # budget-limited with a clear error otherwise
-    for _ in range(max_fallback):
-        y = 0.5 * (y + r + h * b(y))
-        iters += 1
-        res = norm_of(residual_of(y), iters)
-        if res <= tol:
-            return report(y, iters, res, "contraction")
-    raise ConvergenceError("implicit step did not converge", res, iters)
+        if drift.dim > 1:
+            if step is None:
+                step, method = F, "safeguarded"
+            shrink, trial = 1.0, y - step
+            F_trial, res_trial = residual_at(trial)
+            while res_trial > tol and res_trial > (1.0 - _ARMIJO * shrink) * res:
+                step, shrink, method = 0.5 * step, 0.5 * shrink, "safeguarded"
+                trial = y - step
+                F_trial, res_trial = residual_at(trial)
+            y, F, res = trial, F_trial, res_trial
+            continue
+        tried = step is not None and (lo is None or lo < y - step < hi)
+        if tried:
+            F_trial, res_trial = residual_at(y - step)
+            if res_trial <= tol or res_trial <= (1.0 - _ARMIJO) * res:
+                y, F, res = y - step, F_trial, res_trial
+                continue
+        if lo is None:
+            width = 2.0 * res / min(1.0, 1.0 - cb * h)
+            lo, hi = y - width, y + width
+        for point, value in [(y, F), (y - step, F_trial)] if tried else [(y, F)]:
+            lo, hi = (max(lo, point), hi) if value < 0.0 else (lo, min(hi, point))
+        y = 0.5 * (lo + hi)
+        F, res = residual_at(y)
+        method = "safeguarded"
+    return SolveReport(np.array([y]) if drift.dim == 1 else y, iters, res, method)

@@ -93,6 +93,23 @@ class TestRunStudy:
         assert abs(result.mean_average_eoc - 1.0) <= 0.2
         assert np.all(np.diff(np.abs(np.array(eocs) - 1.0)) <= 0.0)  # approaching 1
 
+    def test_growing_solution_is_flagged_blowup(self):
+        # every step is well posed (C_b*h <= 30*0.8/64 < 1); the reference
+        # stays below BLOWUP_NORM, and the coarsest grid, which grows faster,
+        # passes it: the solver must not fail first at large |y|
+        problem = Problem(linear_drift(30.0), xi=[1.0], T=0.8)
+        cfg = StudyConfig(
+            "custom",
+            "implicit_euler",
+            hurst=(0.5,),
+            step_exponents=(6, 7),
+            ref_exponent=10,
+            seeds=(7,),
+        )
+        coarse, fine = run_study(cfg, problem=problem).seed_tables[7].rows
+        assert coarse.flag == "blowup:step=59"
+        assert fine.flag is None and np.isfinite(fine.error)
+
     def test_rejects_bad_reference_exponent(self):
         cfg = StudyConfig("example1", "implicit_euler", step_exponents=(5, 6), ref_exponent=6)
         with pytest.raises(ValueError):

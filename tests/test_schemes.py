@@ -29,6 +29,7 @@ from roughtaylor.schemes import (
     semi_implicit_taylor,
 )
 from roughtaylor.solver import ConvergenceError, StepSizeError, solve_step
+from test_solver import half_line_sqrt_drift
 
 
 def simplified_taylor(problem, path, order):
@@ -126,6 +127,15 @@ class TestImplicitEulerAdditive:
         with pytest.raises(ValueError):
             run_scheme("implicit_euler", example3_problem(), fbm_path(0, m=2))
 
+    def test_growing_trajectory_blows_up(self):
+        # the solver's tolerance floor 16*eps*|r| keeps every step solvable
+        # at |y| near 1e12, so growth ends at the blow-up guard
+        problem, path = growth_case()
+        with pytest.raises(BlowupError) as exc:
+            semi_implicit_taylor(problem, piecewise_linear_lift(path), 1)
+        assert exc.value.step == 43
+        assert BLOWUP_NORM < exc.value.value_norm < 2.0 * BLOWUP_NORM
+
     def test_well_posedness_gate(self):
         problem = Problem(double_well_drift(), xi=[-3.0], T=1.0)
         path = SamplePath(make_grid(1.0, 1), np.zeros((2, 1)))  # h = 1, C_b h = 1
@@ -137,16 +147,16 @@ def scalar_drift(func, cb, jacobian=None):
     return DriftField(1, func, cb, jacobian=jacobian)
 
 
-def steep_cubic_drift():
-    """b(y) = -1e3 y^3: monotone, but Newton from r = 1e4 overshoots until
-    the residual overflows."""
-    return scalar_drift(lambda y: -1e3 * y**3, 0.0, lambda y: np.array([[-3e3 * y[0] ** 2]]))
-
-
-def steep_cubic_case():
+def nan_residual_case():
     values = np.zeros((101, 1))
-    values[6:] = 1e4  # the increment of step 5 sends r to 1e4
-    return Problem(steep_cubic_drift(), xi=[0.0], T=1.0), SamplePath(make_grid(1.0, 100), values)
+    values[6:] = 1e-6  # the increment of step 5 sends r to 1e-6
+    return Problem(half_line_sqrt_drift(), xi=[0.0], T=1.0), SamplePath(make_grid(1.0, 100), values)
+
+
+def growth_case():
+    """C_b*h = 30/64 < 1, so every step is well posed, and |y| grows by
+    about 1/(1 - 30/64) per step until it passes BLOWUP_NORM."""
+    return Problem(linear_drift(30.0), xi=[1.0], T=1.0), fbm_path(7, N=64)
 
 
 def scaled_path(seed, scale):
@@ -191,16 +201,14 @@ SCALAR_CASES = {
         fbm_path(6, N=256, hurst=0.75),
         "states",
     ),
-    # a growing drift such as linear_drift(30) at h = 1/64 ends in a solver
-    # failure near |y| = 1e5, where the absolute tolerance drops below the
-    # residual's rounding; a noise path scaled past the threshold blows up
     "blowup": lambda: (Problem(zero_drift(1), xi=[0.0], T=1.0), scaled_path(7, 1e12), "blowup"),
+    "blowup_growing_drift": lambda: (*growth_case(), "blowup"),
     "blowup_squared_norm_overflow": lambda: (
         Problem(zero_drift(1), xi=[0.0], T=1.0),
         scaled_path(8, 1e200),
         "blowup",
     ),
-    "failing_step": lambda: (*steep_cubic_case(), "solver"),
+    "failing_step": lambda: (*nan_residual_case(), "solver"),
 }
 
 
