@@ -18,7 +18,7 @@ from .fields import (
     first_order_composition,
     second_order_composition,
 )
-from .grids import Grid, holder_norm, make_grid, p_variation_norm
+from .grids import Grid, make_grid
 from .harness import (
     ErrorTable,
     ProbeResult,
@@ -31,7 +31,7 @@ from .harness import (
     run_study,
     stability_demo,
 )
-from .lift import RoughLift, chen_compose, geometricity_defect, piecewise_linear_lift, rough_holder_norm
+from .lift import RoughLift, chen_compose, geometricity_defect, piecewise_linear_lift
 from .schemes import (
     BlowupError,
     Problem,

@@ -10,9 +10,8 @@ first and second derivatives in the layout the schemes contract against:
     d2func(y)[a, i, p, q] = d_p d_q sigma_i^a(y)  shape (d, m, d, d)
 
 The module also provides the first/second order differential-operator
-compositions used as coefficients of the level-2/3 tensors, finite-difference
-validators for user-supplied derivatives, and the built-in example
-coefficients used by the experiment harness.
+compositions used as coefficients of the level-2/3 tensors and the built-in
+example coefficients used by the experiment harness.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ __all__ = [
     "DiffusionField",
     "first_order_composition",
     "second_order_composition",
-    "validate_diffusion_derivatives",
-    "validate_drift_jacobian",
-    "audit_one_sided_lipschitz",
     "double_well_drift",
     "linear_drift",
     "cubic_radial_drift",
@@ -90,58 +86,6 @@ def second_order_composition(sigma: DiffusionField, xi) -> np.ndarray:
     chained = np.einsum("qi,pjq,akp->ijka", S, D, D)
     curved = np.einsum("qi,pj,akpq->ijka", S, S, D2)
     return chained + curved
-
-
-def validate_diffusion_derivatives(sigma: DiffusionField, points, eps: float = 1e-4) -> float:
-    """Max deviation of dfunc/d2func from central finite differences of
-    func/dfunc over the given points.  Diagnostic only; never used inside
-    the schemes."""
-    worst = 0.0
-    for y in points:
-        y = np.asarray(y, dtype=float)
-        D = np.asarray(sigma.dfunc(y), dtype=float)
-        D2 = np.asarray(sigma.d2func(y), dtype=float)
-        for p in range(sigma.dim):
-            e = np.zeros(sigma.dim)
-            e[p] = eps
-            fd1 = (np.asarray(sigma.func(y + e)) - np.asarray(sigma.func(y - e))) / (2 * eps)
-            worst = max(worst, float(np.max(np.abs(fd1 - D[:, :, p]))))
-            fd2 = (np.asarray(sigma.dfunc(y + e)) - np.asarray(sigma.dfunc(y - e))) / (2 * eps)
-            worst = max(worst, float(np.max(np.abs(fd2 - D2[:, :, :, p]))))
-    return worst
-
-
-def validate_drift_jacobian(drift: DriftField, points, eps: float = 1e-6) -> float:
-    """Max deviation of the declared drift Jacobian from central differences."""
-    if drift.jacobian is None:
-        raise ValueError("drift has no analytic jacobian to validate")
-    worst = 0.0
-    for y in points:
-        y = np.asarray(y, dtype=float)
-        J = np.asarray(drift.jacobian(y), dtype=float)
-        for p in range(drift.dim):
-            e = np.zeros(drift.dim)
-            e[p] = eps
-            fd = (drift(y + e) - drift(y - e)) / (2 * eps)
-            worst = max(worst, float(np.max(np.abs(fd - J[:, p]))))
-    return worst
-
-
-def audit_one_sided_lipschitz(drift: DriftField, rng, trials: int = 200, radius: float = 5.0) -> float:
-    """Largest observed violation of the one-sided Lipschitz inequality on
-    random pairs: max of <b(u)-b(v), u-v>/|u-v|^2 - C_b.  Nonpositive samples
-    cannot certify the declared constant, but a positive value falsifies it."""
-    worst = -np.inf
-    for _ in range(trials):
-        u = rng.uniform(-radius, radius, size=drift.dim)
-        v = rng.uniform(-radius, radius, size=drift.dim)
-        gap = u - v
-        denom = float(gap @ gap)
-        if denom < 1e-16:
-            continue
-        quot = float((drift(u) - drift(v)) @ gap) / denom
-        worst = max(worst, quot - drift.one_sided_lipschitz)
-    return worst
 
 
 # ---------------------------------------------------------------------------

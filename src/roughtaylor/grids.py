@@ -1,8 +1,4 @@
-"""Uniform time grids and discrete path-regularity norms.
-
-All norms operate on the restriction of a path to grid nodes; nothing is
-interpolated between nodes.
-"""
+"""Uniform time grids."""
 
 from __future__ import annotations
 
@@ -13,9 +9,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "make_grid",
-    "holder_norm",
-    "p_variation_norm",
-    "control_superadditivity_defect",
 ]
 
 
@@ -44,69 +37,3 @@ def make_grid(T: float, N: int) -> Grid:
     if int(N) != N or N < 1:
         raise ValueError(f"number of steps must be a positive integer, got N={N}")
     return Grid(float(T), int(N))
-
-
-def _path_values(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.ndim != 2 or v.shape[0] < 2:
-        raise ValueError("path needs at least two nodes")
-    return v
-
-
-def holder_norm(times, values, alpha: float) -> float:
-    """Discrete Hoelder quotient: max over node pairs s < t of
-    |x(t) - x(s)| / (t - s)^alpha."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    t = np.asarray(times, dtype=float)
-    v = _path_values(values)
-    if t.shape[0] != v.shape[0]:
-        raise ValueError("times and values must have the same length")
-    best = 0.0
-    for i in range(len(t) - 1):
-        dt = t[i + 1 :] - t[i]
-        dx = np.linalg.norm(v[i + 1 :] - v[i], axis=1)
-        best = max(best, float(np.max(dx / dt**alpha)))
-    return best
-
-
-def p_variation_norm(values, p: float) -> float:
-    """Exact p-variation of a discrete path.
-
-    Computed by dynamic programming over node subsequences: best[j] is the
-    largest sum of |increment|^p over subsequences starting at node 0 and
-    ending at node j.  A maximizing subsequence may always be extended to
-    include both endpoints, so best[-1] attains the supremum.
-    """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    v = _path_values(values)
-    n = v.shape[0]
-    best = np.zeros(n)
-    for j in range(1, n):
-        inc = np.linalg.norm(v[j] - v[:j], axis=1) ** p
-        best[j] = np.max(best[:j] + inc)
-    return float(best[-1] ** (1.0 / p))
-
-
-def control_superadditivity_defect(values, p: float) -> float:
-    """Largest violation of superadditivity of w(s, t) = pvar(x; [s,t])^p
-    over grid triples s < t < u; nonpositive (up to rounding) for a genuine
-    control function."""
-    v = _path_values(values)
-    n = v.shape[0]
-    # w[i][j] for i < j, by the same DP restricted to [i, j]
-    w = np.zeros((n, n))
-    for i in range(n - 1):
-        best = np.zeros(n - i)
-        for j in range(1, n - i):
-            inc = np.linalg.norm(v[i + j] - v[i : i + j], axis=1) ** p
-            best[j] = np.max(best[:j] + inc)
-        w[i, i + 1 :] = best[1:]
-    defect = -np.inf
-    for s in range(n - 2):
-        for t in range(s + 1, n - 1):
-            defect = max(defect, float(np.max(w[s, t] + w[t, t + 1 :] - w[s, t + 1 :])))
-    return defect

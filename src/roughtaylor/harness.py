@@ -457,6 +457,8 @@ def stability_demo(
     classified unstable when |1 - 70h| > 1; the implicit step has no size
     restriction (the one-sided Lipschitz constant is negative).
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got h={h}")
     problem, m, _ = example_problem("example2")
     N = round(problem.T / h)
     if N < 1 or abs(N * h - problem.T) > 1e-9:

@@ -25,7 +25,6 @@ __all__ = [
     "tensors_over",
     "geometricity_defect",
     "chen_defect",
-    "rough_holder_norm",
 ]
 
 
@@ -165,23 +164,3 @@ def chen_defect(lift: RoughLift) -> tuple[float, float]:
         )
         res3 = float(np.max(np.abs(R3[valid]))) if valid.any() else 0.0
     return res2, res3
-
-
-def rough_holder_norm(lift: RoughLift, p: float) -> float:
-    """Discrete restriction of the inhomogeneous rough-path norm:
-    sup |x_{s,t}| / (t-s)^(1/p) + sqrt(sup |X2_{s,t}| / (t-s)^(2/p))
-    over grid node pairs, with Frobenius norms on tensors."""
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
-    nodes = lift.grid.nodes
-    sup1 = 0.0
-    sup2 = 0.0
-    for i in range(lift.grid.N):
-        acc = None
-        for j in range(i + 1, lift.grid.N + 1):
-            term = interval_tensors(lift, j - 1)
-            acc = term if acc is None else chen_compose(acc, term)
-            dt = nodes[j] - nodes[i]
-            sup1 = max(sup1, float(np.linalg.norm(acc[0])) / dt ** (1.0 / p))
-            sup2 = max(sup2, float(np.linalg.norm(acc[1])) / dt ** (2.0 / p))
-    return sup1 + np.sqrt(sup2)

@@ -27,7 +27,7 @@ from .fields import (
 )
 from .grids import Grid
 from .lift import RoughLift
-from .solver import DEFAULT_TOL, ConvergenceError, _norm, solve_step
+from .solver import ConvergenceError, _norm, solve_step
 
 __all__ = [
     "BLOWUP_NORM",
@@ -122,7 +122,7 @@ def _on_floats(problem: Problem) -> bool:
     return problem.additive and problem.dim == 1
 
 
-def _implicit_trajectory(problem, grid, explicit_term, tol) -> Trajectory:
+def _implicit_trajectory(problem, grid, explicit_term) -> Trajectory:
     _check_grid(problem, grid)
     drift, h = problem.drift, grid.h
     on_floats = _on_floats(problem)
@@ -131,7 +131,7 @@ def _implicit_trajectory(problem, grid, explicit_term, tol) -> Trajectory:
     for j in range(grid.N):
         r = y + explicit_term(j, y)
         try:
-            y = solve_step(drift, h, r, tol=tol).solution
+            y = solve_step(drift, h, r).solution
         except ConvergenceError as err:
             raise SchemeStepError(j, err) from err
         if on_floats:
@@ -164,9 +164,7 @@ def _taylor_term(problem: Problem, lift: RoughLift, order: int):
     return term
 
 
-def semi_implicit_taylor(
-    problem: Problem, lift: RoughLift, order: int, tol: float = DEFAULT_TOL
-) -> Trajectory:
+def semi_implicit_taylor(problem: Problem, lift: RoughLift, order: int) -> Trajectory:
     """Semi-implicit Taylor scheme of order 1 (Euler), 2 (Milstein) or 3:
     y_{j+1} = y_j + h*b(y_{j+1}) + sum_{k <= order} C_k(y_j) : X^k_{j,j+1},
     with C_1 = sigma and C_2, C_3 its first- and second-order compositions
@@ -177,7 +175,7 @@ def semi_implicit_taylor(
     if order == 3 and not lift.has_level3:
         raise ValueError("third-order scheme needs a lift with level-3 tensors")
     _check_noise_dim(problem, lift.m)
-    return _implicit_trajectory(problem, lift.grid, _taylor_term(problem, lift, order), tol)
+    return _implicit_trajectory(problem, lift.grid, _taylor_term(problem, lift, order))
 
 
 def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:

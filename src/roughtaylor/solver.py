@@ -34,7 +34,8 @@ _ARMIJO = 0.25  # sufficient decrease of the residual norm per unit step
 
 
 class StepSizeError(ValueError):
-    """C_b*h >= 1: the implicit step is not provably well posed."""
+    """h outside [0, inf) or C_b*h >= 1: the implicit step is not provably
+    well posed."""
 
 
 class ConvergenceError(RuntimeError):
@@ -104,13 +105,7 @@ def _scalar_newton_step(drift: DriftField, b, h: float, y: float, F: float):
     return None if a == 0.0 else F / a
 
 
-def solve_step(
-    drift: DriftField,
-    h: float,
-    r,
-    tol: float = DEFAULT_TOL,
-    max_newton: int = MAX_NEWTON,
-) -> SolveReport:
+def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     """Solve y - h*b(y) = r for the unique root.
 
     Safeguarded Newton iteration from the initial guess r (Jacobian analytic
@@ -127,11 +122,12 @@ def solve_step(
     the residual's sign at the iterate and at the Newton point.  A Newton
     point outside it is not tried; a zero Newton divisor bisects too.
 
-    The tolerance is max(tol, 16*eps*|r|), as below that the residual is the
-    rounding of y - h*b(y) - r.  Every residual after the first counts as an
-    iteration.  The solution is the iterate whose residual was found within
-    tolerance, reported with it; ``method_used`` is "newton" if every full
-    Newton step was kept, else "safeguarded".
+    The tolerance is max(DEFAULT_TOL, 16*eps*|r|), as below that the
+    residual is the rounding of y - h*b(y) - r.  Every residual after the
+    first counts as an iteration, and at most MAX_NEWTON are taken.  The
+    solution is the iterate whose residual was found within tolerance,
+    reported with it; ``method_used`` is "newton" if every full Newton step
+    was kept, else "safeguarded".
 
     For d = 1 the iteration runs on Python floats: the norm is sqrt(F*F) and
     the Newton system is solved as F / (1 - h*Jb), the one correctly rounded
@@ -141,17 +137,16 @@ def solve_step(
     Raises
     ------
     StepSizeError
-        If C_b*h >= 1.
+        Unless 0 <= h < inf and C_b*h < 1, where G is strongly monotone.
     ConvergenceError
         If the iteration budget is exhausted, or at the first NaN or
         infinite residual.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     cb = drift.one_sided_lipschitz
-    if cb * h >= 1.0:
+    if not (0.0 <= h < math.inf and cb * h < 1.0):
         raise StepSizeError(
-            f"implicit step needs C_b*h < 1, got C_b={cb} and h={h} (C_b*h={cb * h})"
+            f"implicit step needs 0 <= h < inf and C_b*h < 1, "
+            f"got C_b={cb} and h={h} (C_b*h={cb * h})"
         )
     if drift.dim == 1:
         # scalar problems iterate on Python floats: the same IEEE operations
@@ -174,12 +169,12 @@ def solve_step(
         b = drift
         newton_step = _newton_step
     floor = _ROUNDING * _norm(r)
-    tol = floor if floor > tol else tol
+    tol = floor if floor > DEFAULT_TOL else DEFAULT_TOL
     iters = -1  # the residual of the initial guess is iteration 0
 
     def residual_at(y):
         nonlocal iters
-        if iters >= max_newton:
+        if iters >= MAX_NEWTON:
             raise ConvergenceError("implicit step did not converge", res, iters)
         iters += 1
         F = y - h * b(y) - r

@@ -117,7 +117,10 @@ def test_stability_command(capsys):
 
 
 def test_stability_rejects_bad_step(capsys):
-    assert main(["stability", "--h", "0.3"]) == 2
+    # 0.3 does not divide T; 0 and nan are rejected before any division
+    for h in ("0.3", "0", "nan"):
+        assert main(["stability", "--h", h]) == 2
+        assert "error: step size" in capsys.readouterr().err
 
 
 def test_probe_local_command(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from roughtaylor.fields import (
     DiffusionField,
-    audit_one_sided_lipschitz,
+    DriftField,
     constant_diffusion,
     cosine_diffusion,
     cubic_radial_drift,
@@ -12,9 +12,56 @@ from roughtaylor.fields import (
     geometric_diffusion,
     linear_drift,
     second_order_composition,
-    validate_diffusion_derivatives,
-    validate_drift_jacobian,
 )
+
+
+def _validate_diffusion_derivatives(sigma: DiffusionField, points, eps: float = 1e-4) -> float:
+    """Max deviation of dfunc/d2func from central finite differences of
+    func/dfunc over the given points."""
+    worst = 0.0
+    for y in points:
+        y = np.asarray(y, dtype=float)
+        D = np.asarray(sigma.dfunc(y), dtype=float)
+        D2 = np.asarray(sigma.d2func(y), dtype=float)
+        for p in range(sigma.dim):
+            e = np.zeros(sigma.dim)
+            e[p] = eps
+            fd1 = (np.asarray(sigma.func(y + e)) - np.asarray(sigma.func(y - e))) / (2 * eps)
+            worst = max(worst, float(np.max(np.abs(fd1 - D[:, :, p]))))
+            fd2 = (np.asarray(sigma.dfunc(y + e)) - np.asarray(sigma.dfunc(y - e))) / (2 * eps)
+            worst = max(worst, float(np.max(np.abs(fd2 - D2[:, :, :, p]))))
+    return worst
+
+
+def _validate_drift_jacobian(drift: DriftField, points, eps: float = 1e-6) -> float:
+    """Max deviation of the declared drift Jacobian from central differences."""
+    worst = 0.0
+    for y in points:
+        y = np.asarray(y, dtype=float)
+        J = np.asarray(drift.jacobian(y), dtype=float)
+        for p in range(drift.dim):
+            e = np.zeros(drift.dim)
+            e[p] = eps
+            fd = (drift(y + e) - drift(y - e)) / (2 * eps)
+            worst = max(worst, float(np.max(np.abs(fd - J[:, p]))))
+    return worst
+
+
+def _audit_one_sided_lipschitz(drift: DriftField, rng, trials: int = 200, radius: float = 5.0) -> float:
+    """Largest observed violation of the one-sided Lipschitz inequality on
+    random pairs: max of <b(u)-b(v), u-v>/|u-v|^2 - C_b.  Nonpositive samples
+    cannot certify the declared constant, but a positive value falsifies it."""
+    worst = -np.inf
+    for _ in range(trials):
+        u = rng.uniform(-radius, radius, size=drift.dim)
+        v = rng.uniform(-radius, radius, size=drift.dim)
+        gap = u - v
+        denom = float(gap @ gap)
+        if denom < 1e-16:
+            continue
+        quot = float((drift(u) - drift(v)) @ gap) / denom
+        worst = max(worst, quot - drift.one_sided_lipschitz)
+    return worst
 
 
 def sine_diffusion():
@@ -138,13 +185,13 @@ class TestSecondOrderComposition:
 class TestCatalogue:
     def test_double_well_jacobian(self):
         drift = double_well_drift()
-        assert validate_drift_jacobian(drift, [np.array([v]) for v in (-2.0, 0.3, 1.5)]) < 1e-6
+        assert _validate_drift_jacobian(drift, [np.array([v]) for v in (-2.0, 0.3, 1.5)]) < 1e-6
 
     def test_cubic_radial_jacobian(self):
         drift = cubic_radial_drift(2)
         rng = np.random.default_rng(3)
         pts = [rng.uniform(-2, 2, size=2) for _ in range(4)]
-        assert validate_drift_jacobian(drift, pts) < 1e-5
+        assert _validate_drift_jacobian(drift, pts) < 1e-5
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_jacobians_equal_closed_forms_bitwise(self, dim):
@@ -170,12 +217,12 @@ class TestCatalogue:
     )
     def test_one_sided_lipschitz_not_falsified(self, drift):
         rng = np.random.default_rng(8)
-        assert audit_one_sided_lipschitz(drift, rng, trials=500) <= 1e-10
+        assert _audit_one_sided_lipschitz(drift, rng, trials=500) <= 1e-10
 
     def test_cosine_diffusion_derivatives(self):
         rng = np.random.default_rng(1)
         pts = [rng.uniform(1.0, 5.0, size=2) for _ in range(6)]
-        assert validate_diffusion_derivatives(cosine_diffusion(), pts, eps=1e-4) <= 1e-6
+        assert _validate_diffusion_derivatives(cosine_diffusion(), pts, eps=1e-4) <= 1e-6
 
     def test_cosine_diffusion_values(self):
         y = np.array([10.0, -10.0])

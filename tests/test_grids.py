@@ -1,29 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from roughtaylor.grids import (
-    control_superadditivity_defect,
-    holder_norm,
-    make_grid,
-    p_variation_norm,
-)
-
-
-def brute_force_pvar(values, p):
-    """Enumerate every node subsequence of length >= 2."""
-    v = np.atleast_2d(np.asarray(values, dtype=float).T).T
-    n = v.shape[0]
-    best = 0.0
-    for size in range(2, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            s = sum(
-                np.linalg.norm(v[subset[k + 1]] - v[subset[k]]) ** p
-                for k in range(size - 1)
-            )
-            best = max(best, s)
-    return best ** (1.0 / p)
+from roughtaylor.grids import make_grid
 
 
 class TestMakeGrid:
@@ -41,81 +19,3 @@ class TestMakeGrid:
     def test_rejects_bad_input(self, T, N):
         with pytest.raises(ValueError):
             make_grid(T, N)
-
-
-class TestHolderNorm:
-    def test_linear_slope(self):
-        g = make_grid(1.0, 5)
-        assert holder_norm(g.nodes, 3.0 * g.nodes, 1.0) == pytest.approx(3.0)
-
-    def test_constant_path(self):
-        g = make_grid(1.0, 4)
-        assert holder_norm(g.nodes, np.ones(5), 0.5) == 0.0
-
-    def test_tent_path(self):
-        g = make_grid(1.0, 2)
-        assert holder_norm(g.nodes, [0.0, 1.0, 0.0], 0.5) == pytest.approx(np.sqrt(2.0))
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
-    def test_rejects_alpha(self, alpha):
-        with pytest.raises(ValueError):
-            holder_norm([0.0, 1.0], [0.0, 1.0], alpha)
-
-    def test_largest_increment_bound(self):
-        # holder quotient at alpha=1/p times the largest gap^(1/p) dominates
-        # any single increment
-        rng = np.random.default_rng(7)
-        t = make_grid(1.0, 8).nodes
-        x = rng.standard_normal(9)
-        for p in (1.0, 2.0, 3.0):
-            lhs = holder_norm(t, x, 1.0 / p) * np.max(np.diff(t)) ** (1.0 / p)
-            assert lhs >= np.max(np.abs(np.diff(x))) - 1e-12
-
-
-class TestPVariation:
-    def test_monotone_total_variation(self):
-        x = np.array([0.0, 0.5, 1.2, 3.0])
-        assert p_variation_norm(x, 1.0) == pytest.approx(3.0)
-
-    def test_tent_p1(self):
-        assert p_variation_norm([0.0, 1.0, 0.0], 1.0) == pytest.approx(2.0)
-
-    def test_tent_p2(self):
-        # expected value from full partition enumeration
-        assert brute_force_pvar([0.0, 1.0, 0.0], 2.0) == pytest.approx(np.sqrt(2.0))
-        assert p_variation_norm([0.0, 1.0, 0.0], 2.0) == pytest.approx(np.sqrt(2.0))
-
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            p_variation_norm([0.0, 1.0], 0.9)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        n = rng.integers(3, 9)
-        x = rng.standard_normal((n, 2))
-        for p in (1.0, 1.7, 2.0, 3.0):
-            assert p_variation_norm(x, p) == pytest.approx(brute_force_pvar(x, p))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_nonincreasing_in_p(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        x = rng.standard_normal(8)
-        norms = [p_variation_norm(x, p) for p in (1.0, 1.5, 2.0, 3.0, 5.0)]
-        assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_sup_norm_bound(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        x = rng.standard_normal(7)
-        for p in (1.0, 2.0):
-            assert np.max(np.abs(x)) <= abs(x[0]) + p_variation_norm(x, p) + 1e-12
-
-
-class TestControlFunction:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_superadditive(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        x = rng.standard_normal((8, 2))
-        for p in (1.0, 2.0, 3.0):
-            assert control_superadditivity_defect(x, p) <= 1e-12

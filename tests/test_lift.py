@@ -9,7 +9,6 @@ from roughtaylor.lift import (
     chen_defect,
     geometricity_defect,
     piecewise_linear_lift,
-    rough_holder_norm,
     tensors_over,
 )
 
@@ -131,29 +130,3 @@ class TestChenDefect:
 
         assert np.allclose(X2, I2, atol=5e-3)
         assert np.allclose(X3, I3, atol=5e-3)
-
-
-class TestRoughHolderNorm:
-    def test_zero_path(self):
-        p = SamplePath(make_grid(1.0, 4), np.zeros((5, 2)))
-        assert rough_holder_norm(piecewise_linear_lift(p), 2.0) == 0.0
-
-    def test_linear_path(self):
-        p = SamplePath(make_grid(1.0, 4), np.linspace(0.0, 1.0, 5))
-        value = rough_holder_norm(piecewise_linear_lift(p), 2.0)
-        assert value == pytest.approx(1.0 + np.sqrt(0.5))
-
-    def test_scaling_homogeneity(self):
-        rng = np.random.default_rng(5)
-        values = np.cumsum(rng.standard_normal((9, 2)), axis=0)
-        values[0] = 0.0
-        lam = 2.5
-        base = SamplePath(make_grid(1.0, 8), values)
-        scaled = SamplePath(make_grid(1.0, 8), lam * values)
-        n1 = rough_holder_norm(piecewise_linear_lift(base), 2.5)
-        n2 = rough_holder_norm(piecewise_linear_lift(scaled), 2.5)
-        assert n2 == pytest.approx(lam * n1)
-
-    def test_rejects_small_p(self):
-        with pytest.raises(ValueError):
-            rough_holder_norm(random_lift(0), 1.5)

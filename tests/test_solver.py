@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgesv
 
-from roughtaylor import schemes
+from roughtaylor import schemes, solver
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import DriftField, cubic_radial_drift, double_well_drift, linear_drift, zero_drift
 from roughtaylor.grids import make_grid
@@ -299,7 +299,7 @@ class TestSolveStep:
         for _ in range(20):
             r = rng.uniform(-4, 4, size=1)
             h = rng.uniform(0.01, 0.4)
-            rep = solve_step(drift, h, r, tol=1e-12)
+            rep = solve_step(drift, h, r)
             assert rep.residual <= 1e-12
             assert abs(rep.solution[0] - h * (rep.solution[0] - rep.solution[0] ** 3) - r[0]) <= 1e-12
 
@@ -337,19 +337,31 @@ class TestSolveStep:
             assert rep.solution[0] == pytest.approx(2.7 / (1.0 + 70.0 * h), rel=1e-12)
 
     def test_rejects_large_cb_h(self):
-        with pytest.raises(StepSizeError):
-            solve_step(double_well_drift(), 1.0, np.array([0.0]))
-        with pytest.raises(StepSizeError):
-            solve_step(linear_drift(2.0), 0.5, np.array([0.0]))
+        # G(y) = y - h*b(y) is strongly monotone only for 0 <= h < inf with
+        # C_b*h < 1; outside that the gate raises before any residual
+        for drift, h in [
+            (double_well_drift(), 1.0),
+            (linear_drift(2.0), 0.5),
+            (double_well_drift(), -0.5),
+            (double_well_drift(), np.nan),
+            (double_well_drift(), np.inf),
+            (linear_drift(-70.0), -0.5),
+            (linear_drift(-70.0), np.nan),
+            (linear_drift(-70.0), np.inf),
+            (zero_drift(2), np.inf),
+        ]:
+            with pytest.raises(StepSizeError):
+                solve_step(drift, h, np.full(drift.dim, 3.0))
+        for drift in (double_well_drift(), linear_drift(-70.0), cubic_radial_drift(2)):
+            rep = solve_step(drift, 0.0, np.full(drift.dim, 3.0))
+            assert np.array_equal(rep.solution, np.full(drift.dim, 3.0))
+            assert rep.iterations == 0
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            solve_step(zero_drift(1), 0.1, np.array([0.0]), tol=0.0)
-
-    def test_budget_exhaustion_reports_residual(self):
+    def test_budget_exhaustion_reports_residual(self, monkeypatch):
         drift = double_well_drift()
+        monkeypatch.setattr(solver, "MAX_NEWTON", 1)
         with pytest.raises(ConvergenceError) as exc:
-            solve_step(drift, 0.4, np.array([3.0]), tol=1e-12, max_newton=1)
+            solve_step(drift, 0.4, np.array([3.0]))
         assert exc.value.residual > 0.0
         assert exc.value.iterations >= 1
 
