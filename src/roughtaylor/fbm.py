@@ -7,15 +7,17 @@ is deterministic per (config, seed) and bitwise reproducible.
 
 The increments of fBm on a uniform grid (fractional Gaussian noise) are
 stationary, so their covariance is a symmetric positive definite Toeplitz
-matrix.  Its Cholesky factor comes from the Schur algorithm in O(N^2) time
-without forming the N x N matrix, and the cumulative sum of its rows is the
-Cholesky factor of the path covariance.  The dense ``covariance_matrix`` and
-``cholesky`` stay as the public API and as the reference the fast factor is
-tested against.
+matrix.  The Schur algorithm gives its Cholesky factor one row at a time in
+O(N^2) time without forming the N x N matrix, and the cumulative sum of each
+row is a column of the Cholesky factor of the path covariance.  Only the
+nonzero half of that factor is kept, as row bands ``L[a:b, :b]``.  The dense
+``covariance_matrix`` and ``cholesky`` stay as the public API and as the
+reference the fast factor is tested against.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -37,10 +39,11 @@ __all__ = [
     "dump_path_csv",
 ]
 
-# The factor is a dense N x N array: 8*N^2 bytes per cached factor (128 MB at
-# N = 4096), built in O(N^2) time.  Grids beyond this need an explicit opt-in
-# through FbmConfig.max_dense_n.
+# The factor is kept as row bands L[a:b, :b] of _BAND rows: 4*N*(N + _BAND)
+# bytes per cached factor (68 MiB at N = 4096), built in O(N^2) time.  Grids
+# beyond this need an explicit opt-in through FbmConfig.max_dense_n.
 DENSE_GRID_LIMIT = 4096
+_BAND = 256
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -139,68 +142,79 @@ def _fgn_autocovariance(H: float, grid: Grid) -> np.ndarray:
     )
 
 
-def _toeplitz_cholesky(c) -> np.ndarray:
-    """Upper-triangular C-ordered R with R.T @ R == toeplitz(c), by the Schur
-    algorithm on the generators of the displacement T - Z T Z.T = u u.T - v v.T.
+def _schur_bands(c) -> tuple[np.ndarray, ...]:
+    """Row bands ``L[a:b, :b]`` of the lower-triangular L with
+    L @ L.T == C toeplitz(c) C.T, C the lower-triangular matrix of ones.
 
-    Row j of R is the generator u after j hyperbolic rotations, applied in the
-    mixed form (Bojanczyk, Brent, de Hoog & Sweet 1995), which is backward
-    stable for positive definite Toeplitz matrices.  Raises
-    ``NotPositiveDefiniteError`` with the same 1-based index as ``cholesky``.
+    The Schur algorithm on the generators of the displacement
+    T - Z T Z.T = u u.T - v v.T gives the Cholesky factor R.T of toeplitz(c)
+    one row of R at a time: row j is the generator u after j hyperbolic
+    rotations, applied in the mixed form (Bojanczyk, Brent, de Hoog & Sweet
+    1995), which is backward stable for positive definite Toeplitz matrices.
+    The path is the cumulative sum of its increments, so C @ R.T is lower
+    triangular with the diagonal of R and column j of L is the cumulative
+    sum of row j of R.  Each band is built transposed and handed out
+    F-ordered like the dense factor, so its products round as the dense
+    product did.  Raises ``NotPositiveDefiniteError`` with the same 1-based index as
+    ``cholesky``.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     if not c[0] > 0.0:
         raise NotPositiveDefiniteError(1)
-    R = np.zeros((n, n))
-    R[0] = c / np.sqrt(c[0])
-    v = R[0].copy()
+    edges = [*range(0, n, _BAND), n]
+    if len(edges) > 2 and n - edges[-2] < 8:
+        del edges[-2]  # a tail of fewer than 8 rows joins the band above
+    spans = list(zip(edges, edges[1:]))
+    bands = [np.zeros((b, b - a)) for a, b in spans]
+    r = c / np.sqrt(c[0])  # R[j, j:]
+    v = r.copy()
     v[0] = 0.0
-    for j in range(1, n):
-        # The generator u shifted down by one is row j-1 read from column j-1.
-        u = R[j - 1, j - 1 : n - 1]
-        w = v[j:]
-        rho = w[0] / u[0]
-        if not abs(rho) < 1.0:
-            raise NotPositiveDefiniteError(j + 1)
-        s = np.sqrt((1.0 - rho) * (1.0 + rho))
-        R[j, j:] = (u - rho * w) / s
-        w *= s
-        w -= rho * R[j, j:]
-    return R
+    for i, (a, b) in enumerate(spans):
+        # Columns a..b-1 of L, rows a..n-1, then one block copy per band.
+        block = np.zeros((b - a, n - a))
+        for j in range(a, b):
+            if j:
+                # The generator u shifted down by one is R[j-1, j-1:n-1].
+                w = v[j:]
+                rho = w.item(0) / r.item(0)
+                if not abs(rho) < 1.0:
+                    raise NotPositiveDefiniteError(j + 1)
+                s = math.sqrt((1.0 - rho) * (1.0 + rho))
+                r = (r[:-1] - rho * w) / s
+                w *= s
+                w -= rho * r
+            np.add.accumulate(r, out=block[j - a, j - a :])  # cumsum
+        for (lo, hi), band in zip(spans[i:], bands[i:]):
+            band[a:b] = block[:, lo - a : hi - a]
+        del block  # keeps one block alive at a time, not two
+    for band in bands:
+        band.setflags(write=False)
+    return tuple(band.T for band in bands)
 
 
 # Factor cache: the Cholesky of the covariance is reused across Monte Carlo
 # seeds.  Reads are lock-free on the returned (read-only) arrays; writes are
 # serialized.
 _CHOLESKY_CACHE_SIZE = 2
-_chol_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_chol_cache: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 _chol_lock = threading.Lock()
 
 
-def _cholesky_factor(H: float, grid: Grid) -> np.ndarray:
-    """Lower-triangular Cholesky factor of ``covariance_matrix(H, grid)``,
-    cached and read-only.
-
-    The path is the cumulative sum of its increments, X = C dX with C the
-    lower-triangular matrix of ones, and C @ L_inc is lower triangular with
-    the diagonal of L_inc, so it is the Cholesky factor of C Gamma C.T.  The
-    cumsum along the rows of R = L_inc.T gives its transpose in place.
-    """
+def _cholesky_factor(H: float, grid: Grid) -> tuple[np.ndarray, ...]:
+    """Row bands ``L[a:b, :b]`` of the lower-triangular Cholesky factor L of
+    ``covariance_matrix(H, grid)``, cached and read-only."""
     key = (float(H), float(grid.T), int(grid.N))
     with _chol_lock:
         if key in _chol_cache:
             _chol_cache.move_to_end(key)
             return _chol_cache[key]
-    R = _toeplitz_cholesky(_fgn_autocovariance(H, grid))
-    np.cumsum(R, axis=1, out=R)
-    R.setflags(write=False)
-    L = R.T  # F-ordered, the layout dpotrf returns
+    bands = _schur_bands(_fgn_autocovariance(H, grid))
     with _chol_lock:
-        _chol_cache[key] = L
+        _chol_cache[key] = bands
         while len(_chol_cache) > _CHOLESKY_CACHE_SIZE:
             _chol_cache.popitem(last=False)
-    return L
+    return bands
 
 
 def sample_fbm(config: FbmConfig, seed: int | None = None) -> SamplePath:
@@ -208,7 +222,8 @@ def sample_fbm(config: FbmConfig, seed: int | None = None) -> SamplePath:
 
     Component i equals L_i @ V where L_i is the Cholesky factor of its
     covariance and V is standard normal from a PCG64 stream keyed by
-    (seed, i); the value at t_0 is 0.  Components are independent.
+    (seed, i); the value at t_0 is 0.  Components are independent.  Band
+    [a, b) of the path is ``L_i[a:b, :b] @ V[:b]``.
 
     Parameters
     ----------
@@ -219,8 +234,8 @@ def sample_fbm(config: FbmConfig, seed: int | None = None) -> SamplePath:
     grid = config.grid
     if grid.N > config.max_dense_n:
         raise ValueError(
-            f"grid has N={grid.N} > max_dense_n={config.max_dense_n}; the cached dense "
-            f"factor would take {8 * grid.N**2 / 2**20:.0f} MiB, raise "
+            f"grid has N={grid.N} > max_dense_n={config.max_dense_n}; the cached banded "
+            f"factor would take {4 * grid.N * (grid.N + _BAND) / 2**20:.0f} MiB, raise "
             "FbmConfig.max_dense_n to allow it"
         )
     s = config.seed if seed is None else seed
@@ -228,9 +243,11 @@ def sample_fbm(config: FbmConfig, seed: int | None = None) -> SamplePath:
         raise ValueError(f"seed must be a nonnegative integer, got {s}")
     values = np.zeros((grid.N + 1, config.m))
     for comp in range(config.m):
-        L = _cholesky_factor(config.hurst[comp], grid)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(s), comp))))
-        values[1:, comp] = L @ rng.standard_normal(grid.N)
+        z = rng.standard_normal(grid.N)
+        for L in _cholesky_factor(config.hurst[comp], grid):
+            rows, b = L.shape
+            values[1 + b - rows : 1 + b, comp] = L @ z[:b]
     return SamplePath(grid, values)
 
 

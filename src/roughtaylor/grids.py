@@ -32,8 +32,8 @@ class Grid:
 
 def make_grid(T: float, N: int) -> Grid:
     """Build the uniform grid on [0, T] with N steps of size h = T/N."""
-    if not T > 0.0:
-        raise ValueError(f"final time must be positive, got T={T}")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"final time must be positive and finite, got T={T}")
     if int(N) != N or N < 1:
         raise ValueError(f"number of steps must be a positive integer, got N={N}")
     return Grid(float(T), int(N))

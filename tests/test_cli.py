@@ -21,6 +21,15 @@ def test_sample_fbm_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_sample_fbm_rejects_infinite_horizon(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["sample-fbm", "--hurst", "0.5", "--n", "8", "--seed", "0", "--out", str(out), "--T", "inf"])
+    assert code == 2
+    assert "final time must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_study_command(tmp_path, capsys):
     code = main(
         [

@@ -1,3 +1,8 @@
+import contextlib
+import ctypes
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -77,9 +82,20 @@ def _max_rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def _dense(bands):
+    """The N x N factor the bands ``L[a:b, :b]`` are cut from, F-ordered as
+    dpotrf returns it: the dense layout whose products the bands reproduce."""
+    N = bands[-1].shape[1]
+    L = np.zeros((N, N), order="F")
+    for band in bands:
+        rows, b = band.shape
+        L[b - rows : b, :b] = band
+    return L
+
+
 def _cold_factor(H, grid):
     fbm._chol_cache.clear()
-    return fbm._cholesky_factor(H, grid)
+    return _dense(fbm._cholesky_factor(H, grid))
 
 
 def _extended_schur_factor(H, N):
@@ -157,7 +173,7 @@ class TestSchurFactor:
         with pytest.raises(NotPositiveDefiniteError) as dense:
             cholesky(scipy.linalg.toeplitz(c))
         with pytest.raises(NotPositiveDefiniteError) as schur:
-            fbm._toeplitz_cholesky(c)
+            _dense(fbm._schur_bands(c))
         assert schur.value.index == dense.value.index
 
     @pytest.mark.parametrize("T", [1.0, 0.37])
@@ -185,17 +201,17 @@ class TestFactorCache:
         assert fbm._cholesky_factor(0.3, grid) is fbm._cholesky_factor(0.3, grid)
 
     def test_factor_is_read_only(self):
-        L = fbm._cholesky_factor(0.3, make_grid(1.0, 16))
-        assert not L.flags.writeable
-        with pytest.raises(ValueError):
-            L[0, 0] = 1.0
+        for band in fbm._cholesky_factor(0.3, make_grid(1.0, 600)):
+            assert not band.flags.writeable
+            with pytest.raises(ValueError):
+                band[0, 0] = 1.0
 
     def test_key_separates_horizon_and_size(self):
         a = fbm._cholesky_factor(0.3, make_grid(1.0, 16))
         b = fbm._cholesky_factor(0.3, make_grid(0.5, 16))
         c = fbm._cholesky_factor(0.3, make_grid(1.0, 8))
-        assert a is not b and not np.array_equal(a, b)
-        assert c.shape == (8, 8)
+        assert a is not b and not np.array_equal(_dense(a), _dense(b))
+        assert _dense(c).shape == (8, 8)
         assert len(fbm._chol_cache) == 2
 
     def test_two_slots_least_recently_used_evicted(self):
@@ -207,6 +223,93 @@ class TestFactorCache:
         assert list(fbm._chol_cache) == [(0.3, 1.0, 16), (0.3, 1.0, 64)]
         assert fbm._cholesky_factor(0.3, ga) is a
         assert fbm._cholesky_factor(0.3, gb) is not b
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread.
+
+    A threaded OpenBLAS GEMV splits the rows of the matrix between threads,
+    and the last rows of each share take a scalar loop that rounds
+    differently.  So the dense product L @ z itself changes with the thread
+    count when the split does not fall on a multiple of 4 rows (N = 1027 on
+    2 threads, for one).  The oracle below is the dense product on one
+    thread; where OpenBLAS cannot be found, the ambient count is used.
+    """
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"))
+    blas = ctypes.CDLL(str(libs[0])) if libs else None
+    get = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(blas, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _dense_paths(config, seed):
+    """The path as sampled from the dense N x N factor, one BLAS thread."""
+    values = np.zeros((config.grid.N + 1, config.m))
+    for comp, H in enumerate(config.hurst):
+        L = _dense(fbm._cholesky_factor(H, config.grid))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, comp))))
+        with _one_blas_thread():
+            values[1:, comp] = L @ rng.standard_normal(config.grid.N)
+    return values
+
+
+BAND_SIZES = [1, 2, 3, 5, 8, 17, 255, 256, 257, 258, 259, 263, 511, 513, 1000, 1024, 1027, 2048]
+
+
+class TestBands:
+    """The factor is kept as its row bands L[a:b, :b]; paths must be the
+    dense factor's paths byte for byte, and no N x N array may come back."""
+
+    @pytest.mark.parametrize("hurst", [(0.75,), (5 / 12, 5 / 12), (0.5, 0.25)])
+    @pytest.mark.parametrize("N", BAND_SIZES)
+    def test_paths_equal_dense_product(self, N, hurst):
+        config = FbmConfig(hurst, len(hurst), make_grid(1.0, N), seed=3)
+        fbm._chol_cache.clear()
+        assert sample_fbm(config).values.tobytes() == _dense_paths(config, 3).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        N=st.integers(1, 1100),
+        H=st.sampled_from([0.1, 0.25, 5 / 12, 0.5, 0.75]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_paths_equal_dense_product(self, N, H, seed):
+        config = FbmConfig((H,), 1, make_grid(1.0, N), seed=seed)
+        assert sample_fbm(config).values.tobytes() == _dense_paths(config, seed).tobytes()
+
+    @pytest.mark.parametrize("N", [1, 7, 8, 255, 256, 257, 263, 264, 1000, 2048, 4096])
+    def test_band_shapes_and_bytes(self, N):
+        fbm._chol_cache.clear()
+        bands = fbm._cholesky_factor(0.5, make_grid(1.0, N))
+        heights = [band.shape[0] for band in bands]
+        assert sum(heights) == N
+        assert all(h == 256 for h in heights[:-1])
+        assert heights[-1] == N or 8 <= heights[-1] <= 263
+        assert [band.shape[1] for band in bands] == list(np.cumsum(heights))
+        assert sum(band.nbytes for band in bands) <= 4 * N * (N + 263)
+
+    def test_cold_sample_allocates_under_dense_size(self):
+        N = 2048
+        config = FbmConfig((0.75,), 1, make_grid(1.0, N), seed=0)
+        fbm._chol_cache.clear()
+        tracemalloc.start()
+        try:
+            sample_fbm(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.7 * 8 * N**2
 
 
 class TestSampling:

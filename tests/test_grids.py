@@ -19,3 +19,8 @@ class TestMakeGrid:
     def test_rejects_bad_input(self, T, N):
         with pytest.raises(ValueError):
             make_grid(T, N)
+
+    @pytest.mark.parametrize("T", [float("inf"), float("nan"), -float("inf")])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ValueError, match="final time must be positive and finite"):
+            make_grid(T, 4)
