@@ -3,7 +3,8 @@
 Paths are sampled exactly on a fine reference grid as L @ V, with V
 standard normal and L the Cholesky factor of the fBm covariance at the grid
 nodes, then restricted to coarser grids for convergence studies.  Sampling
-is deterministic per (config, seed) and bitwise reproducible.
+is deterministic per (config, seed) and bitwise reproducible for a given
+BLAS thread count.
 
 The increments of fBm on a uniform grid (fractional Gaussian noise) are
 stationary, so their covariance is a symmetric positive definite Toeplitz
@@ -23,7 +24,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .grids import Grid
 
@@ -119,6 +119,8 @@ def covariance_matrix(H: float, grid: Grid) -> np.ndarray:
 
 def cholesky(M) -> np.ndarray:
     """Lower-triangular L with L @ L.T == M for symmetric positive definite M."""
+    from scipy.linalg import lapack  # on first use: sampling never needs SciPy
+
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"square matrix required, got shape {M.shape}")
@@ -209,10 +211,14 @@ def _cholesky_factor(H: float, grid: Grid) -> tuple[np.ndarray, ...]:
         if key in _chol_cache:
             _chol_cache.move_to_end(key)
             return _chol_cache[key]
+        # free the slot before the build, so the factor being built is one
+        # of the _CHOLESKY_CACHE_SIZE alive, not one more
+        while len(_chol_cache) >= _CHOLESKY_CACHE_SIZE:
+            _chol_cache.popitem(last=False)
     bands = _schur_bands(_fgn_autocovariance(H, grid))
     with _chol_lock:
         _chol_cache[key] = bands
-        while len(_chol_cache) > _CHOLESKY_CACHE_SIZE:
+        while len(_chol_cache) > _CHOLESKY_CACHE_SIZE:  # racing builders
             _chol_cache.popitem(last=False)
     return bands
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .fields import DriftField
 
@@ -63,6 +62,15 @@ def _norm(v) -> float:
 
 
 @cache
+def _dgesv():
+    """LAPACK dgesv, bound on the first d > 1 Newton step: scalar problems
+    never load SciPy."""
+    from scipy.linalg.lapack import dgesv
+
+    return dgesv
+
+
+@cache
 def _identity(d: int) -> np.ndarray:
     eye = np.eye(d)
     eye.flags.writeable = False
@@ -89,7 +97,7 @@ def _newton_step(drift: DriftField, b, h: float, y: np.ndarray, F: np.ndarray):
         Jb = np.asarray(drift.jacobian(y), dtype=float)
     else:
         Jb = _fd_jacobian(b, y)
-    step, info = dgesv(_identity(drift.dim) - h * Jb, F)[2:]
+    step, info = _dgesv()(_identity(drift.dim) - h * Jb, F)[2:]
     return None if info != 0 else step
 
 

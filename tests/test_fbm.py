@@ -1,5 +1,7 @@
 import contextlib
 import ctypes
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -223,6 +225,78 @@ class TestFactorCache:
         assert list(fbm._chol_cache) == [(0.3, 1.0, 16), (0.3, 1.0, 64)]
         assert fbm._cholesky_factor(0.3, ga) is a
         assert fbm._cholesky_factor(0.3, gb) is not b
+
+    def test_miss_frees_a_slot_before_the_build(self, monkeypatch):
+        cached_at_build = []
+        build = fbm._schur_bands
+
+        def recording(c):
+            cached_at_build.append(len(fbm._chol_cache))
+            return build(c)
+
+        monkeypatch.setattr(fbm, "_schur_bands", recording)
+        grid = make_grid(1.0, 16)
+        for H in (0.3, 0.4, 0.5):
+            fbm._cholesky_factor(H, grid)
+        assert cached_at_build == [0, 1, 1]
+        assert list(fbm._chol_cache) == [(0.4, 1.0, 16), (0.5, 1.0, 16)]
+
+    def test_miss_holds_at_most_two_factors(self):
+        # the factors are built under tracemalloc, so the peak of the third
+        # miss counts the cached factors still alive as well as the new one
+        n = 1024
+        grid = make_grid(1.0, n)
+        tracemalloc.start()
+        try:
+            fbm._cholesky_factor(0.3, grid)
+            fbm._cholesky_factor(0.4, grid)
+            factor = sum(band.nbytes for band in next(iter(fbm._chol_cache.values())))
+            tracemalloc.reset_peak()
+            fbm._cholesky_factor(0.5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * fbm._BAND * n  # the widest block of the Schur sweep
+        assert peak < 2 * factor + block + factor // 4
+
+    def test_failed_build_leaves_no_entry(self, monkeypatch):
+        grid = make_grid(1.0, 16)
+        fbm._cholesky_factor(0.3, grid)
+
+        def failing(c):
+            raise NotPositiveDefiniteError(3)
+
+        monkeypatch.setattr(fbm, "_schur_bands", failing)
+        with pytest.raises(NotPositiveDefiniteError):
+            fbm._cholesky_factor(0.4, grid)
+        assert list(fbm._chol_cache) == [(0.3, 1.0, 16)]
+
+    def test_racing_misses_keep_two_correct_entries(self):
+        grid = make_grid(1.0, 16)
+        hs = (0.3, 0.4, 0.5, 0.6)
+        want = {H: fbm._schur_bands(fbm._fgn_autocovariance(H, grid)) for H in hs}
+        wrong = []
+
+        def worker(k):
+            for i in range(200):
+                H = hs[(i * (k + 1)) % len(hs)]
+                got = fbm._cholesky_factor(H, grid)
+                if not all(np.array_equal(g, w) for g, w in zip(got, want[H])):
+                    wrong.append(H)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(fbm._chol_cache) <= 2
 
 
 @contextlib.contextmanager

@@ -276,6 +276,11 @@ class TestOneByOneLapack:
         want = 3.0 / a
         assert np.isnan(x[0]) if np.isnan(want) else float_bits(x[0]) == float_bits(want)
 
+    def test_solver_binds_this_dgesv_once(self):
+        # the d > 1 Newton step imports dgesv on first use; it is the same routine
+        assert solver._dgesv() is dgesv
+        assert solver._dgesv() is solver._dgesv()
+
 
 class TestSolveStep:
     def test_zero_drift_identity(self):
