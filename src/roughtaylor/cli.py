@@ -87,7 +87,7 @@ def _cmd_stability(args) -> int:
 
 def _cmd_probe_local(args) -> int:
     problem = harness.probe_default_problem()
-    result = harness.local_error_probe(problem, args.scheme, problem.xi)
+    result = harness.local_error_probe(problem, args.scheme)
     print("h            one_step_error")
     for h, e in zip(result.steps, result.errors):
         print(f"{h:<12.6g} {e:.6g}")

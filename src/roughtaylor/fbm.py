@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, _write_node_csv
 
 __all__ = [
     "DENSE_GRID_LIMIT",
@@ -270,9 +270,4 @@ def restrict(path: SamplePath, factor: int) -> SamplePath:
 
 def dump_path_csv(path: SamplePath, target) -> None:
     """Write one row per node with columns t, x1..xm (17 significant digits)."""
-    header = "t," + ",".join(f"x{i + 1}" for i in range(path.m))
-    lines = [header]
-    for t, row in zip(path.grid.nodes, path.values):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
-    with open(target, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_node_csv(path.grid, path.values, "x", target)

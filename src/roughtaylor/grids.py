@@ -37,3 +37,14 @@ def make_grid(T: float, N: int) -> Grid:
     if int(N) != N or N < 1:
         raise ValueError(f"number of steps must be a positive integer, got N={N}")
     return Grid(float(T), int(N))
+
+
+def _write_node_csv(grid: Grid, values: np.ndarray, column: str, target) -> None:
+    """Write one row per node with columns t, <column>1..<column>k (17
+    significant digits), k the number of columns of ``values``."""
+    header = "t," + ",".join(f"{column}{i + 1}" for i in range(values.shape[1]))
+    lines = [header]
+    for t, row in zip(grid.nodes, values):
+        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
+    with open(target, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

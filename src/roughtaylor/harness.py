@@ -67,25 +67,23 @@ __all__ = [
 @dataclass(frozen=True)
 class _Example:
     build: Callable[[], Problem]
-    noise_dim: int
     default_hurst: tuple[float, ...]
 
 
 EXAMPLES = {
     # scalar double-well drift, additive noise, started in the left well
     "example1": _Example(
-        lambda: Problem(double_well_drift(), xi=[-3.0], T=1.0), 1, (0.75,)
+        lambda: Problem(double_well_drift(), xi=[-3.0], T=1.0), (0.75,)
     ),
     # stiff contractive linear drift, additive noise
     "example2": _Example(
-        lambda: Problem(linear_drift(-70.0), xi=[2.7], T=1.0), 1, (0.75,)
+        lambda: Problem(linear_drift(-70.0), xi=[2.7], T=1.0), (0.75,)
     ),
     # planar cubic-radial drift with two cosine noise fields
     "example3": _Example(
         lambda: Problem(
             cubic_radial_drift(2), xi=[10.0, -10.0], T=1.0, diffusion=cosine_diffusion()
         ),
-        2,
         (5.0 / 12.0, 5.0 / 12.0),
     ),
 }
@@ -113,7 +111,8 @@ def example_problem(name: str) -> tuple[Problem, int, tuple[float, ...]]:
     if name not in EXAMPLES:
         raise ValueError(f"unknown problem {name!r}; choose from {sorted(EXAMPLES)} or 'custom'")
     ex = EXAMPLES[name]
-    return ex.build(), ex.noise_dim, ex.default_hurst
+    problem = ex.build()
+    return problem, problem.noise_dim, ex.default_hurst
 
 
 def _scheme_order(scheme: str, problem: Problem) -> int | None:
@@ -175,14 +174,6 @@ class ErrorTable:
         vals = [r.eoc for r in self.rows if r.eoc is not None]
         return float(np.mean(vals)) if vals else float("nan")
 
-    @property
-    def errors(self) -> np.ndarray:
-        return np.array([r.error for r in self.rows])
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.array([r.h for r in self.rows])
-
 
 @dataclass(frozen=True)
 class AggregateRow:
@@ -222,8 +213,16 @@ def _validate_config(config: StudyConfig, problem: Problem | None) -> None:
         raise ValueError(f"unknown problem {config.problem!r}")
     if config.problem == "custom" and problem is None:
         raise ValueError("problem='custom' requires an explicit Problem")
+    if config.problem != "custom" and problem is not None:
+        raise ValueError(
+            f"problem {config.problem!r} is built in; use problem='custom' to pass a Problem"
+        )
     if not config.step_exponents:
         raise ValueError("need at least one step exponent")
+    if any(not float(k).is_integer() or k < 0 for k in config.step_exponents):
+        raise ValueError(
+            f"step exponents must be non-negative integers, got {tuple(config.step_exponents)}"
+        )
     if len(set(config.step_exponents)) != len(config.step_exponents):
         raise ValueError(f"step exponents must be distinct, got {tuple(config.step_exponents)}")
     if config.ref_exponent <= max(config.step_exponents):
@@ -259,11 +258,7 @@ def _certify_bound(problem: Problem, path: SamplePath, trajectory: Trajectory) -
     return True
 
 
-def run_study(
-    config: StudyConfig,
-    problem: Problem | None = None,
-    noise_dim: int | None = None,
-) -> StudyResult:
+def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResult:
     """Run the convergence study.
 
     For each seed one driver is sampled on the reference grid; the reference
@@ -275,75 +270,58 @@ def run_study(
     """
     _validate_config(config, problem)
     if config.problem == "custom":
-        m = noise_dim if noise_dim is not None else (problem.dim if problem.additive else None)
-        if m is None:
-            raise ValueError("custom multiplicative problems need noise_dim")
-        hurst = config.hurst if config.hurst is not None else (0.5,) * m
+        default_hurst = (0.5,) * problem.noise_dim
     else:
-        problem, m, default_hurst = example_problem(config.problem)
-        hurst = config.hurst if config.hurst is not None else default_hurst
+        problem, _, default_hurst = example_problem(config.problem)
+    hurst = config.hurst if config.hurst is not None else default_hurst
     _scheme_order(config.scheme, problem)
 
     exponents = tuple(sorted(config.step_exponents))
     ref_grid = make_grid(problem.T, 2**config.ref_exponent)
     certify = problem.additive and config.scheme == "implicit_euler"
+    bound_checks = 0
+
+    def run_level(path: SamplePath, prefix: str) -> tuple[Trajectory | None, str | None]:
+        """(trajectory, None) on success, certified when the bound applies;
+        (None, flag) on divergence or a failed solve."""
+        nonlocal bound_checks
+        try:
+            trajectory = run_scheme(config.scheme, problem, path)
+        except BlowupError as err:
+            return None, f"{prefix}blowup:step={err.step}"
+        except SchemeStepError as err:
+            return None, f"{prefix}solver:step={err.step}"
+        if certify and _certify_bound(problem, path, trajectory):
+            bound_checks += 1
+        return trajectory, None
 
     seed_tables: dict[int, ErrorTable] = {}
-    bound_checks = 0
     for seed in config.seeds:
         if config.zero_noise:
-            path_ref = _zero_path(ref_grid, m)
+            path_ref = _zero_path(ref_grid, problem.noise_dim)
         else:
             path_ref = sample_fbm(
-                FbmConfig(hurst, m, ref_grid, seed, max_dense_n=config.max_dense_n)
+                FbmConfig(hurst, problem.noise_dim, ref_grid, seed, max_dense_n=config.max_dense_n)
             )
-        ref_traj: Trajectory | None = None
-        ref_flag: str | None = None
-        try:
-            ref_traj = run_scheme(config.scheme, problem, path_ref)
-        except BlowupError as err:
-            ref_flag = f"reference-blowup:step={err.step}"
-        except SchemeStepError as err:
-            ref_flag = f"reference-solver:step={err.step}"
-        if ref_traj is not None and certify and _certify_bound(problem, path_ref, ref_traj):
-            bound_checks += 1
+        ref_traj, ref_flag = run_level(path_ref, "reference-")
 
-        raw: list[tuple[float, float, str | None]] = []
+        rows: list[ErrorRow] = []
         for k in exponents:
             h = problem.T / 2**k
             factor = 2 ** (config.ref_exponent - k)
             coarse = restrict(path_ref, factor)
-            if ref_flag is not None:
-                raw.append((h, float("nan"), ref_flag))
+            traj, flag = (None, ref_flag) if ref_flag is not None else run_level(coarse, "")
+            if flag is not None:
+                rows.append(ErrorRow(h, float("nan"), None, flag))
                 continue
-            try:
-                traj = run_scheme(config.scheme, problem, coarse)
-            except BlowupError as err:
-                raw.append((h, float("nan"), f"blowup:step={err.step}"))
-                continue
-            except SchemeStepError as err:
-                raw.append((h, float("nan"), f"solver:step={err.step}"))
-                continue
-            if certify and _certify_bound(problem, coarse, traj):
-                bound_checks += 1
             gap = ref_traj.states[::factor] - traj.states
-            err_val = float(np.max(np.linalg.norm(gap, axis=1)))
-            raw.append((h, err_val, None))
-
-        rows = []
-        for idx, (h, err_val, flag) in enumerate(raw):
+            error = float(np.max(np.linalg.norm(gap, axis=1)))
+            # the EOC needs the row above to be unflagged
+            prev = rows[-1] if rows else None
             value = None
-            if (
-                idx > 0
-                and flag is None
-                and raw[idx - 1][2] is None
-                and err_val > 0.0
-                and raw[idx - 1][1] > 0.0
-            ):
-                value = float(
-                    eoc([raw[idx - 1][1], err_val], [raw[idx - 1][0], h])[0]
-                )
-            rows.append(ErrorRow(h, err_val, value, flag))
+            if prev is not None and prev.flag is None and error > 0.0 and prev.error > 0.0:
+                value = float(eoc([prev.error, error], [prev.h, h])[0])
+            rows.append(ErrorRow(h, error, value))
         seed_tables[seed] = ErrorTable(tuple(rows))
 
     aggregate = []
@@ -429,15 +407,13 @@ class StabilityReport:
 def increment_flip_count(states: np.ndarray) -> int:
     """Number of strict sign changes between consecutive increments of a
     scalar trajectory."""
-    y = np.asarray(states, dtype=float).reshape(len(states), -1)[:, 0]
-    s = np.sign(np.diff(y))
-    return int(np.sum(s[1:] * s[:-1] < 0.0))
+    return sign_change_count(np.diff(states, axis=0))
 
 
 def sign_change_count(states: np.ndarray) -> int:
-    """Number of zero crossings of a scalar trajectory."""
-    y = np.asarray(states, dtype=float).reshape(len(states), -1)[:, 0]
-    s = np.sign(y)
+    """Number of zero crossings of a scalar trajectory (its first column)."""
+    y = np.asarray(states, dtype=float)
+    s = np.sign(y[:, 0] if y.ndim > 1 else y)
     return int(np.sum(s[1:] * s[:-1] < 0.0))
 
 
@@ -448,7 +424,6 @@ def stability_demo(
     h: float,
     seed: int = DEFAULT_STABILITY_SEED,
     zero_noise: bool = False,
-    hurst: float = 0.75,
 ) -> StabilityReport:
     """Run forward and drift-implicit Euler on the stiff linear problem with
     the same driver and report oscillation diagnostics.
@@ -459,7 +434,7 @@ def stability_demo(
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"step size must be positive and finite, got h={h}")
-    problem, m, _ = example_problem("example2")
+    problem, m, hurst = example_problem("example2")
     N = round(problem.T / h)
     if N < 1 or abs(N * h - problem.T) > 1e-9:
         raise ValueError(f"step size {h} does not divide the horizon T={problem.T}")
@@ -467,7 +442,7 @@ def stability_demo(
     if zero_noise:
         path = _zero_path(grid, m)
     else:
-        path = sample_fbm(FbmConfig((hurst,), m, grid, seed))
+        path = sample_fbm(FbmConfig(hurst, m, grid, seed))
     expl = explicit_euler(problem, path)
     impl = run_scheme("implicit_euler", problem, path)
     rate = -problem.drift.one_sided_lipschitz  # 70
@@ -516,43 +491,40 @@ def probe_default_problem() -> Problem:
 
 # probe scheme name -> order of semi_implicit_taylor
 _PROBE_SCHEMES = {"euler": 1, "milstein": 2, "milstein3": 3}
+_PROBE_STEPS = tuple(2.0**-k for k in range(6, 13))
+_PROBE_SUB_STEPS = 256
 
 
-def local_error_probe(
-    problem: Problem,
-    scheme: str,
-    base_point,
-    steps=tuple(2.0**-k for k in range(6, 13)),
-    sub_steps: int = 256,
-) -> ProbeResult:
-    """One-step errors of a scheme against a fine-step reference started from
-    the same point, on the smooth sinusoidal driver.
+def local_error_probe(problem: Problem, scheme: str) -> ProbeResult:
+    """One-step errors of a scheme against a fine-step reference, both
+    started from ``problem.xi``, on the smooth sinusoidal driver.
 
-    For each step size h the driver is lifted piecewise-linearly at high
-    resolution on [0, h]; the reference is the third-order scheme across all
-    sub-steps, the probed scheme takes a single step with the composed
-    tensors.  Returns the errors and the fitted log-log slope (nan when all
-    errors sit at rounding level, i.e. the scheme is exact)."""
+    For each step size h = 2^-6 .. 2^-12 the driver is lifted
+    piecewise-linearly on 256 sub-steps of [0, h]; the reference is the
+    third-order scheme across all sub-steps, the probed scheme takes a single
+    step with the composed tensors.  Returns the errors and the fitted
+    log-log slope (nan when all errors sit at rounding level, i.e. the scheme
+    is exact)."""
     if scheme not in _PROBE_SCHEMES:
         raise ValueError(f"unknown probe scheme {scheme!r}; choose from {sorted(_PROBE_SCHEMES)}")
     if problem.additive:
         raise ValueError("the probe needs a multiplicative problem")
-    m = problem.diffusion.noise_dim
-    base = np.asarray(base_point, dtype=float)
     errors = []
-    for h in steps:
-        fine_grid = make_grid(h, sub_steps)
-        fine_lift = piecewise_linear_lift(smooth_driver_path(fine_grid, m))
-        prob_h = Problem(problem.drift, base, h, diffusion=problem.diffusion)
+    for h in _PROBE_STEPS:
+        fine_grid = make_grid(h, _PROBE_SUB_STEPS)
+        fine_lift = piecewise_linear_lift(smooth_driver_path(fine_grid, problem.noise_dim))
+        prob_h = Problem(problem.drift, problem.xi, h, diffusion=problem.diffusion)
         ref = semi_implicit_taylor(prob_h, fine_lift, 3).states[-1]
-        x, X2, X3 = tensors_over(fine_lift, 0, sub_steps)
+        x, X2, X3 = tensors_over(fine_lift, 0, _PROBE_SUB_STEPS)
         one_lift = RoughLift(make_grid(h, 1), x[None], X2[None], X3[None])
         y1 = semi_implicit_taylor(prob_h, one_lift, _PROBE_SCHEMES[scheme]).states[-1]
         errors.append(float(np.linalg.norm(ref - y1)))
-    usable = [(h, e) for h, e in zip(steps, errors) if e > 1e-15]
+    # the reference sums _PROBE_SUB_STEPS updates: errors within their rounding are not fitted
+    floor = _PROBE_SUB_STEPS * np.finfo(float).eps * max(1.0, np.linalg.norm(problem.xi))
+    usable = [(h, e) for h, e in zip(_PROBE_STEPS, errors) if e > floor]
     if len(usable) >= 2:
         hs, es = zip(*usable)
         slope = float(np.polyfit(np.log(hs), np.log(es), 1)[0])
     else:
         slope = float("nan")
-    return ProbeResult(tuple(steps), tuple(errors), slope)
+    return ProbeResult(_PROBE_STEPS, tuple(errors), slope)

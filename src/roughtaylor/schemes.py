@@ -25,7 +25,7 @@ from .fields import (
     first_order_composition,
     second_order_composition,
 )
-from .grids import Grid
+from .grids import Grid, _write_node_csv
 from .lift import RoughLift
 from .solver import ConvergenceError, _norm, solve_step
 
@@ -91,6 +91,12 @@ class Problem:
     def additive(self) -> bool:
         return self.diffusion is None
 
+    @property
+    def noise_dim(self) -> int:
+        """Components of the driver: one per state component for additive
+        noise, else the diffusion's noise dimension."""
+        return self.dim if self.additive else self.diffusion.noise_dim
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -104,9 +110,8 @@ def _check_grid(problem: Problem, grid: Grid) -> None:
 
 
 def _check_noise_dim(problem: Problem, m: int) -> None:
-    expected = problem.dim if problem.additive else problem.diffusion.noise_dim
-    if m != expected:
-        raise ValueError(f"driver has {m} components, the problem expects {expected}")
+    if m != problem.noise_dim:
+        raise ValueError(f"driver has {m} components, the problem expects {problem.noise_dim}")
 
 
 def _guard(y, step: int) -> None:
@@ -215,11 +220,5 @@ def boundedness_bound(problem: Problem, path: SamplePath) -> float:
 
 
 def dump_trajectory_csv(trajectory: Trajectory, target) -> None:
-    """Write one row per node with columns t, y1..yd."""
-    d = trajectory.states.shape[1]
-    header = "t," + ",".join(f"y{i + 1}" for i in range(d))
-    lines = [header]
-    for t, row in zip(trajectory.grid.nodes, trajectory.states):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
-    with open(target, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write one row per node with columns t, y1..yd (17 significant digits)."""
+    _write_node_csv(trajectory.grid, trajectory.states, "y", target)

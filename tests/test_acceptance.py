@@ -241,7 +241,7 @@ def test_criterion_9_local_order_probe():
     start = time.time()
     problem = probe_default_problem()
     slopes = {
-        s: local_error_probe(problem, s, problem.xi).slope
+        s: local_error_probe(problem, s).slope
         for s in ("euler", "milstein", "milstein3")
     }
     assert slopes["euler"] >= 1.8, slopes

@@ -57,6 +57,11 @@ def test_removed_names_are_gone():
             assert not hasattr(roughtaylor, name), f"roughtaylor.{name}"
     assert list(inspect.signature(solver.solve_step).parameters) == ["drift", "h", "r"]
     assert list(inspect.signature(schemes.semi_implicit_taylor).parameters) == ["problem", "lift", "order"]
+    # the noise dimension is Problem.noise_dim; probe and stability settings are constants
+    assert list(inspect.signature(harness.run_study).parameters) == ["config", "problem"]
+    assert list(inspect.signature(harness.local_error_probe).parameters) == ["problem", "scheme"]
+    assert list(inspect.signature(harness.stability_demo).parameters) == ["h", "seed", "zero_noise"]
+    assert not hasattr(harness.ErrorTable, "errors") and not hasattr(harness.ErrorTable, "steps")
 
 
 def test_traced_benchmark_patches_resolve():

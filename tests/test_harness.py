@@ -49,6 +49,16 @@ class TestEoc:
             eoc([0.1, 0.05], [0.05, 0.1])
 
 
+# step exponents a study must reject before it samples a path
+BAD_STEPS = {
+    (5, 5, 6): r"step exponents must be distinct, got \(.*\)",
+    (6, 5, 6): r"step exponents must be distinct, got \(.*\)",
+    (-2,): r"step exponents must be non-negative integers, got \(-2,\)",
+    (5.5,): r"step exponents must be non-negative integers, got \(5\.5,\)",
+    (float("inf"),): r"step exponents must be non-negative integers, got \(inf,\)",
+}
+
+
 class TestRunStudy:
     def test_zero_noise_linear_matches_closed_form(self):
         # implicit Euler on dy = lam*y dt with zero driver: y_n = xi/(1-h*lam)^n
@@ -115,15 +125,32 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study(cfg)
 
-    @pytest.mark.parametrize("steps", [(5, 5, 6), (6, 5, 6)])
+    @pytest.mark.parametrize("steps", list(BAD_STEPS))
     def test_rejects_duplicate_step_exponents(self, steps, monkeypatch):
         def no_sampling(*_):
-            raise AssertionError("a study with duplicate step exponents must not start")
+            raise AssertionError("a study with bad step exponents must not start")
 
         monkeypatch.setattr(harness, "sample_fbm", no_sampling)
         cfg = StudyConfig("example1", "implicit_euler", step_exponents=steps, ref_exponent=8)
-        with pytest.raises(ValueError, match=r"step exponents must be distinct, got \(.*\)"):
+        with pytest.raises(ValueError, match=BAD_STEPS[steps]):
             run_study(cfg)
+
+    def test_rejects_problem_with_builtin_config(self):
+        cfg = StudyConfig("example2", "implicit_euler", step_exponents=(4,), ref_exponent=6)
+        with pytest.raises(ValueError, match="'example2' is built in"):
+            run_study(cfg, problem=Problem(linear_drift(-1.0), xi=[1.0], T=1.0))
+
+    def test_custom_multiplicative_derives_noise_dim(self):
+        # the noise dimension comes from the diffusion, the default Hurst
+        # parameter is 0.5 per driver component
+        problem, _, _ = example_problem("example3")
+        steps = dict(step_exponents=(4, 5), ref_exponent=7, seeds=(0, 1))
+        custom = run_study(StudyConfig("custom", "simplified_milstein", **steps), problem=problem)
+        builtin = run_study(
+            StudyConfig("example3", "simplified_milstein", hurst=(0.5, 0.5), **steps)
+        )
+        assert custom.seed_tables == builtin.seed_tables
+        assert all(r.flag is None for t in custom.seed_tables.values() for r in t.rows)
 
     def test_rejects_duplicate_seeds(self, monkeypatch):
         def no_sampling(*_):
@@ -238,6 +265,8 @@ class TestStabilityDemo:
         states = np.array([[0.0], [1.0], [0.5], [2.0], [-1.0]])
         assert increment_flip_count(states) == 3
         assert sign_change_count(states) == 1
+        assert increment_flip_count(states[:, 0]) == 3
+        assert increment_flip_count(states[:1]) == 0
 
 
 class TestLocalErrorProbe:
@@ -246,26 +275,26 @@ class TestLocalErrorProbe:
             zero_drift(1), xi=[1.0], T=1.0, diffusion=constant_diffusion([[0.7]])
         )
         for scheme in ("euler", "milstein", "milstein3"):
-            result = local_error_probe(problem, scheme, problem.xi, steps=(2**-4, 2**-6))
+            result = local_error_probe(problem, scheme)
             assert max(result.errors) <= 1e-13
             assert np.isnan(result.slope)
 
     def test_euler_slope_near_two(self):
         problem = probe_default_problem()
-        result = local_error_probe(problem, "euler", problem.xi)
+        result = local_error_probe(problem, "euler")
         assert result.slope >= 1.8
 
     def test_rate_ordering(self):
         problem = probe_default_problem()
         slopes = {
-            s: local_error_probe(problem, s, problem.xi).slope
+            s: local_error_probe(problem, s).slope
             for s in ("euler", "milstein", "milstein3")
         }
         assert slopes["milstein3"] >= slopes["milstein"] >= slopes["euler"]
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
-            local_error_probe(probe_default_problem(), "heun", [1.0])
+            local_error_probe(probe_default_problem(), "heun")
 
 
 def test_smooth_driver_starts_at_zero():

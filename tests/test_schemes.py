@@ -483,6 +483,12 @@ def test_dump_trajectory_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_problem_noise_dim():
+    assert Problem(linear_drift(-1.0, dim=3), xi=[1.0, 2.0, 3.0], T=1.0).noise_dim == 3
+    sigma = constant_diffusion([[1.0, 0.0, 2.0], [0.0, 1.0, 0.5]])
+    assert Problem(zero_drift(2), xi=[1.0, 2.0], T=1.0, diffusion=sigma).noise_dim == 3
+
+
 def test_problem_dimension_mismatch():
     with pytest.raises(ValueError):
         Problem(double_well_drift(), xi=[1.0, 2.0], T=1.0)
