@@ -31,7 +31,7 @@ from .harness import (
     run_study,
     stability_demo,
 )
-from .lift import RoughLift, chen_compose, geometricity_defect, piecewise_linear_lift
+from .lift import RoughLift, chen_compose, piecewise_linear_lift
 from .schemes import (
     BlowupError,
     Problem,

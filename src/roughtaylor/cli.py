@@ -18,6 +18,7 @@ from pathlib import Path
 from . import harness
 from .fbm import DENSE_GRID_LIMIT, FbmConfig, dump_path_csv, sample_fbm
 from .grids import make_grid
+from .schemes import dump_trajectory_csv
 from .solver import StepSizeError
 
 
@@ -25,7 +26,7 @@ def _parse_hurst(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _parse_steps(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, hi = text.split("..")
         return tuple(range(int(lo), int(hi) + 1))
@@ -33,9 +34,16 @@ def _parse_steps(text: str) -> tuple[int, ...]:
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    if "," in text:
-        return tuple(int(tok) for tok in text.split(","))
+    if "," in text or ".." in text:
+        return _parse_ints(text)
     return tuple(range(int(text)))
+
+
+def _out_file(target: str) -> Path:
+    """``target`` as a Path, with its missing parent directories created."""
+    path = Path(target)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _cmd_run(args) -> int:
@@ -43,7 +51,7 @@ def _cmd_run(args) -> int:
         problem=args.problem,
         scheme=args.scheme,
         hurst=_parse_hurst(args.hurst) if args.hurst else None,
-        step_exponents=_parse_steps(args.steps),
+        step_exponents=_parse_ints(args.steps),
         ref_exponent=args.ref,
         seeds=_parse_seeds(args.seeds),
         out_dir=args.out,
@@ -77,8 +85,6 @@ def _cmd_stability(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        from .schemes import dump_trajectory_csv
-
         dump_trajectory_csv(report.explicit, out / "stability_explicit.csv")
         dump_trajectory_csv(report.implicit, out / "stability_implicit.csv")
         print(f"wrote {out / 'stability_explicit.csv'} and {out / 'stability_implicit.csv'}")
@@ -94,7 +100,7 @@ def _cmd_probe_local(args) -> int:
     print(f"log-log slope: {result.slope:.4g}")
     if args.out:
         lines = ["h,error"] + [f"{h:.10g},{e:.10g}" for h, e in zip(result.steps, result.errors)]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        _out_file(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0
 
@@ -104,7 +110,7 @@ def _cmd_sample_fbm(args) -> int:
     hurst = _parse_hurst(args.hurst)
     config = FbmConfig(hurst, len(hurst), grid, args.seed, max_dense_n=args.max_dense_n)
     path = sample_fbm(config)
-    dump_path_csv(path, args.out)
+    dump_path_csv(path, _out_file(args.out))
     print(f"wrote {args.out}")
     return 0
 
@@ -122,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--hurst", default=None, help="Hurst parameter(s), e.g. 0.75 or 0.4,0.4")
     run.add_argument("--steps", default="5..10", help="step exponents, e.g. 5..10 or 5,7,9")
     run.add_argument("--ref", type=int, default=12, help="reference exponent")
-    run.add_argument("--seeds", default="1", help="seed count n (seeds 0..n-1) or explicit list")
+    run.add_argument("--seeds", default="1", help="count n (0..n-1), range lo..hi, or list a,b")
     run.add_argument("--out", default=None, help="output directory for CSV files")
     run.add_argument("--max-dense-n", type=int, default=DENSE_GRID_LIMIT)
     run.set_defaults(func=_cmd_run)

@@ -66,23 +66,17 @@ class DiffusionField:
     d2func: Callable[[np.ndarray], np.ndarray]
 
 
-def first_order_composition(sigma: DiffusionField, xi) -> np.ndarray:
-    """Coefficient of the level-2 tensor entry (i, j):
-    out[i, j] = sum_p sigma_i^p(xi) d_p sigma_j(xi), a d-vector."""
-    y = np.asarray(xi, dtype=float)
-    S = np.asarray(sigma.func(y), dtype=float)
-    D = np.asarray(sigma.dfunc(y), dtype=float)
+def first_order_composition(S: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Coefficient of the level-2 tensor entry (i, j) from S = sigma(xi) and
+    D = dsigma(xi): out[i, j] = sum_p sigma_i^p(xi) d_p sigma_j(xi), a d-vector."""
     return np.einsum("pi,ajp->ija", S, D)
 
 
-def second_order_composition(sigma: DiffusionField, xi) -> np.ndarray:
-    """Coefficient of the level-3 tensor entry (i, j, k):
+def second_order_composition(S: np.ndarray, D: np.ndarray, D2: np.ndarray) -> np.ndarray:
+    """Coefficient of the level-3 tensor entry (i, j, k) from S = sigma(xi),
+    D = dsigma(xi) and D2 = d2sigma(xi):
     out[i, j, k] = sum_{p,q} sigma_i^q d_q sigma_j^p d_p sigma_k
                  + sigma_i^q sigma_j^p d_q d_p sigma_k."""
-    y = np.asarray(xi, dtype=float)
-    S = np.asarray(sigma.func(y), dtype=float)
-    D = np.asarray(sigma.dfunc(y), dtype=float)
-    D2 = np.asarray(sigma.d2func(y), dtype=float)
     chained = np.einsum("qi,pjq,akp->ijka", S, D, D)
     curved = np.einsum("qi,pj,akpq->ijka", S, S, D2)
     return chained + curved

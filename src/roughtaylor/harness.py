@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -25,7 +26,7 @@ from .fields import (
     geometric_diffusion,
 )
 from .grids import Grid, make_grid
-from .lift import RoughLift, piecewise_linear_lift, tensors_over
+from .lift import RoughLift, chen_compose, piecewise_linear_lift
 from .schemes import (
     BlowupError,
     Problem,
@@ -153,7 +154,6 @@ class StudyConfig:
     ref_exponent: int = 12
     seeds: tuple[int, ...] = (0,)
     out_dir: str | Path | None = None
-    zero_noise: bool = False
     max_dense_n: int = DENSE_GRID_LIMIT
 
 
@@ -235,10 +235,6 @@ def _validate_config(config: StudyConfig, problem: Problem | None) -> None:
         raise ValueError(f"seeds must be distinct, got {tuple(config.seeds)}")
 
 
-def _zero_path(grid: Grid, m: int) -> SamplePath:
-    return SamplePath(grid, np.zeros((grid.N + 1, m)))
-
-
 def _certify_bound(problem: Problem, path: SamplePath, trajectory: Trajectory) -> bool:
     """Assert the a-priori bound on a drift-implicit additive trajectory.
 
@@ -297,12 +293,9 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
 
     seed_tables: dict[int, ErrorTable] = {}
     for seed in config.seeds:
-        if config.zero_noise:
-            path_ref = _zero_path(ref_grid, problem.noise_dim)
-        else:
-            path_ref = sample_fbm(
-                FbmConfig(hurst, problem.noise_dim, ref_grid, seed, max_dense_n=config.max_dense_n)
-            )
+        path_ref = sample_fbm(
+            FbmConfig(hurst, problem.noise_dim, ref_grid, seed, max_dense_n=config.max_dense_n)
+        )
         ref_traj, ref_flag = run_level(path_ref, "reference-")
 
         rows: list[ErrorRow] = []
@@ -440,7 +433,7 @@ def stability_demo(
         raise ValueError(f"step size {h} does not divide the horizon T={problem.T}")
     grid = make_grid(problem.T, N)
     if zero_noise:
-        path = _zero_path(grid, m)
+        path = SamplePath(grid, np.zeros((N + 1, m)))
     else:
         path = sample_fbm(FbmConfig(hurst, m, grid, seed))
     expl = explicit_euler(problem, path)
@@ -515,7 +508,8 @@ def local_error_probe(problem: Problem, scheme: str) -> ProbeResult:
         fine_lift = piecewise_linear_lift(smooth_driver_path(fine_grid, problem.noise_dim))
         prob_h = Problem(problem.drift, problem.xi, h, diffusion=problem.diffusion)
         ref = semi_implicit_taylor(prob_h, fine_lift, 3).states[-1]
-        x, X2, X3 = tensors_over(fine_lift, 0, _PROBE_SUB_STEPS)
+        sub_steps = zip(fine_lift.increments, fine_lift.level2, fine_lift.level3)
+        x, X2, X3 = reduce(chen_compose, sub_steps)
         one_lift = RoughLift(make_grid(h, 1), x[None], X2[None], X3[None])
         y1 = semi_implicit_taylor(prob_h, one_lift, _PROBE_SCHEMES[scheme]).states[-1]
         errors.append(float(np.linalg.norm(ref - y1)))

@@ -159,11 +159,14 @@ def _taylor_term(problem: Problem, lift: RoughLift, order: int):
     X3 = lift.level3
 
     def term(j, y):
-        out = sig.func(y) @ dx[j]
+        S = sig.func(y)
+        out = S @ dx[j]
         if order >= 2:
-            out = out + np.einsum("ija,ij->a", first_order_composition(sig, y), X2[j])
+            D = sig.dfunc(y)
+            out = out + np.einsum("ija,ij->a", first_order_composition(S, D), X2[j])
         if order >= 3:
-            out = out + np.einsum("ijka,ijk->a", second_order_composition(sig, y), X3[j])
+            F = second_order_composition(S, D, sig.d2func(y))
+            out = out + np.einsum("ijka,ijk->a", F, X3[j])
         return out
 
     return term

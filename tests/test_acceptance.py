@@ -17,9 +17,10 @@ from roughtaylor.harness import (
     run_study,
     stability_demo,
 )
-from roughtaylor.lift import chen_defect, geometricity_defect, piecewise_linear_lift
+from roughtaylor.lift import piecewise_linear_lift
 from roughtaylor.schemes import Problem, boundedness_bound, semi_implicit_taylor
 from roughtaylor.solver import solve_step
+from lift_checks import chen_defect, geometricity_defect
 from test_schemes import simplified_taylor
 from test_solver import cubic_equation_root
 

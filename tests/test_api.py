@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import roughtaylor
-from roughtaylor import fbm, harness, schemes, solver
+from roughtaylor import fbm, fields, harness, schemes, solver
+from roughtaylor.grids import make_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(roughtaylor.__file__).parent
@@ -18,7 +19,14 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 REMOVED = {
     "grids": ["holder_norm", "p_variation_norm", "control_superadditivity_defect", "_path_values"],
-    "lift": ["rough_holder_norm"],
+    "lift": [
+        "rough_holder_norm",
+        "interval_tensors",
+        "tensors_over",
+        "geometricity_defect",
+        "chen_defect",
+        "_pair_tables",
+    ],
     "fields": ["validate_drift_jacobian", "validate_diffusion_derivatives", "audit_one_sided_lipschitz"],
 }
 
@@ -61,6 +69,10 @@ def test_removed_names_are_gone():
     assert list(inspect.signature(harness.run_study).parameters) == ["config", "problem"]
     assert list(inspect.signature(harness.local_error_probe).parameters) == ["problem", "scheme"]
     assert list(inspect.signature(harness.stability_demo).parameters) == ["h", "seed", "zero_noise"]
+    assert "zero_noise" not in inspect.signature(harness.StudyConfig).parameters
+    # the compositions take sigma and its derivatives, evaluated once per step
+    assert list(inspect.signature(fields.first_order_composition).parameters) == ["S", "D"]
+    assert list(inspect.signature(fields.second_order_composition).parameters) == ["S", "D", "D2"]
     assert not hasattr(harness.ErrorTable, "errors") and not hasattr(harness.ErrorTable, "steps")
 
 
@@ -70,8 +82,19 @@ def test_traced_benchmark_patches_resolve():
     spec = importlib.util.spec_from_file_location("_perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    watched = [(fbm, "covariance_matrix"), (fbm, "cholesky"), (schemes, "solve_step"), (harness, "run_scheme")]
+    watched = [
+        (fbm, "covariance_matrix"),
+        (fbm, "cholesky"),
+        (schemes, "solve_step"),
+        (harness, "run_scheme"),
+        (schemes, "first_order_composition"),
+        (schemes, "second_order_composition"),
+    ]
     before = [getattr(module, attr) for module, attr in watched]
-    with spans.instrumented(spans.SpanRecorder()):
+    with spans.instrumented(spans.SpanRecorder()) as rec:
         assert schemes.solve_step is not before[2]
+        # the order-3 step looks both compositions up through schemes
+        path = harness.smooth_driver_path(make_grid(1.0, 4), 2)
+        harness.run_scheme("simplified_milstein3", harness.example_problem("example3")[0], path)
+    assert rec.counts["fields.composition_calls"] == 2 * 4
     assert [getattr(module, attr) for module, attr in watched] == before

@@ -1,7 +1,7 @@
 import pytest
 
 from roughtaylor import harness
-from roughtaylor.cli import build_parser, main
+from roughtaylor.cli import _parse_seeds, build_parser, main
 
 
 def test_sample_fbm_writes_csv(tmp_path, capsys):
@@ -148,3 +148,41 @@ def test_probe_local_choices_follow_probe_table(capsys):
     with pytest.raises(SystemExit):
         main(["probe-local", "--scheme", "heun"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["probe-local", "--scheme", "euler"],
+        ["sample-fbm", "--hurst", "0.75", "--n", "16", "--seed", "3"],
+    ],
+)
+def test_out_file_creates_missing_directories(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "nested" / "out.csv"
+    assert main([*command, "--out", str(out)]) == 0
+    assert out.read_text().startswith(("h,error\n", "t,x1\n"))
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, seeds",
+    [
+        ("3", (0, 1, 2)),
+        ("13..13", (13,)),
+        ("3..5", (3, 4, 5)),
+        ("7,2", (7, 2)),
+    ],
+)
+def test_seeds_count_range_and_list(text, seeds):
+    assert _parse_seeds(text) == seeds
+
+
+def test_run_reruns_one_explicit_seed(tmp_path, capsys):
+    args = ["run", "--problem", "example1", "--scheme", "implicit_euler", "--hurst", "0.5"]
+    args += ["--steps", "4..5", "--ref", "8"]
+    assert main([*args, "--seeds", "2..3", "--out", str(tmp_path / "both")]) == 0
+    assert main([*args, "--seeds", "3..3", "--out", str(tmp_path / "one")]) == 0
+    assert "1 seed(s)" in capsys.readouterr().out
+    name = "example1_implicit_euler_seed3.csv"
+    assert sorted(p.name for p in (tmp_path / "one").glob("*_seed*.csv")) == [name]
+    assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()

@@ -15,6 +15,16 @@ from roughtaylor.fields import (
 )
 
 
+def _first_at(sigma: DiffusionField, y) -> np.ndarray:
+    """first_order_composition of sigma's value and first derivative at y."""
+    return first_order_composition(sigma.func(y), sigma.dfunc(y))
+
+
+def _second_at(sigma: DiffusionField, y) -> np.ndarray:
+    """second_order_composition of sigma and its derivatives at y."""
+    return second_order_composition(sigma.func(y), sigma.dfunc(y), sigma.d2func(y))
+
+
 def _validate_diffusion_derivatives(sigma: DiffusionField, points, eps: float = 1e-4) -> float:
     """Max deviation of dfunc/d2func from central finite differences of
     func/dfunc over the given points."""
@@ -89,15 +99,15 @@ def square_diffusion():
 class TestFirstOrderComposition:
     def test_constant_sigma_vanishes(self):
         sig = constant_diffusion([[1.0, -2.0], [0.5, 3.0]])
-        assert np.array_equal(first_order_composition(sig, np.ones(2)), np.zeros((2, 2, 2)))
+        assert np.array_equal(_first_at(sig, np.ones(2)), np.zeros((2, 2, 2)))
 
     def test_linear_scalar(self):
         y = np.array([1.7])
-        assert first_order_composition(geometric_diffusion(), y)[0, 0, 0] == pytest.approx(1.7)
+        assert _first_at(geometric_diffusion(), y)[0, 0, 0] == pytest.approx(1.7)
 
     def test_sine_scalar(self):
         y = np.array([0.6])
-        out = first_order_composition(sine_diffusion(), y)[0, 0, 0]
+        out = _first_at(sine_diffusion(), y)[0, 0, 0]
         assert out == pytest.approx(np.sin(0.6) * np.cos(0.6))
 
     def test_cross_check_finite_differences(self):
@@ -106,7 +116,7 @@ class TestFirstOrderComposition:
         eps = 1e-6
         for _ in range(5):
             y = rng.uniform(1.0, 4.0, size=2)
-            E = first_order_composition(sig, y)
+            E = _first_at(sig, y)
             S = sig.func(y)
             for i in range(2):
                 for j in range(2):
@@ -132,29 +142,29 @@ class TestFirstOrderComposition:
 
             return DiffusionField(2, 2, func, base.dfunc, base.d2func)
 
-        E = first_order_composition(base, y)
-        E_sum = first_order_composition(with_first_column(lambda S: S[:, 0] + S[:, 1]), y)
-        E_scaled = first_order_composition(with_first_column(lambda S: 3.0 * S[:, 0]), y)
+        E = _first_at(base, y)
+        E_sum = _first_at(with_first_column(lambda S: S[:, 0] + S[:, 1]), y)
+        E_scaled = _first_at(with_first_column(lambda S: 3.0 * S[:, 0]), y)
         assert np.allclose(E_sum[0, 1], E[0, 1] + E[1, 1])
         assert np.allclose(E_scaled[0, 1], 3.0 * E[0, 1])
 
-        F = second_order_composition(base, y)
-        F_sum = second_order_composition(with_first_column(lambda S: S[:, 0] + S[:, 1]), y)
+        F = _second_at(base, y)
+        F_sum = _second_at(with_first_column(lambda S: S[:, 0] + S[:, 1]), y)
         assert np.allclose(F_sum[0, 1, 1], F[0, 1, 1] + F[1, 1, 1])
 
 
 class TestSecondOrderComposition:
     def test_constant_sigma_vanishes(self):
         sig = constant_diffusion([[1.0, 2.0]])
-        assert np.array_equal(second_order_composition(sig, np.zeros(1)), np.zeros((2, 2, 2, 1)))
+        assert np.array_equal(_second_at(sig, np.zeros(1)), np.zeros((2, 2, 2, 1)))
 
     def test_linear_scalar(self):
         y = np.array([-0.8])
-        assert second_order_composition(geometric_diffusion(), y)[0, 0, 0, 0] == pytest.approx(-0.8)
+        assert _second_at(geometric_diffusion(), y)[0, 0, 0, 0] == pytest.approx(-0.8)
 
     def test_square_scalar(self):
         y = np.array([1.3])
-        out = second_order_composition(square_diffusion(), y)[0, 0, 0, 0]
+        out = _second_at(square_diffusion(), y)[0, 0, 0, 0]
         assert out == pytest.approx(6.0 * 1.3**4)
 
     @pytest.mark.parametrize("sig_builder", [sine_diffusion, square_diffusion, cosine_diffusion])
@@ -167,7 +177,7 @@ class TestSecondOrderComposition:
         d, m = sig.dim, sig.noise_dim
         for _ in range(3):
             y = rng.uniform(1.0, 3.0, size=d)
-            F = second_order_composition(sig, y)
+            F = _second_at(sig, y)
             S = sig.func(y)
             for i in range(m):
                 for j in range(m):
@@ -176,8 +186,8 @@ class TestSecondOrderComposition:
                         for q in range(d):
                             e = np.zeros(d)
                             e[q] = eps
-                            g_plus = first_order_composition(sig, y + e)[j, k]
-                            g_minus = first_order_composition(sig, y - e)[j, k]
+                            g_plus = _first_at(sig, y + e)[j, k]
+                            g_minus = _first_at(sig, y - e)[j, k]
                             fd += S[q, i] * (g_plus - g_minus) / (2 * eps)
                         assert np.allclose(F[i, j, k], fd, atol=1e-5)
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from roughtaylor import harness
-from roughtaylor.fields import linear_drift, constant_diffusion, zero_drift
+from roughtaylor.fbm import SamplePath
+from roughtaylor.fields import (
+    constant_diffusion,
+    cosine_diffusion,
+    cubic_radial_drift,
+    linear_drift,
+    zero_drift,
+)
 from roughtaylor.harness import (
     ADDITIVE_SCHEMES,
     MULTIPLICATIVE_SCHEMES,
@@ -49,6 +56,13 @@ class TestEoc:
             eoc([0.1, 0.05], [0.05, 0.1])
 
 
+def zero_driver_states(problem, n_steps):
+    """Implicit Euler states of an additive scalar problem on T = 1 with the
+    driver held at zero, on n_steps steps."""
+    path = SamplePath(make_grid(1.0, n_steps), np.zeros((n_steps + 1, 1)))
+    return run_scheme("implicit_euler", problem, path).states[:, 0]
+
+
 # step exponents a study must reject before it samples a path
 BAD_STEPS = {
     (5, 5, 6): r"step exponents must be distinct, got \(.*\)",
@@ -66,42 +80,34 @@ class TestRunStudy:
         problem = Problem(linear_drift(lam), xi=[xi], T=1.0)
         exponents = (4, 5, 6)
         ref_exp = 10
-        cfg = StudyConfig(
-            "custom",
-            "implicit_euler",
-            step_exponents=exponents,
-            ref_exponent=ref_exp,
-            seeds=(0,),
-            zero_noise=True,
-        )
-        result = run_study(cfg, problem=problem)
 
         def recursion(n_steps):
             h = 1.0 / n_steps
             return xi / (1.0 - h * lam) ** np.arange(n_steps + 1)
 
-        ref = recursion(2**ref_exp)
-        for row, k in zip(result.seed_tables[0].rows, exponents):
-            coarse = recursion(2**k)
+        ref = zero_driver_states(problem, 2**ref_exp)
+        errors = []
+        for k in exponents:
             factor = 2 ** (ref_exp - k)
-            expected = np.max(np.abs(ref[::factor] - coarse))
-            assert row.error == pytest.approx(expected, rel=1e-10)
-        assert result.mean_average_eoc == pytest.approx(1.0, abs=0.1)
+            error = np.max(np.abs(ref[::factor] - zero_driver_states(problem, 2**k)))
+            expected = np.max(np.abs(recursion(2**ref_exp)[::factor] - recursion(2**k)))
+            assert error == pytest.approx(expected, rel=1e-10)
+            errors.append(error)
+        orders = eoc(errors, [2.0**-k for k in exponents])
+        assert np.mean(orders) == pytest.approx(1.0, abs=0.1)
 
     def test_zero_noise_stiff_eoc_tends_to_one(self):
         problem = Problem(linear_drift(-70.0), xi=[2.7], T=1.0)
-        cfg = StudyConfig(
-            "custom",
-            "implicit_euler",
-            step_exponents=(7, 8, 9, 10),
-            ref_exponent=14,
-            seeds=(0,),
-            zero_noise=True,
-        )
-        result = run_study(cfg, problem=problem)
-        eocs = [r.eoc for r in result.seed_tables[0].rows if r.eoc is not None]
-        assert abs(result.mean_average_eoc - 1.0) <= 0.2
-        assert np.all(np.diff(np.abs(np.array(eocs) - 1.0)) <= 0.0)  # approaching 1
+        exponents = (7, 8, 9, 10)
+        ref_exp = 14
+        ref = zero_driver_states(problem, 2**ref_exp)
+        errors = [
+            np.max(np.abs(ref[:: 2 ** (ref_exp - k)] - zero_driver_states(problem, 2**k)))
+            for k in exponents
+        ]
+        eocs = eoc(errors, [2.0**-k for k in exponents])
+        assert abs(np.mean(eocs) - 1.0) <= 0.2
+        assert np.all(np.diff(np.abs(eocs - 1.0)) <= 0.0)  # approaching 1
 
     def test_growing_solution_is_flagged_blowup(self):
         # every step is well posed (C_b*h <= 30*0.8/64 < 1); the reference
@@ -269,6 +275,46 @@ class TestStabilityDemo:
         assert increment_flip_count(states[:1]) == 0
 
 
+# local_error_probe errors (float.hex) per problem and order; they move if the
+# order of the probe's Chen fold or of a Taylor step's arithmetic changes
+PROBE_ERRORS_HEX = {
+    "default": {
+        "euler": (
+            "0x1.1f6bc1f707f00p-8", "0x1.201b4a33be800p-10", "0x1.203e4aeaa5000p-12",
+            "0x1.2042d5e8d0000p-14", "0x1.2041e5ff20000p-16", "0x1.2040a1b780000p-18",
+            "0x1.203fcc9700000p-20",
+        ),
+        "milstein": (
+            "0x1.18887ba9ce000p-13", "0x1.1cd059a340000p-16", "0x1.1eaec02800000p-19",
+            "0x1.1f8c641400000p-22", "0x1.1ff6cda000000p-25", "0x1.202af00000000p-28",
+            "0x1.2044880000000p-31",
+        ),
+        "milstein3": (
+            "0x1.9bfe1d6480000p-19", "0x1.a6ff30d800000p-23", "0x1.ac078a8000000p-27",
+            "0x1.ae6ca80000000p-31", "0x1.af97000000000p-35", "0x1.b070000000000p-39",
+            "0x1.ae00000000000p-43",
+        ),
+    },
+    "planar": {
+        "euler": (
+            "0x1.3b0d1f2af1af1p-5", "0x1.8d1bd18431f56p-7", "0x1.b57cc28ed86e9p-9",
+            "0x1.c8b11b237eaf6p-11", "0x1.d1f39438d434bp-13", "0x1.d67bf9e3f1c28p-15",
+            "0x1.d8b99cf5ea727p-17",
+        ),
+        "milstein": (
+            "0x1.69f08f350bc37p-6", "0x1.f1f5f46cae92fp-9", "0x1.876785e151457p-11",
+            "0x1.5a2836ef4baf0p-13", "0x1.46ec17ee21052p-15", "0x1.3e5d5ef84ab42p-17",
+            "0x1.3a60fa0e41634p-19",
+        ),
+        "milstein3": (
+            "0x1.24cb6e7d35292p-6", "0x1.bf3f46d553838p-9", "0x1.7855bdd198293p-11",
+            "0x1.5671ed44695cep-13", "0x1.46373f305fd0dp-15", "0x1.3e530267e822bp-17",
+            "0x1.3a709dbebd51bp-19",
+        ),
+    },
+}
+
+
 class TestLocalErrorProbe:
     def test_exact_for_constant_sigma(self):
         problem = Problem(
@@ -295,6 +341,15 @@ class TestLocalErrorProbe:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             local_error_probe(probe_default_problem(), "heun")
+
+    @pytest.mark.parametrize("scheme", ["euler", "milstein", "milstein3"])
+    def test_errors_bitwise_pinned(self, scheme):
+        planar = Problem(
+            cubic_radial_drift(2), xi=[1.0, -0.5], T=1.0, diffusion=cosine_diffusion()
+        )
+        for name, problem in (("default", probe_default_problem()), ("planar", planar)):
+            errors = local_error_probe(problem, scheme).errors
+            assert [e.hex() for e in errors] == list(PROBE_ERRORS_HEX[name][scheme]), name
 
 
 def test_smooth_driver_starts_at_zero():

@@ -1,16 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from roughtaylor.fbm import SamplePath
 from roughtaylor.grids import make_grid
-from roughtaylor.lift import (
-    RoughLift,
-    chen_compose,
-    chen_defect,
-    geometricity_defect,
-    piecewise_linear_lift,
-    tensors_over,
-)
+from roughtaylor.lift import RoughLift, chen_compose, piecewise_linear_lift
+from lift_checks import chen_defect, geometricity_defect
 
 
 def random_lift(seed, m=None, N=None, include_level3=True):
@@ -37,7 +33,8 @@ class TestPiecewiseLinearLift:
         u = np.array([1.0, -0.5])
         w = np.array([0.3, 2.0])
         p = SamplePath(make_grid(1.0, 2), np.vstack([[0, 0], u, u + w]))
-        _, X2, _ = tensors_over(piecewise_linear_lift(p), 0, 2)
+        L = piecewise_linear_lift(p)
+        _, X2, _ = reduce(chen_compose, zip(L.increments, L.level2, L.level3))
         expected = 0.5 * np.outer(u, u) + 0.5 * np.outer(w, w) + np.outer(u, w)
         assert np.allclose(X2, expected)
 
@@ -113,7 +110,7 @@ class TestChenDefect:
         values = np.vstack([np.zeros(m), np.cumsum(rng.standard_normal((N, m)), axis=0)])
         path = SamplePath(make_grid(1.0, N), values)
         lift = piecewise_linear_lift(path)
-        x, X2, X3 = tensors_over(lift, 0, N)
+        x, X2, X3 = reduce(chen_compose, zip(lift.increments, lift.level2, lift.level3))
 
         K = 4000
         t = np.linspace(0.0, 1.0, K + 1)

@@ -43,9 +43,10 @@ def simplified_taylor(problem, path, order):
     for v in dx:
         term = sig.func(y) @ v
         if order >= 2:
-            term = term + 0.5 * np.einsum("ija,i,j->a", first_order_composition(sig, y), v, v)
+            E = first_order_composition(sig.func(y), sig.dfunc(y))
+            term = term + 0.5 * np.einsum("ija,i,j->a", E, v, v)
         if order >= 3:
-            F = second_order_composition(sig, y)
+            F = second_order_composition(sig.func(y), sig.dfunc(y), sig.d2func(y))
             term = term + np.einsum("ijka,i,j,k->a", F, v, v, v) / 6.0
         y = solve_step(problem.drift, path.grid.h, y + term).solution
         states.append(y)
