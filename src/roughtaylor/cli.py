@@ -26,17 +26,21 @@ def _parse_hurst(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(","))
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} expects integers, got {text!r}") from None
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     if "," in text or ".." in text:
-        return _parse_ints(text)
-    return tuple(range(int(text)))
+        return _parse_ints(text, "--seeds")
+    (count,) = _parse_ints(text, "--seeds")
+    return tuple(range(count))
 
 
 def _out_file(target: str) -> Path:
@@ -51,7 +55,7 @@ def _cmd_run(args) -> int:
         problem=args.problem,
         scheme=args.scheme,
         hurst=_parse_hurst(args.hurst) if args.hurst else None,
-        step_exponents=_parse_ints(args.steps),
+        step_exponents=_parse_ints(args.steps, "--steps"),
         ref_exponent=args.ref,
         seeds=_parse_seeds(args.seeds),
         out_dir=args.out,

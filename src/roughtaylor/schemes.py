@@ -27,7 +27,8 @@ from .fields import (
 )
 from .grids import Grid, _write_node_csv
 from .lift import RoughLift
-from .solver import ConvergenceError, _norm, solve_step
+from .solver import ConvergenceError, _implicit_step, _norm
+from .solver import solve_step  # noqa: F401  (perfbench/spans.py wraps schemes.solve_step)
 
 __all__ = [
     "BLOWUP_NORM",
@@ -129,18 +130,18 @@ def _on_floats(problem: Problem) -> bool:
 
 def _implicit_trajectory(problem, grid, explicit_term) -> Trajectory:
     _check_grid(problem, grid)
-    drift, h = problem.drift, grid.h
+    solve = _implicit_step(problem.drift, grid.h)
     on_floats = _on_floats(problem)
+    if problem.dim == 1 and not on_floats:  # one-element state arrays, float stepper
+        solve = lambda r, scalar=solve: (np.array([scalar(r.item())[0]]),)
     y = problem.xi.item() if on_floats else problem.xi.copy()
     states = [y]
     for j in range(grid.N):
         r = y + explicit_term(j, y)
         try:
-            y = solve_step(drift, h, r).solution
+            y = solve(r)[0]
         except ConvergenceError as err:
             raise SchemeStepError(j, err) from err
-        if on_floats:
-            y = y.item()
         _guard(y, j)
         states.append(y)
     return Trajectory(grid, np.array(states).reshape(grid.N + 1, problem.dim))

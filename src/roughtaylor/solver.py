@@ -89,28 +89,106 @@ def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
     return J
 
 
-def _newton_step(drift: DriftField, b, h: float, y: np.ndarray, F: np.ndarray):
-    """The Newton correction (I - h*Jb)^{-1} F by LAPACK dgesv, or None if
-    I - h*Jb is singular; Jb is the drift's Jacobian, or central differences
-    of b where the drift has none."""
-    if drift.jacobian is not None:
-        Jb = np.asarray(drift.jacobian(y), dtype=float)
-    else:
-        Jb = _fd_jacobian(b, y)
-    step, info = _dgesv()(_identity(drift.dim) - h * Jb, F)[2:]
-    return None if info != 0 else step
+def _implicit_step(drift: DriftField, h: float):
+    """The stepper of one (drift, h): checks the gate and sets up the drift's
+    evaluators once, and returns the function r -> (solution, iterations,
+    residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
+    the solution are Python floats, else shape-(d,) float arrays."""
+    cb = drift.one_sided_lipschitz
+    if not (0.0 <= h < math.inf and cb * h < 1.0):
+        raise StepSizeError(
+            f"implicit step needs 0 <= h < inf and C_b*h < 1, "
+            f"got C_b={cb} and h={h} (C_b*h={cb * h})"
+        )
+    func, jacobian, d = drift.func, drift.jacobian, drift.dim
+    scalar = d == 1
+    if scalar:
+        # scalar problems iterate on Python floats: the same IEEE operations
+        # in the same order as on 1-element arrays, without their overhead
+        h = float(h)
 
+        def b(y):
+            # the drift still sees a fresh shape-(1,) array; its output is
+            # normalised as DriftField.__call__ does (float64, exactly one value)
+            return np.asarray(func(np.array([y])), dtype=float).item()
 
-def _scalar_newton_step(drift: DriftField, b, h: float, y: float, F: float):
-    """_newton_step on floats: F / (1 - h*Jb) is bitwise what dgesv returns
-    for a 1x1 system, and a zero divisor is its singular (info != 0) exit."""
-    if drift.jacobian is not None:
-        Jb = np.asarray(drift.jacobian(np.array([y])), dtype=float).item()
+        def newton_step(y, F):
+            # F / (1 - h*Jb) is bitwise what dgesv returns for a 1x1 system,
+            # and a zero divisor is its singular (info != 0) exit
+            if jacobian is not None:
+                Jb = np.asarray(jacobian(np.array([y])), dtype=float).item()
+            else:
+                eps = _FD_STEP * max(1.0, _norm(y))
+                Jb = (b(y + eps) - b(y - eps)) / (2.0 * eps)
+            a = 1.0 - h * Jb
+            return None if a == 0.0 else F / a
+
     else:
-        eps = _FD_STEP * max(1.0, _norm(y))
-        Jb = (b(y + eps) - b(y - eps)) / (2.0 * eps)
-    a = 1.0 - h * Jb
-    return None if a == 0.0 else F / a
+        b, eye = drift, _identity(d)
+
+        def newton_step(y, F):
+            # (I - h*Jb)^{-1} F by LAPACK dgesv, or None if I - h*Jb is singular
+            if jacobian is not None:
+                Jb = np.asarray(jacobian(y), dtype=float)
+            else:
+                Jb = _fd_jacobian(b, y)
+            step, info = _dgesv()(eye - h * Jb, F)[2:]
+            return None if info != 0 else step
+
+    m = min(1.0, 1.0 - cb * h)  # strong monotonicity constant, capped at 1
+
+    def residual(y, r, iters, res):
+        # F = y - h*b(y) - r and |F| as residual `iters`; a spent budget reports `res`
+        if iters > MAX_NEWTON:
+            raise ConvergenceError("implicit step did not converge", res, iters - 1)
+        F = y - h * b(y) - r
+        norm = _norm(F)
+        if not math.isfinite(norm):
+            raise ConvergenceError("implicit step residual is not finite", norm, iters)
+        return F, norm
+
+    def solve(r):
+        y = r if scalar else r.copy()
+        floor = _ROUNDING * _norm(r)
+        tol = floor if floor > DEFAULT_TOL else DEFAULT_TOL
+        iters = 0  # the residual of the initial guess is iteration 0
+        F, res = residual(y, r, iters, None)
+        lo = hi = None  # d = 1: the bracket, built at the first rejected step
+        method = "newton"
+        while res > tol:
+            step = newton_step(y, F)
+            if not scalar:
+                if step is None:
+                    step, method = F, "safeguarded"
+                shrink, trial = 1.0, y - step
+                iters += 1
+                F_trial, res_trial = residual(trial, r, iters, res)
+                while res_trial > tol and res_trial > (1.0 - _ARMIJO * shrink) * res:
+                    step, shrink, method = 0.5 * step, 0.5 * shrink, "safeguarded"
+                    trial = y - step
+                    iters += 1
+                    F_trial, res_trial = residual(trial, r, iters, res)
+                y, F, res = trial, F_trial, res_trial
+                continue
+            tried = step is not None and (lo is None or lo < y - step < hi)
+            if tried:
+                iters += 1
+                F_trial, res_trial = residual(y - step, r, iters, res)
+                if res_trial <= tol or res_trial <= (1.0 - _ARMIJO) * res:
+                    y, F, res = y - step, F_trial, res_trial
+                    continue
+            if lo is None:
+                width = 2.0 * res / m
+                lo, hi = y - width, y + width
+            for point, value in [(y, F), (y - step, F_trial)] if tried else [(y, F)]:
+                lo, hi = (max(lo, point), hi) if value < 0.0 else (lo, min(hi, point))
+            y = 0.5 * (lo + hi)
+            iters += 1
+            F, res = residual(y, r, iters, res)
+            method = "safeguarded"
+        return y, iters, res, method
+
+    return solve
 
 
 def solve_step(drift: DriftField, h: float, r) -> SolveReport:
@@ -142,6 +220,8 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     division dgesv performs on a 1x1 system, so the report is bitwise the
     array arithmetic's.  The solution is a shape-(d,) array in either case.
 
+    It is one step of the stepper a trajectory builds once per (drift, h).
+
     Raises
     ------
     StepSizeError
@@ -150,75 +230,9 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
         If the iteration budget is exhausted, or at the first NaN or
         infinite residual.
     """
-    cb = drift.one_sided_lipschitz
-    if not (0.0 <= h < math.inf and cb * h < 1.0):
-        raise StepSizeError(
-            f"implicit step needs 0 <= h < inf and C_b*h < 1, "
-            f"got C_b={cb} and h={h} (C_b*h={cb * h})"
-        )
-    if drift.dim == 1:
-        # scalar problems iterate on Python floats: the same IEEE operations
-        # in the same order as on 1-element arrays, without their overhead
-        h = float(h)
-        if type(r) is not float:
-            r = np.asarray(r, dtype=float).reshape(1).item()
-        y = r
-        func = drift.func
-
-        def b(y):
-            # the drift still sees a fresh shape-(1,) array; its output is
-            # normalised as DriftField.__call__ does (float64, exactly one value)
-            return np.asarray(func(np.array([y])), dtype=float).item()
-
-        newton_step = _scalar_newton_step
-    else:
-        r = np.asarray(r, dtype=float).reshape(drift.dim)
-        y = r.copy()
-        b = drift
-        newton_step = _newton_step
-    floor = _ROUNDING * _norm(r)
-    tol = floor if floor > DEFAULT_TOL else DEFAULT_TOL
-    iters = -1  # the residual of the initial guess is iteration 0
-
-    def residual_at(y):
-        nonlocal iters
-        if iters >= MAX_NEWTON:
-            raise ConvergenceError("implicit step did not converge", res, iters)
-        iters += 1
-        F = y - h * b(y) - r
-        norm = _norm(F)
-        if not math.isfinite(norm):
-            raise ConvergenceError("implicit step residual is not finite", norm, iters)
-        return F, norm
-
-    F, res = residual_at(y)
-    lo = hi = None  # d = 1: the bracket, built at the first rejected step
-    method = "newton"
-    while res > tol:
-        step = newton_step(drift, b, h, y, F)
-        if drift.dim > 1:
-            if step is None:
-                step, method = F, "safeguarded"
-            shrink, trial = 1.0, y - step
-            F_trial, res_trial = residual_at(trial)
-            while res_trial > tol and res_trial > (1.0 - _ARMIJO * shrink) * res:
-                step, shrink, method = 0.5 * step, 0.5 * shrink, "safeguarded"
-                trial = y - step
-                F_trial, res_trial = residual_at(trial)
-            y, F, res = trial, F_trial, res_trial
-            continue
-        tried = step is not None and (lo is None or lo < y - step < hi)
-        if tried:
-            F_trial, res_trial = residual_at(y - step)
-            if res_trial <= tol or res_trial <= (1.0 - _ARMIJO) * res:
-                y, F, res = y - step, F_trial, res_trial
-                continue
-        if lo is None:
-            width = 2.0 * res / min(1.0, 1.0 - cb * h)
-            lo, hi = y - width, y + width
-        for point, value in [(y, F), (y - step, F_trial)] if tried else [(y, F)]:
-            lo, hi = (max(lo, point), hi) if value < 0.0 else (lo, min(hi, point))
-        y = 0.5 * (lo + hi)
-        F, res = residual_at(y)
-        method = "safeguarded"
-    return SolveReport(np.array([y]) if drift.dim == 1 else y, iters, res, method)
+    solve = _implicit_step(drift, h)
+    r = np.asarray(r, dtype=float).reshape(drift.dim)
+    if drift.dim > 1:
+        return SolveReport(*solve(r))
+    y, *report = solve(r.item())
+    return SolveReport(np.array([y]), *report)

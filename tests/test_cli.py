@@ -99,6 +99,9 @@ def test_run_rejects_unknown_scheme(capsys):
     [
         ("--steps", "5,5", "step exponents must be distinct, got (5, 5)"),
         ("--seeds", "0,0", "seeds must be distinct, got (0, 0)"),
+        ("--seeds", "7,", "--seeds expects integers, got '7,'"),
+        ("--seeds", "two", "--seeds expects integers, got 'two'"),
+        ("--steps", "5..6..7", "--steps expects integers, got '5..6..7'"),
     ],
 )
 def test_run_rejects_duplicates(flag, value, message, capsys):

@@ -58,6 +58,24 @@ def test_planar_study_needs_scipy(tmp_path):
     assert child.returncode == 3, child.stderr
 
 
+def test_planar_run_without_newton_steps_needs_no_scipy(tmp_path):
+    # with zero drift every initial guess is the root, so no step of this
+    # d = 2 trajectory takes a Newton step, and building its stepper binds no dgesv
+    code = BLOCKED + (
+        "from roughtaylor import Problem, semi_implicit_taylor, piecewise_linear_lift\n"
+        "from roughtaylor.fbm import FbmConfig, sample_fbm\n"
+        "from roughtaylor.fields import constant_diffusion, zero_drift\n"
+        "from roughtaylor.grids import make_grid\n"
+        "sigma = constant_diffusion([[1.0, 0.5], [0.0, 2.0]])\n"
+        "problem = Problem(zero_drift(2), xi=[1.0, -1.0], T=1.0, diffusion=sigma)\n"
+        "path = sample_fbm(FbmConfig(0.75, 2, make_grid(1.0, 64), 0))\n"
+        "states = semi_implicit_taylor(problem, piecewise_linear_lift(path), 2).states\n"
+        "assert states.shape == (65, 2)\n"
+    )
+    child = _python(code, tmp_path)
+    assert child.returncode == 0, child.stderr
+
+
 def test_scipy_loaded_on_first_planar_step(tmp_path):
     code = (
         "import sys\n"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import (
@@ -29,7 +31,7 @@ from roughtaylor.schemes import (
     semi_implicit_taylor,
 )
 from roughtaylor.solver import ConvergenceError, StepSizeError, solve_step
-from test_solver import half_line_sqrt_drift
+from test_solver import half_line_sqrt_drift, sqrt_kink_drift
 
 
 def simplified_taylor(problem, path, order):
@@ -224,6 +226,44 @@ class TestScalarLoopAgainstArrayLoop:
         problem, path, ending = SCALAR_CASES[case]()
         want = outcome(lambda: array_trajectory(problem, path))
         assert want[0] == ending
+        assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
+
+
+def singular_newton_drift(h):
+    """b(y) = y/2 with the declared Jacobian 1/h, so 1 - h*J is zero at
+    every step of size h and each rejected step bisects the bracket."""
+    return DriftField(1, lambda y: 0.5 * y, 0.5, jacobian=lambda y: np.array([[1.0 / h]]))
+
+
+# name: h -> (drift, initial condition); each takes a different solver path
+STEPPER_DRIFTS = {
+    "double_well": lambda h: (double_well_drift(), [-3.0]),
+    "stiff_linear": lambda h: (linear_drift(-70.0), [2.7]),
+    "singular_newton": lambda h: (singular_newton_drift(h), [1.0]),
+    "sqrt_kink_fd": lambda h: (sqrt_kink_drift(), [0.5]),
+    "half_line_sqrt": lambda h: (half_line_sqrt_drift(), [1e-3]),
+    "cubic_radial_2": lambda h: (cubic_radial_drift(2), [10.0, -10.0]),
+}
+
+
+class TestStepperAgainstSolveStep:
+    """A trajectory builds one stepper for its (drift, h) and calls it each
+    step; it ends exactly as a serial loop of solve_step calls does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(STEPPER_DRIFTS)),
+        seed=st.integers(0, 2**32 - 1),
+        hurst=st.floats(0.1, 0.9),
+        log2_n=st.integers(1, 8),
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_scheme_equals_solve_step_loop(self, name, seed, hurst, log2_n):
+        grid = make_grid(1.0, 2**log2_n)
+        drift, xi = STEPPER_DRIFTS[name](grid.h)
+        problem = Problem(drift, xi=xi, T=1.0)
+        path = sample_fbm(FbmConfig(hurst, drift.dim, grid, seed))
+        want = outcome(lambda: array_trajectory(problem, path))
         assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
 
 

@@ -7,9 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgesv
 
-from roughtaylor import schemes, solver
+from roughtaylor import solver
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
-from roughtaylor.fields import DriftField, cubic_radial_drift, double_well_drift, linear_drift, zero_drift
+from roughtaylor.fields import (
+    DriftField,
+    cubic_radial_drift,
+    double_well_drift,
+    first_order_composition,
+    linear_drift,
+    second_order_composition,
+    zero_drift,
+)
 from roughtaylor.grids import make_grid
 from roughtaylor.harness import (
     ADDITIVE_SCHEMES,
@@ -17,6 +25,7 @@ from roughtaylor.harness import (
     example_problem,
     run_scheme,
 )
+from roughtaylor.lift import piecewise_linear_lift
 from roughtaylor.schemes import Problem, SchemeStepError
 from roughtaylor.solver import (
     ConvergenceError,
@@ -231,14 +240,62 @@ class TestAgainstReferenceSolver:
                 assert gap <= root_gap_bound(drift, h, r, got, want)
 
     @pytest.mark.parametrize("example", ["example1", "example2", "example3"])
-    def test_trajectories_equal_oracle(self, example, monkeypatch):
+    def test_trajectories_equal_oracle(self, example):
         problem, m, hursts = example_problem(example)
         names = ADDITIVE_SCHEMES if problem.additive else MULTIPLICATIVE_SCHEMES
-        paths = [sample_fbm(FbmConfig(hursts[0], m, make_grid(1.0, 1024), seed)) for seed in range(3)]
-        got = {(name, k): run_scheme(name, problem, path).states for name in names for k, path in enumerate(paths)}
-        monkeypatch.setattr(schemes, "solve_step", reference_solve_step)
-        for (name, k), states in got.items():
-            assert np.array_equal(states, run_scheme(name, problem, paths[k]).states), (name, k)
+        for seed in range(3):
+            path = sample_fbm(FbmConfig(hursts[0], m, make_grid(1.0, 1024), seed))
+            for name in names:
+                want = oracle_trajectory(name, problem, path)
+                assert np.array_equal(run_scheme(name, problem, path).states, want), (name, seed)
+
+
+# scheme name -> Taylor order of its noise term, or None for forward Euler
+ORACLE_ORDERS = {
+    "implicit_euler": 1,
+    "explicit_euler": None,
+    "semi_implicit_euler": 1,
+    "semi_implicit_milstein": 2,
+    "semi_implicit_milstein3": 3,
+    "simplified_milstein": 2,
+    "simplified_milstein3": 3,
+}
+
+
+def test_oracle_orders_cover_every_scheme():
+    assert sorted(ORACLE_ORDERS) == sorted(set(ADDITIVE_SCHEMES + MULTIPLICATIVE_SCHEMES))
+
+
+def oracle_trajectory(scheme, problem, path):
+    """Reference oracle for the trajectory loop: each step on arrays, its
+    noise term contracted from the piecewise-linear lift as the schemes do,
+    and the implicit step solved by reference_solve_step.  Returns the
+    states."""
+    explicit = ORACLE_ORDERS[scheme] is None
+    order = ORACLE_ORDERS[scheme] or 1
+    h = path.grid.h
+    lift = piecewise_linear_lift(path, include_level3=order == 3)
+    sig = problem.diffusion
+    y = problem.xi.copy()
+    states = [y]
+    for j, v in enumerate(lift.increments):
+        if problem.additive:
+            term = v
+        else:
+            S = sig.func(y)
+            term = S @ v
+            if order >= 2:
+                D = sig.dfunc(y)
+                term = term + np.einsum("ija,ij->a", first_order_composition(S, D), lift.level2[j])
+            if order >= 3:
+                F = second_order_composition(S, D, sig.d2func(y))
+                term = term + np.einsum("ijka,ijk->a", F, lift.level3[j])
+        if explicit:
+            y = y + h * problem.drift(y) + term
+        else:
+            y = reference_solve_step(problem.drift, h, y + term).solution
+        states.append(y)
+    return np.array(states)
 
 
 # finite floats of magnitude up to 1e300, zero and subnormals included
