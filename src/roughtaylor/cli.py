@@ -22,24 +22,22 @@ from .schemes import dump_trajectory_csv
 from .solver import StepSizeError
 
 
-def _parse_hurst(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(","))
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+def _parse_list(text: str, flag: str, kind=int) -> tuple:
+    """A comma list of ``kind`` values, or for integers a range lo..hi."""
     try:
-        if ".." in text:
+        if kind is int and ".." in text:
             lo, hi = text.split("..")
             return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(kind(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag} expects integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects {noun}, got {text!r}") from None
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     if "," in text or ".." in text:
-        return _parse_ints(text, "--seeds")
-    (count,) = _parse_ints(text, "--seeds")
+        return _parse_list(text, "--seeds")
+    (count,) = _parse_list(text, "--seeds")
     return tuple(range(count))
 
 
@@ -54,8 +52,8 @@ def _cmd_run(args) -> int:
     config = harness.StudyConfig(
         problem=args.problem,
         scheme=args.scheme,
-        hurst=_parse_hurst(args.hurst) if args.hurst else None,
-        step_exponents=_parse_ints(args.steps, "--steps"),
+        hurst=_parse_list(args.hurst, "--hurst", float) if args.hurst else None,
+        step_exponents=_parse_list(args.steps, "--steps"),
         ref_exponent=args.ref,
         seeds=_parse_seeds(args.seeds),
         out_dir=args.out,
@@ -111,7 +109,7 @@ def _cmd_probe_local(args) -> int:
 
 def _cmd_sample_fbm(args) -> int:
     grid = make_grid(args.T, args.n)
-    hurst = _parse_hurst(args.hurst)
+    hurst = _parse_list(args.hurst, "--hurst", float)
     config = FbmConfig(hurst, len(hurst), grid, args.seed, max_dense_n=args.max_dense_n)
     path = sample_fbm(config)
     dump_path_csv(path, _out_file(args.out))

@@ -5,7 +5,7 @@ or 3 (``semi_implicit_taylor``): the drift is evaluated at the new state and
 resolved by the nonlinear solver, every noise term is evaluated at the old
 state and enters the solver's right-hand side, whose well-posedness gate
 raises StepSizeError unless C_b*h < 1.  Forward Euler (``explicit_euler``)
-has no solve and keeps its own loop.
+has no solve; it runs through the same trajectory loop with its own step map.
 
 Trajectory blow-up (state norm above 1e12, or non-finite) is a reportable
 runtime event, raised as BlowupError with the offending step index.
@@ -27,7 +27,7 @@ from .fields import (
 )
 from .grids import Grid, _write_node_csv
 from .lift import RoughLift
-from .solver import ConvergenceError, _implicit_step, _norm
+from .solver import ConvergenceError, _float_drift, _implicit_step, _norm
 from .solver import solve_step  # noqa: F401  (perfbench/spans.py wraps schemes.solve_step)
 
 __all__ = [
@@ -80,8 +80,8 @@ class Problem:
             raise ValueError(
                 f"diffusion state dim {self.diffusion.dim} != drift dim {self.drift.dim}"
             )
-        if not self.T > 0.0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"final time must be positive and finite, got T={self.T}")
         object.__setattr__(self, "xi", xi)
 
     @property
@@ -105,14 +105,13 @@ class Trajectory:
     states: np.ndarray  # (N + 1, d)
 
 
-def _check_grid(problem: Problem, grid: Grid) -> None:
-    if abs(grid.T - problem.T) > 1e-12 * max(1.0, problem.T):
-        raise ValueError(f"driver lives on [0, {grid.T}] but the problem horizon is {problem.T}")
-
-
-def _check_noise_dim(problem: Problem, m: int) -> None:
+def _check_driver(problem: Problem, grid: Grid, m: int) -> None:
+    """A driver of m components on ``grid`` must have the problem's noise
+    dimension and horizon."""
     if m != problem.noise_dim:
         raise ValueError(f"driver has {m} components, the problem expects {problem.noise_dim}")
+    if abs(grid.T - problem.T) > 1e-12 * max(1.0, problem.T):
+        raise ValueError(f"driver lives on [0, {grid.T}] but the problem horizon is {problem.T}")
 
 
 def _guard(y, step: int) -> None:
@@ -121,25 +120,15 @@ def _guard(y, step: int) -> None:
         raise BlowupError(step, n)
 
 
-def _on_floats(problem: Problem) -> bool:
-    """Additive scalar problems carry the state as a Python float and their
-    increments as a list of floats; the solver runs d = 1 on floats too, with
-    the same IEEE operations as on 1-element arrays."""
-    return problem.additive and problem.dim == 1
-
-
-def _implicit_trajectory(problem, grid, explicit_term) -> Trajectory:
-    _check_grid(problem, grid)
-    solve = _implicit_step(problem.drift, grid.h)
-    on_floats = _on_floats(problem)
-    if problem.dim == 1 and not on_floats:  # one-element state arrays, float stepper
-        solve = lambda r, scalar=solve: (np.array([scalar(r.item())[0]]),)
-    y = problem.xi.item() if on_floats else problem.xi.copy()
+def _trajectory(problem: Problem, grid: Grid, step) -> Trajectory:
+    """y_0 = xi and y_{j+1} = step(j, y_j) for j < N.  Every d = 1 state is a
+    Python float (the same IEEE operations as on 1-element arrays, without
+    their overhead), every other state a shape-(d,) array."""
+    y = problem.xi.item() if problem.dim == 1 else problem.xi.copy()
     states = [y]
     for j in range(grid.N):
-        r = y + explicit_term(j, y)
         try:
-            y = solve(r)[0]
+            y = step(j, y)
         except ConvergenceError as err:
             raise SchemeStepError(j, err) from err
         _guard(y, j)
@@ -147,28 +136,30 @@ def _implicit_trajectory(problem, grid, explicit_term) -> Trajectory:
     return Trajectory(grid, np.array(states).reshape(grid.N + 1, problem.dim))
 
 
-def _taylor_term(problem: Problem, lift: RoughLift, order: int):
-    """The noise term of step j as a function of (j, y_j); for additive noise
-    sigma is the identity, so it is the increment with no matrix product."""
-    dx = lift.increments
+def _taylor_term(problem: Problem, dx: np.ndarray, X2=None, X3=None):
+    """The noise term of step j as a function of (j, y_j): sigma(y_j) dx[j],
+    plus the first- and second-order compositions contracted against X2[j]
+    and X3[j] when those are given.  For additive problems sigma is the
+    identity, so it is the increment with no matrix product.  For d = 1 it
+    is a Python float, as the state is."""
+    scalar = problem.dim == 1
     if problem.additive:
-        if _on_floats(problem):
+        if scalar:
             dx = dx[:, 0].tolist()
         return lambda j, y: dx[j]
     sig = problem.diffusion
-    X2 = lift.level2
-    X3 = lift.level3
 
     def term(j, y):
-        S = sig.func(y)
+        Y = np.array([y]) if scalar else y
+        S = sig.func(Y)
         out = S @ dx[j]
-        if order >= 2:
-            D = sig.dfunc(y)
+        if X2 is not None:
+            D = sig.dfunc(Y)
             out = out + np.einsum("ija,ij->a", first_order_composition(S, D), X2[j])
-        if order >= 3:
-            F = second_order_composition(S, D, sig.d2func(y))
+        if X3 is not None:
+            F = second_order_composition(S, D, sig.d2func(Y))
             out = out + np.einsum("ijka,ijk->a", F, X3[j])
-        return out
+        return out.item() if scalar else out
 
     return term
 
@@ -183,27 +174,21 @@ def semi_implicit_taylor(problem: Problem, lift: RoughLift, order: int) -> Traje
         raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
     if order == 3 and not lift.has_level3:
         raise ValueError("third-order scheme needs a lift with level-3 tensors")
-    _check_noise_dim(problem, lift.m)
-    return _implicit_trajectory(problem, lift.grid, _taylor_term(problem, lift, order))
+    _check_driver(problem, lift.grid, lift.m)
+    solve = _implicit_step(problem.drift, lift.grid.h)
+    term = _taylor_term(problem, lift.increments, *(lift.level2, lift.level3)[: order - 1])
+    return _trajectory(problem, lift.grid, lambda j, y: solve(y + term(j, y))[0])
 
 
 def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
     """Forward Euler: y_{j+1} = y_j + h*b(y_j) + noise increment, with the
     noise increment x_{j+1} - x_j for additive problems and
     sigma(y_j) (x_{j+1} - x_j) for multiplicative ones."""
-    _check_noise_dim(problem, path.m)
-    _check_grid(problem, path.grid)
-    grid = path.grid
-    dx = np.diff(path.values, axis=0)
-    states = np.empty((grid.N + 1, problem.dim))
-    states[0] = problem.xi
-    y = problem.xi.copy()
-    for j in range(grid.N):
-        noise = dx[j] if problem.additive else problem.diffusion.func(y) @ dx[j]
-        y = y + grid.h * problem.drift(y) + noise
-        _guard(y, j)
-        states[j + 1] = y
-    return Trajectory(grid, states)
+    _check_driver(problem, path.grid, path.m)
+    h = path.grid.h
+    b = _float_drift(problem.drift) if problem.dim == 1 else problem.drift
+    term = _taylor_term(problem, np.diff(path.values, axis=0))
+    return _trajectory(problem, path.grid, lambda j, y: y + h * b(y) + term(j, y))
 
 
 def boundedness_bound(problem: Problem, path: SamplePath) -> float:
@@ -214,7 +199,7 @@ def boundedness_bound(problem: Problem, path: SamplePath) -> float:
     """
     if not problem.additive:
         raise ValueError("the boundedness bound holds for additive problems only")
-    _check_noise_dim(problem, path.m)
+    _check_driver(problem, path.grid, path.m)
     cb = problem.drift.one_sided_lipschitz
     T = path.grid.T
     b_max = max(_norm(problem.drift(x)) for x in path.values[1:])

@@ -89,6 +89,14 @@ def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
     return J
 
 
+def _float_drift(drift: DriftField):
+    """The drift of a d = 1 problem as a map of Python floats.  It still calls
+    ``drift.func`` on a fresh shape-(1,) array and normalises the output as
+    DriftField.__call__ does (float64, exactly one value)."""
+    func = drift.func
+    return lambda y: np.asarray(func(np.array([y])), dtype=float).item()
+
+
 def _implicit_step(drift: DriftField, h: float):
     """The stepper of one (drift, h): checks the gate and sets up the drift's
     evaluators once, and returns the function r -> (solution, iterations,
@@ -100,17 +108,13 @@ def _implicit_step(drift: DriftField, h: float):
             f"implicit step needs 0 <= h < inf and C_b*h < 1, "
             f"got C_b={cb} and h={h} (C_b*h={cb * h})"
         )
-    func, jacobian, d = drift.func, drift.jacobian, drift.dim
+    jacobian, d = drift.jacobian, drift.dim
     scalar = d == 1
     if scalar:
         # scalar problems iterate on Python floats: the same IEEE operations
         # in the same order as on 1-element arrays, without their overhead
         h = float(h)
-
-        def b(y):
-            # the drift still sees a fresh shape-(1,) array; its output is
-            # normalised as DriftField.__call__ does (float64, exactly one value)
-            return np.asarray(func(np.array([y])), dtype=float).item()
+        b = _float_drift(drift)
 
         def newton_step(y, F):
             # F / (1 - h*Jb) is bitwise what dgesv returns for a 1x1 system,

@@ -30,6 +30,14 @@ def test_sample_fbm_rejects_infinite_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_fbm_rejects_malformed_hurst(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["sample-fbm", "--hurst", "0.5,x", "--n", "8", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "--hurst expects numbers, got '0.5,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_study_command(tmp_path, capsys):
     code = main(
         [
@@ -102,6 +110,7 @@ def test_run_rejects_unknown_scheme(capsys):
         ("--seeds", "7,", "--seeds expects integers, got '7,'"),
         ("--seeds", "two", "--seeds expects integers, got 'two'"),
         ("--steps", "5..6..7", "--steps expects integers, got '5..6..7'"),
+        ("--hurst", "0.5,", "--hurst expects numbers, got '0.5,'"),
     ],
 )
 def test_run_rejects_duplicates(flag, value, message, capsys):

@@ -77,6 +77,25 @@ def array_trajectory(problem, path):
     return states
 
 
+def array_euler(problem, path):
+    """Reference oracle for forward Euler: its loop on arrays, with a
+    preallocated state array written per step and the np.linalg.norm
+    blow-up guard.  Returns the states."""
+    grid = path.grid
+    dx = np.diff(path.values, axis=0)
+    states = np.empty((grid.N + 1, problem.dim))
+    states[0] = problem.xi
+    y = problem.xi.copy()
+    for j in range(grid.N):
+        noise = dx[j] if problem.additive else problem.diffusion.func(y) @ dx[j]
+        y = y + grid.h * problem.drift(y) + noise
+        n = np.linalg.norm(y)
+        if not np.isfinite(n) or n > BLOWUP_NORM:
+            raise BlowupError(j, n)
+        states[j + 1] = y
+    return states
+
+
 def outcome(run):
     """What a trajectory run ends in, with every float as its bytes."""
     try:
@@ -216,9 +235,10 @@ SCALAR_CASES = {
 
 
 class TestScalarLoopAgainstArrayLoop:
-    """Additive d = 1 trajectories carry the state as a Python float; they
-    end exactly as the array loop does: the same states bit for bit, or the
-    same blow-up step and norm, or the same failing step and residual."""
+    """d = 1 trajectories carry the state as a Python float; implicit and
+    forward Euler end exactly as their array loops do: the same states bit
+    for bit, or the same blow-up step and norm, or the same failing step
+    and residual."""
 
     @pytest.mark.parametrize("case", sorted(SCALAR_CASES))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -227,6 +247,8 @@ class TestScalarLoopAgainstArrayLoop:
         want = outcome(lambda: array_trajectory(problem, path))
         assert want[0] == ending
         assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
+        want = outcome(lambda: array_euler(problem, path))
+        assert outcome(lambda: explicit_euler(problem, path).states) == want
 
 
 def singular_newton_drift(h):
@@ -497,6 +519,13 @@ class TestInvariants:
         formula = np.exp(2.0 * problem.drift.one_sided_lipschitz) * (3.0 + b_max) + x_max
         assert bound == formula
 
+    def test_boundedness_bound_checks_driver(self):
+        path = fbm_path(0)  # on [0, 1]
+        with pytest.raises(ValueError, match="horizon is 2.0"):
+            boundedness_bound(Problem(linear_drift(1.0), xi=[1.0], T=2.0), path)
+        with pytest.raises(ValueError, match="components"):
+            boundedness_bound(Problem(linear_drift(1.0), xi=[1.0], T=1.0), fbm_path(0, m=2))
+
     def test_gate_on_all_implicit_schemes(self):
         problem = example3_problem()
         grid = make_grid(1.0, 1)  # h = 1 and C_b = 1
@@ -535,3 +564,9 @@ def test_problem_dimension_mismatch():
         Problem(double_well_drift(), xi=[1.0, 2.0], T=1.0)
     with pytest.raises(ValueError):
         Problem(cubic_radial_drift(2), xi=[1.0, 2.0], T=1.0, diffusion=geometric_diffusion())
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+def test_problem_rejects_bad_horizon(T):
+    with pytest.raises(ValueError, match="final time must be positive and finite"):
+        Problem(linear_drift(-1.0), xi=[1.0], T=T)

@@ -14,6 +14,7 @@ from roughtaylor.fields import (
     cubic_radial_drift,
     double_well_drift,
     first_order_composition,
+    geometric_diffusion,
     linear_drift,
     second_order_composition,
     zero_drift,
@@ -239,9 +240,13 @@ class TestAgainstReferenceSolver:
                 gap = np.linalg.norm(got.solution - want.solution)
                 assert gap <= root_gap_bound(drift, h, r, got, want)
 
-    @pytest.mark.parametrize("example", ["example1", "example2", "example3"])
+    @pytest.mark.parametrize("example", ["example1", "example2", "example3", "scalar_geometric"])
     def test_trajectories_equal_oracle(self, example):
-        problem, m, hursts = example_problem(example)
+        if example == "scalar_geometric":  # d = 1 multiplicative: float states through sigma
+            problem = Problem(double_well_drift(), xi=[-3.0], T=1.0, diffusion=geometric_diffusion())
+            m, hursts = 1, (0.5,)
+        else:
+            problem, m, hursts = example_problem(example)
         names = ADDITIVE_SCHEMES if problem.additive else MULTIPLICATIVE_SCHEMES
         for seed in range(3):
             path = sample_fbm(FbmConfig(hursts[0], m, make_grid(1.0, 1024), seed))
