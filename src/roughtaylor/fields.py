@@ -16,6 +16,7 @@ example coefficients used by the experiment harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +52,17 @@ class DriftField:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, y) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(y, dtype=float)), dtype=float).reshape(self.dim)
+        out = self.func(np.asarray(y, dtype=float))
+        if type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (self.dim,):
+            return out
+        out = np.asarray(out, dtype=float)
+        if out.size != self.dim:
+            raise _size_error(out, self.dim)
+        return out.reshape(self.dim)
+
+
+def _size_error(out: np.ndarray, dim: int) -> ValueError:
+    return ValueError(f"drift returned {out.size} values for a state of dimension d = {dim}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,7 @@ def double_well_drift() -> DriftField:
         return y - y**3
 
     def jac(y):
-        return np.array([[1.0 - 3.0 * y[0] ** 2]])
+        return np.array(1.0 - 3.0 * y[0] ** 2, ndmin=2)
 
     return DriftField(1, b, 1.0, jacobian=jac)
 
@@ -119,13 +130,14 @@ def linear_drift(coeff: float, dim: int = 1) -> DriftField:
 def cubic_radial_drift(dim: int = 2) -> DriftField:
     """b(y) = y - |y|^2 y; one-sided Lipschitz constant 1 in any dimension."""
 
-    eye = np.eye(dim)
-
     def b(y):
-        return y - (y @ y) * y
+        return y - y.dot(y) * y
 
     def jac(y):
-        return (1.0 - y @ y) * eye - 2.0 * (y[:, None] * y)
+        # (1 - |y|^2) I - 2 y y^T by entries; c * (p == q) is c * I[p, q], signed zeros and NaN too
+        c, v = 1.0 - float(y.dot(y)), y.tolist()
+        rows = [[c * (p == q) - 2.0 * (a * w) for q, w in enumerate(v)] for p, a in enumerate(v)]
+        return np.array(rows)
 
     return DriftField(dim, b, 1.0, jacobian=jac)
 
@@ -158,7 +170,7 @@ _RADIUS_FLOOR = 1e-12
 
 
 def _radius(y):
-    r = float(np.sqrt(y @ y))
+    r = math.sqrt(y.dot(y))
     if r <= _RADIUS_FLOOR:
         raise ValueError(f"derivatives of |y| are undefined at |y| = {r:.3g} <= {_RADIUS_FLOOR}")
     return r
@@ -171,21 +183,16 @@ def cosine_diffusion() -> DiffusionField:
     origin where it is undefined; trajectories of interest stay far from 0."""
 
     def value(y):
-        r = float(np.sqrt(y @ y))
-        return np.array(
-            [
-                [np.cos(y[1]), np.cos(r)],
-                [-0.9 - 10.0 * np.cos(y[0]), 0.0],
-            ]
-        )
+        y1, y2 = y.tolist()
+        r = math.sqrt(y.dot(y))
+        return np.array([[np.cos(y2), np.cos(r)], [-0.9 - 10.0 * np.cos(y1), 0.0]])
 
     def first(y):
         r = _radius(y)
-        D = np.zeros((2, 2, 2))
-        D[0, 0] = (0.0, -np.sin(y[1]))
-        D[1, 0] = (10.0 * np.sin(y[0]), 0.0)
-        D[0, 1] = -np.sin(r) * y / r
-        return D
+        y1, y2 = y.tolist()
+        s = -np.sin(r)
+        row0 = [[0.0, -np.sin(y2)], [s * y1 / r, s * y2 / r]]
+        return np.array([row0, [[10.0 * np.sin(y1), 0.0], [0.0, 0.0]]])
 
     def second(y):
         r = _radius(y)

@@ -208,7 +208,8 @@ def eoc(errors, steps) -> np.ndarray:
     return np.diff(np.log(e)) / np.diff(np.log(h))
 
 
-def _validate_config(config: StudyConfig, problem: Problem | None) -> None:
+def _validate_config(config: StudyConfig, problem: Problem | None) -> tuple[tuple[int, ...], int]:
+    """Check a study's config; return its sorted step and reference exponents as ints."""
     if config.problem != "custom" and config.problem not in EXAMPLES:
         raise ValueError(f"unknown problem {config.problem!r}")
     if config.problem == "custom" and problem is None:
@@ -225,6 +226,8 @@ def _validate_config(config: StudyConfig, problem: Problem | None) -> None:
         )
     if len(set(config.step_exponents)) != len(config.step_exponents):
         raise ValueError(f"step exponents must be distinct, got {tuple(config.step_exponents)}")
+    if not float(config.ref_exponent).is_integer():
+        raise ValueError(f"reference exponent must be an integer, got {config.ref_exponent!r}")
     if config.ref_exponent <= max(config.step_exponents):
         raise ValueError(
             f"reference exponent {config.ref_exponent} must exceed every step exponent"
@@ -233,6 +236,7 @@ def _validate_config(config: StudyConfig, problem: Problem | None) -> None:
         raise ValueError("need at least one seed")
     if len(set(config.seeds)) != len(config.seeds):
         raise ValueError(f"seeds must be distinct, got {tuple(config.seeds)}")
+    return tuple(sorted(int(k) for k in config.step_exponents)), int(config.ref_exponent)
 
 
 def _certify_bound(problem: Problem, path: SamplePath, trajectory: Trajectory) -> bool:
@@ -264,7 +268,7 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
     Divergence or a failed implicit solve is recorded as a flagged row, never
     raised.  Identical configs produce byte-identical CSV output.
     """
-    _validate_config(config, problem)
+    exponents, ref_exponent = _validate_config(config, problem)
     if config.problem == "custom":
         default_hurst = (0.5,) * problem.noise_dim
     else:
@@ -272,8 +276,7 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
     hurst = config.hurst if config.hurst is not None else default_hurst
     _scheme_order(config.scheme, problem)
 
-    exponents = tuple(sorted(config.step_exponents))
-    ref_grid = make_grid(problem.T, 2**config.ref_exponent)
+    ref_grid = make_grid(problem.T, 2**ref_exponent)
     certify = problem.additive and config.scheme == "implicit_euler"
     bound_checks = 0
 
@@ -301,7 +304,7 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
         rows: list[ErrorRow] = []
         for k in exponents:
             h = problem.T / 2**k
-            factor = 2 ** (config.ref_exponent - k)
+            factor = 2 ** (ref_exponent - k)
             coarse = restrict(path_ref, factor)
             traj, flag = (None, ref_flag) if ref_flag is not None else run_level(coarse, "")
             if flag is not None:

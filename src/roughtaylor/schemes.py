@@ -141,23 +141,25 @@ def _taylor_term(problem: Problem, dx: np.ndarray, X2=None, X3=None):
     plus the first- and second-order compositions contracted against X2[j]
     and X3[j] when those are given.  For additive problems sigma is the
     identity, so it is the increment with no matrix product.  For d = 1 it
-    is a Python float, as the state is."""
+    is a Python float, as the state is, and sigma sees one scratch array."""
     scalar = problem.dim == 1
     if problem.additive:
         if scalar:
             dx = dx[:, 0].tolist()
         return lambda j, y: dx[j]
-    sig = problem.diffusion
+    sig, buf = problem.diffusion, np.empty(1)
 
     def term(j, y):
-        Y = np.array([y]) if scalar else y
-        S = sig.func(Y)
-        out = S @ dx[j]
+        if scalar:
+            buf[0] = y
+            y = buf
+        S = sig.func(y)
+        out = S.dot(dx[j])
         if X2 is not None:
-            D = sig.dfunc(Y)
+            D = sig.dfunc(y)
             out = out + np.einsum("ija,ij->a", first_order_composition(S, D), X2[j])
         if X3 is not None:
-            F = second_order_composition(S, D, sig.d2func(Y))
+            F = second_order_composition(S, D, sig.d2func(y))
             out = out + np.einsum("ijka,ijk->a", F, X3[j])
         return out.item() if scalar else out
 
@@ -202,7 +204,9 @@ def boundedness_bound(problem: Problem, path: SamplePath) -> float:
     _check_driver(problem, path.grid, path.m)
     cb = problem.drift.one_sided_lipschitz
     T = path.grid.T
-    b_max = max(_norm(problem.drift(x)) for x in path.values[1:])
+    b = _float_drift(problem.drift) if problem.dim == 1 else problem.drift
+    values = path.values[1:, 0].tolist() if problem.dim == 1 else path.values[1:]
+    b_max = max(_norm(b(x)) for x in values)
     x_max = float(np.max(np.linalg.norm(path.values, axis=1)))
     xi_norm = _norm(problem.xi)
     return float(np.exp(2.0 * cb * T) * (xi_norm + b_max * T) + x_max)

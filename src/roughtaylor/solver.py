@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .fields import DriftField
+from .fields import DriftField, _size_error
 
 __all__ = [
     "DEFAULT_TOL",
@@ -90,11 +90,20 @@ def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
 
 
 def _float_drift(drift: DriftField):
-    """The drift of a d = 1 problem as a map of Python floats.  It still calls
-    ``drift.func`` on a fresh shape-(1,) array and normalises the output as
-    DriftField.__call__ does (float64, exactly one value)."""
-    func = drift.func
-    return lambda y: np.asarray(func(np.array([y])), dtype=float).item()
+    """The drift of a d = 1 problem as a map of Python floats.  Each call hands
+    ``drift.func`` this map's one shape-(1,) scratch array, holding y, and reads
+    the output (float64, exactly one value, as DriftField.__call__ checks)."""
+    func, buf = drift.func, np.empty(1)
+
+    def b(y):
+        buf[0] = y
+        out = np.asarray(func(buf), dtype=float)
+        try:
+            return out.item()
+        except ValueError:  # not exactly one value
+            raise _size_error(out, 1) from None
+
+    return b
 
 
 def _implicit_step(drift: DriftField, h: float):
@@ -114,13 +123,14 @@ def _implicit_step(drift: DriftField, h: float):
         # scalar problems iterate on Python floats: the same IEEE operations
         # in the same order as on 1-element arrays, without their overhead
         h = float(h)
-        b = _float_drift(drift)
+        b, buf = _float_drift(drift), np.empty(1)
 
         def newton_step(y, F):
             # F / (1 - h*Jb) is bitwise what dgesv returns for a 1x1 system,
             # and a zero divisor is its singular (info != 0) exit
             if jacobian is not None:
-                Jb = np.asarray(jacobian(np.array([y])), dtype=float).item()
+                buf[0] = y
+                Jb = np.asarray(jacobian(buf), dtype=float).item()
             else:
                 eps = _FD_STEP * max(1.0, _norm(y))
                 Jb = (b(y + eps) - b(y - eps)) / (2.0 * eps)

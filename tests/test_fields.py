@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from roughtaylor.fbm import SamplePath
 from roughtaylor.fields import (
+    _RADIUS_FLOOR,
     DiffusionField,
     DriftField,
     constant_diffusion,
@@ -13,6 +17,10 @@ from roughtaylor.fields import (
     linear_drift,
     second_order_composition,
 )
+from roughtaylor.grids import make_grid
+from roughtaylor.harness import run_scheme
+from roughtaylor.schemes import Problem, boundedness_bound
+from roughtaylor.solver import solve_step
 
 
 def _first_at(sigma: DiffusionField, y) -> np.ndarray:
@@ -248,3 +256,163 @@ class TestCatalogue:
             sig.dfunc(np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match=r"\|y\|"):
             sig.d2func(np.array([1e-13, 0.0]))
+
+
+# The catalogue evaluators as they were first written, one numpy operation
+# per term: the rewritten evaluators must give these bytes.
+
+
+def _oracle_radius(y):
+    r = float(np.sqrt(y @ y))
+    if r <= _RADIUS_FLOOR:
+        raise ValueError(f"derivatives of |y| are undefined at |y| = {r:.3g} <= {_RADIUS_FLOOR}")
+    return r
+
+
+def oracle_cosine_value(y):
+    r = float(np.sqrt(y @ y))
+    return np.array([[np.cos(y[1]), np.cos(r)], [-0.9 - 10.0 * np.cos(y[0]), 0.0]])
+
+
+def oracle_cosine_first(y):
+    r = _oracle_radius(y)
+    D = np.zeros((2, 2, 2))
+    D[0, 0] = (0.0, -np.sin(y[1]))
+    D[1, 0] = (10.0 * np.sin(y[0]), 0.0)
+    D[0, 1] = -np.sin(r) * y / r
+    return D
+
+
+def oracle_cosine_second(y):
+    r = _oracle_radius(y)
+    D2 = np.zeros((2, 2, 2, 2))
+    D2[0, 0, 1, 1] = -np.cos(y[1])
+    D2[1, 0, 0, 0] = 10.0 * np.cos(y[0])
+    outer = np.outer(y, y)
+    D2[0, 1] = -np.cos(r) * outer / r**2 - np.sin(r) * (np.eye(2) * r**2 - outer) / r**3
+    return D2
+
+
+def oracle_cubic_radial(y):
+    return y - (y @ y) * y
+
+
+def oracle_cubic_radial_jacobian(y):
+    return (1.0 - y @ y) * np.eye(y.size) - 2.0 * (y[:, None] * y)
+
+
+def oracle_double_well_jacobian(y):
+    return np.array([[1.0 - 3.0 * y[0] ** 2]])
+
+
+def evaluation(f, y):
+    """dtype, shape and bytes of f(y), or the type and message of its error
+    (|y| below the radius floor, or |y|^3 past the largest double)."""
+    try:
+        out = f(y)
+    except (ValueError, OverflowError) as err:
+        return type(err).__name__, str(err)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def polar(radius, angle):
+    return np.array([radius * np.cos(angle), radius * np.sin(angle)])
+
+
+# coordinates of moderate size, signed zeros, |y| near 1e150 (|y|^2 near
+# the largest double) and near the radius floor
+COORDINATES = (
+    st.floats(-1e3, 1e3)
+    | st.sampled_from([0.0, -0.0])
+    | st.floats(1e149, 1e151)
+    | st.floats(-1e151, -1e149)
+    | st.floats(-3e-12, 3e-12)
+)
+POINTS = st.lists(COORDINATES, min_size=2, max_size=2).map(np.array) | st.builds(
+    polar, st.floats(0.5 * _RADIUS_FLOOR, 2.0 * _RADIUS_FLOOR), st.floats(0.0, 7.0)
+)
+
+
+class TestCatalogueAgainstOracles:
+    """The catalogue evaluators give bitwise what the oracles above give,
+    raising the same error where the |y| derivatives are undefined."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(y=POINTS)
+    @example(y=np.array([_RADIUS_FLOOR, 0.0]))
+    @example(y=np.array([np.nextafter(_RADIUS_FLOOR, 1.0), -0.0]))
+    @example(y=np.array([-0.0, -0.0]))
+    @example(y=np.array([1e150, -1e150]))
+    @example(y=np.array([1e155, 3.0]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_planar_evaluators(self, y):
+        sigma, radial = cosine_diffusion(), cubic_radial_drift(2)
+        pairs = [
+            (sigma.func, oracle_cosine_value),
+            (sigma.dfunc, oracle_cosine_first),
+            (sigma.d2func, oracle_cosine_second),
+            (radial, oracle_cubic_radial),
+            (radial.jacobian, oracle_cubic_radial_jacobian),
+        ]
+        for got, want in pairs:
+            assert evaluation(got, y) == evaluation(want, y), want.__name__
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.lists(COORDINATES, min_size=1, max_size=3).map(np.array))
+    @example(y=np.array([-0.0]))
+    @example(y=np.array([1e155, -0.0, 2.0]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_drift_jacobians(self, y):
+        radial = cubic_radial_drift(y.size)
+        assert evaluation(radial.jacobian, y) == evaluation(oracle_cubic_radial_jacobian, y)
+        assert evaluation(radial, y) == evaluation(oracle_cubic_radial, y)
+        if y.size == 1:
+            jacobian = double_well_drift().jacobian
+            assert evaluation(jacobian, y) == evaluation(oracle_double_well_jacobian, y)
+
+
+class TestDriftFieldCall:
+    @pytest.mark.parametrize(
+        "dim, func",
+        [
+            (2, lambda y: [y[0], -1.0]),
+            (1, lambda y: 2.5),
+            (1, lambda y: np.float64(-0.25)),
+            (2, lambda y: np.array([1, -2])),
+            (2, lambda y: np.array([0.1, 0.7], dtype=np.float32)),
+            (2, lambda y: np.array([[0.5, 1.5]])),
+        ],
+    )
+    def test_output_is_float64_of_shape_dim(self, dim, func):
+        y = np.full(dim, 0.5)
+        out = DriftField(dim, func, 0.0)(y)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (dim,)
+        assert np.array_equal(out, np.asarray(func(y), dtype=float).reshape(dim))
+
+    def test_float64_output_of_shape_dim_is_returned_as_is(self):
+        value = np.array([1.0, 2.0])
+        assert DriftField(2, lambda y: value, 0.0)(np.zeros(2)) is value
+
+    @pytest.mark.parametrize(
+        "dim, output", [(1, [1.0, 2.0]), (1, []), (2, [1.0]), (2, np.zeros(3))]
+    )
+    @pytest.mark.parametrize(
+        "form", ["call", "solve_step", "implicit_euler", "explicit_euler", "bound"]
+    )
+    def test_wrong_size_output_names_size_and_dim(self, dim, output, form):
+        # d = 1 trajectories evaluate the drift on floats, d = 2 ones through
+        # DriftField.__call__: both raise the one error
+        drift = DriftField(dim, lambda y: output, 0.0)
+        size = np.size(output)
+        message = rf"drift returned {size} values for a state of dimension d = {dim}$"
+        problem = Problem(drift, xi=np.ones(dim), T=1.0)
+        path = SamplePath(make_grid(1.0, 4), np.zeros((5, dim)))
+        runs = {
+            "call": lambda: drift(np.ones(dim)),
+            "solve_step": lambda: solve_step(drift, 0.1, np.ones(dim)),
+            "implicit_euler": lambda: run_scheme("implicit_euler", problem, path),
+            "explicit_euler": lambda: run_scheme("explicit_euler", problem, path),
+            "bound": lambda: boundedness_bound(problem, path),
+        }
+        with pytest.raises(ValueError, match=message):
+            runs[form]()

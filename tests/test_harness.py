@@ -141,6 +141,34 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=BAD_STEPS[steps]):
             run_study(cfg)
 
+    @pytest.mark.parametrize(
+        "ref, message",
+        [
+            (10.5, r"reference exponent must be an integer, got 10\.5"),
+            (float("inf"), "reference exponent must be an integer, got inf"),
+            (float("nan"), "reference exponent must be an integer, got nan"),
+        ],
+    )
+    def test_rejects_non_integral_reference_exponent(self, ref, message, monkeypatch):
+        def no_sampling(*_):
+            raise AssertionError("a study with a bad reference exponent must not start")
+
+        monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+        cfg = StudyConfig("example1", "implicit_euler", step_exponents=(4, 5), ref_exponent=ref)
+        with pytest.raises(ValueError, match=message):
+            run_study(cfg)
+
+    @pytest.mark.parametrize("steps, ref", [((4.0, 5), 7), ((5, 4), 10.0), ((5.0, 4.0), 7.0)])
+    def test_integral_float_exponents_run_as_ints(self, steps, ref, tmp_path):
+        def study(steps, ref, out):
+            config = StudyConfig(
+                "example1", "implicit_euler", step_exponents=steps, ref_exponent=ref, out_dir=out
+            )
+            result = run_study(config)
+            return result.seed_tables, [p.read_bytes() for p in result.files]
+
+        assert study(steps, ref, tmp_path / "a") == study((4, 5), int(ref), tmp_path / "b")
+
     def test_rejects_problem_with_builtin_config(self):
         cfg = StudyConfig("example2", "implicit_euler", step_exponents=(4,), ref_exponent=6)
         with pytest.raises(ValueError, match="'example2' is built in"):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import (
+    DiffusionField,
     DriftField,
     constant_diffusion,
     cosine_diffusion,
@@ -17,7 +18,12 @@ from roughtaylor.fields import (
     zero_drift,
 )
 from roughtaylor.grids import make_grid
-from roughtaylor.harness import example_problem, run_scheme
+from roughtaylor.harness import (
+    ADDITIVE_SCHEMES,
+    MULTIPLICATIVE_SCHEMES,
+    example_problem,
+    run_scheme,
+)
 from roughtaylor.lift import RoughLift, piecewise_linear_lift
 from roughtaylor.schemes import (
     BLOWUP_NORM,
@@ -249,6 +255,130 @@ class TestScalarLoopAgainstArrayLoop:
         assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
         want = outcome(lambda: array_euler(problem, path))
         assert outcome(lambda: explicit_euler(problem, path).states) == want
+
+
+def with_copies(field):
+    """The same field, handed a fresh copy of its argument at every call."""
+
+    def copying(f):
+        return None if f is None else lambda y: f(y.copy())
+
+    if isinstance(field, DriftField):
+        return DriftField(
+            field.dim, copying(field.func), field.one_sided_lipschitz, copying(field.jacobian)
+        )
+    return DiffusionField(
+        field.dim, field.noise_dim, *map(copying, (field.func, field.dfunc, field.d2func))
+    )
+
+
+def in_place_double_well():
+    """b(y) = y - y^3 and its Jacobian, each computed in the argument's
+    memory and returned as (a view of) it."""
+
+    def b(y):
+        y -= y**3
+        return y
+
+    def jac(y):
+        y *= y
+        y *= -3.0
+        y += 1.0
+        return y.reshape(1, 1)
+
+    return DriftField(1, b, 1.0, jacobian=jac)
+
+
+def referencing_drift(dim):
+    """b(y) = y - |y|^2 y, read through a list of every argument it was given."""
+    seen = []
+
+    def b(y):
+        seen.append(y)
+        return seen[-1] - seen[-1].dot(seen[-1]) * seen[-1]
+
+    return DriftField(dim, b, 1.0)
+
+
+def referencing_sine_diffusion():
+    """sigma(y) = sin(y) with derivatives, each read through a list of every
+    argument the field was given."""
+    seen = []
+
+    def keep(f):
+        def g(y):
+            seen.append(y)
+            return f(seen[-1])
+
+        return g
+
+    return DiffusionField(
+        1,
+        1,
+        keep(lambda y: np.sin(y).reshape(1, 1)),
+        keep(lambda y: np.cos(y).reshape(1, 1, 1)),
+        keep(lambda y: -np.sin(y).reshape(1, 1, 1, 1)),
+    )
+
+
+# name: () -> a drift whose evaluators return, view, keep or overwrite their argument
+ALIASING_DRIFTS = {
+    "returns_argument": lambda: DriftField(1, lambda y: y, 1.0),
+    "returns_argument_2d": lambda: DriftField(2, lambda y: y, 1.0),
+    "returns_view": lambda: DriftField(1, lambda y: y[:], 1.0, jacobian=lambda y: np.ones((1, 1))),
+    "returns_view_2d": lambda: DriftField(2, lambda y: y[::-1], 1.0),
+    "in_place": in_place_double_well,
+    "keeps_reference": lambda: referencing_drift(1),
+    "keeps_reference_2d": lambda: referencing_drift(2),
+}
+
+# name: () -> a d = m = 1 diffusion whose evaluators view or keep their argument
+ALIASING_DIFFUSIONS = {
+    "geometric_view": geometric_diffusion,
+    "keeps_reference": referencing_sine_diffusion,
+}
+
+
+class TestFieldsSeeingScratchArrays:
+    """d = 1 trajectories hand every field evaluation the same scratch
+    array with new values, and d > 1 ones the state itself.  A field that
+    returns its argument, a view of it, keeps a reference to it or (for a
+    d = 1 drift) overwrites it ends exactly as the same field handed a copy."""
+
+    @pytest.mark.parametrize("name", sorted(ALIASING_DRIFTS))
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_drift(self, name, seed):
+        build = ALIASING_DRIFTS[name]
+        dim = build().dim
+        path = fbm_path(seed, N=256, m=dim, hurst=0.75)
+
+        def problems(**kwargs):
+            return [Problem(drift, T=1.0, **kwargs) for drift in (build(), with_copies(build()))]
+
+        runs = {scheme: problems(xi=np.linspace(-1.5, 0.5, dim)) for scheme in ADDITIVE_SCHEMES}
+        if dim == 1:
+            runs.update(
+                (scheme, problems(xi=[-0.5], diffusion=geometric_diffusion()))
+                for scheme in MULTIPLICATIVE_SCHEMES
+            )
+        for scheme, pair in runs.items():
+            got, want = (outcome(lambda: run_scheme(scheme, p, path).states) for p in pair)
+            assert got == want, scheme
+        got, want = problems(xi=np.ones(dim))
+        assert boundedness_bound(got, path) == boundedness_bound(want, path)
+
+    @pytest.mark.parametrize("name", sorted(ALIASING_DIFFUSIONS))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_diffusion(self, name, seed):
+        path = fbm_path(seed, N=256, hurst=0.5)
+        for scheme in MULTIPLICATIVE_SCHEMES:
+            runs = [
+                Problem(double_well_drift(), xi=[-2.0], T=1.0, diffusion=sigma)
+                for sigma in (ALIASING_DIFFUSIONS[name](), with_copies(ALIASING_DIFFUSIONS[name]()))
+            ]
+            got, want = (outcome(lambda: run_scheme(scheme, p, path).states) for p in runs)
+            assert got == want, scheme
 
 
 def singular_newton_drift(h):
