@@ -44,6 +44,7 @@ __all__ = [
 # beyond this need an explicit opt-in through FbmConfig.max_dense_n.
 DENSE_GRID_LIMIT = 4096
 _BAND = 256
+_SUB = 32  # rows of the build's one scratch block; band edges are multiples of it
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -172,9 +173,11 @@ def _schur_bands(c) -> tuple[np.ndarray, ...]:
     r = c / np.sqrt(c[0])  # R[j, j:]
     v = r.copy()
     v[0] = 0.0
-    for i, (a, b) in enumerate(spans):
+    scratch = np.zeros((_SUB, n))  # row t is written from column t on: its first t stay 0
+    for a in range(0, n, _SUB):
         # Columns a..b-1 of L, rows a..n-1, then one block copy per band.
-        block = np.zeros((b - a, n - a))
+        b = min(a + _SUB, n)
+        block = scratch[: b - a, : n - a]
         for j in range(a, b):
             if j:
                 # The generator u shifted down by one is R[j-1, j-1:n-1].
@@ -187,9 +190,9 @@ def _schur_bands(c) -> tuple[np.ndarray, ...]:
                 w *= s
                 w -= rho * r
             np.add.accumulate(r, out=block[j - a, j - a :])  # cumsum
-        for (lo, hi), band in zip(spans[i:], bands[i:]):
-            band[a:b] = block[:, lo - a : hi - a]
-        del block  # keeps one block alive at a time, not two
+        for (lo, hi), band in zip(spans, bands):
+            if hi > a:
+                band[a:b, max(a - lo, 0) :] = block[:, max(lo - a, 0) : hi - a]
     for band in bands:
         band.setflags(write=False)
     return tuple(band.T for band in bands)

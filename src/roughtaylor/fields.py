@@ -200,7 +200,11 @@ def cosine_diffusion() -> DiffusionField:
         D2[0, 0, 1, 1] = -np.cos(y[1])
         D2[1, 0, 0, 0] = 10.0 * np.cos(y[0])
         outer = np.outer(y, y)
-        D2[0, 1] = -np.cos(r) * outer / r**2 - np.sin(r) * (np.eye(2) * r**2 - outer) / r**3
+        try:
+            r3 = r**3
+        except OverflowError:  # r above about 5.6e102; r**2 stays finite
+            r3 = math.inf
+        D2[0, 1] = -np.cos(r) * outer / r**2 - np.sin(r) * (np.eye(2) * r**2 - outer) / r3
         return D2
 
     return DiffusionField(2, 2, value, first, second)

@@ -8,10 +8,10 @@ strongly monotone with constant 1 - C_b*h, so G is invertible with
 
 from __future__ import annotations
 
+import contextvars
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -61,20 +61,24 @@ def _norm(v) -> float:
     return math.sqrt(v * v if type(v) is float else v.dot(v))
 
 
-@cache
-def _dgesv():
-    """LAPACK dgesv, bound on the first d > 1 Newton step: scalar problems
-    never load SciPy."""
-    from scipy.linalg.lapack import dgesv
+def _gesv():
+    """(A, F) -> the solution of A s = F by the dgesv gufunc behind
+    np.linalg.solve, without that wrapper's fivefold cost per call, or None
+    where the gufunc sets the invalid flag: exactly where dgesv fails (info > 0).
+    Its own context raises on that flag alone, so no call warns or sees the
+    caller's errstate."""
+    from numpy.linalg._umath_linalg import solve1
 
-    return dgesv
+    ctx = contextvars.copy_context()
+    ctx.run(np.errstate(all="ignore", invalid="raise").__enter__)
 
+    def solve(A, F):
+        try:
+            return ctx.run(solve1, A, F)
+        except FloatingPointError:
+            return None
 
-@cache
-def _identity(d: int) -> np.ndarray:
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
+    return solve
 
 
 def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
@@ -130,7 +134,10 @@ def _implicit_step(drift: DriftField, h: float):
             # and a zero divisor is its singular (info != 0) exit
             if jacobian is not None:
                 buf[0] = y
-                Jb = np.asarray(jacobian(buf), dtype=float).item()
+                J = np.asarray(jacobian(buf), dtype=float)
+                if J.size != 1:
+                    raise ValueError(f"drift Jacobian has shape {J.shape}, not (1, 1), for d = 1")
+                Jb = J.item()
             else:
                 eps = _FD_STEP * max(1.0, _norm(y))
                 Jb = (b(y + eps) - b(y - eps)) / (2.0 * eps)
@@ -138,16 +145,19 @@ def _implicit_step(drift: DriftField, h: float):
             return None if a == 0.0 else F / a
 
     else:
-        b, eye = drift, _identity(d)
+        b, eye, gesv = drift, np.eye(d), _gesv()
 
         def newton_step(y, F):
             # (I - h*Jb)^{-1} F by LAPACK dgesv, or None if I - h*Jb is singular
             if jacobian is not None:
                 Jb = np.asarray(jacobian(y), dtype=float)
+                if Jb.shape != (d, d):
+                    raise ValueError(
+                        f"drift Jacobian has shape {Jb.shape}, not {(d, d)}, for d = {d}"
+                    )
             else:
                 Jb = _fd_jacobian(b, y)
-            step, info = _dgesv()(eye - h * Jb, F)[2:]
-            return None if info != 0 else step
+            return gesv(eye - h * Jb, F)
 
     m = min(1.0, 1.0 - cb * h)  # strong monotonicity constant, capped at 1
 

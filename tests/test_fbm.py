@@ -341,6 +341,34 @@ def _dense_paths(config, seed):
 BAND_SIZES = [1, 2, 3, 5, 8, 17, 255, 256, 257, 258, 259, 263, 511, 513, 1000, 1024, 1027, 2048]
 
 
+def oracle_schur_bands(c):
+    """``fbm._schur_bands`` as first written: one fresh (b - a) x (n - a)
+    block per band of columns, copied into every band below it."""
+    n = c.shape[0]
+    edges = [*range(0, n, fbm._BAND), n]
+    if len(edges) > 2 and n - edges[-2] < 8:
+        del edges[-2]
+    spans = list(zip(edges, edges[1:]))
+    bands = [np.zeros((b, b - a)) for a, b in spans]
+    r = c / np.sqrt(c[0])
+    v = r.copy()
+    v[0] = 0.0
+    for i, (a, b) in enumerate(spans):
+        block = np.zeros((b - a, n - a))
+        for j in range(a, b):
+            if j:
+                w = v[j:]
+                rho = w.item(0) / r.item(0)
+                s = np.sqrt((1.0 - rho) * (1.0 + rho))
+                r = (r[:-1] - rho * w) / s
+                w *= s
+                w -= rho * r
+            np.add.accumulate(r, out=block[j - a, j - a :])
+        for (lo, hi), band in zip(spans[i:], bands[i:]):
+            band[a:b] = block[:, lo - a : hi - a]
+    return tuple(band.T for band in bands)
+
+
 class TestBands:
     """The factor is kept as its row bands L[a:b, :b]; paths must be the
     dense factor's paths byte for byte, and no N x N array may come back."""
@@ -372,6 +400,26 @@ class TestBands:
         assert heights[-1] == N or 8 <= heights[-1] <= 263
         assert [band.shape[1] for band in bands] == list(np.cumsum(heights))
         assert sum(band.nbytes for band in bands) <= 4 * N * (N + 263)
+
+    @pytest.mark.parametrize("N", [7, 263, 300, 2048, 4096])
+    def test_bands_equal_block_per_band_build(self, N):
+        c = fbm._fgn_autocovariance(0.75, make_grid(1.0, N))
+        got, want = fbm._schur_bands(c), oracle_schur_bands(c)
+        assert [(g.shape, g.strides) for g in got] == [(w.shape, w.strides) for w in want]
+        assert all(g.tobytes("A") == w.tobytes("A") for g, w in zip(got, want))
+
+    def test_build_needs_few_rows_beside_the_bands(self):
+        # the Schur sweep fills the bands through one scratch block of
+        # fbm._SUB rows, not a block of fbm._BAND rows per band
+        N = 2048
+        c = fbm._fgn_autocovariance(0.75, make_grid(1.0, N))
+        tracemalloc.start()
+        try:
+            bands = fbm._schur_bands(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(band.nbytes for band in bands) <= 64 * 8 * N
 
     def test_cold_sample_allocates_under_dense_size(self):
         N = 2048

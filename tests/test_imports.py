@@ -1,6 +1,6 @@
-"""Scalar work never loads SciPy.  SciPy serves only the d > 1 Newton systems
-(LAPACK dgesv) and the dense ``fbm.cholesky`` oracle, and is imported on
-first use; each check runs in a fresh interpreter."""
+"""No study and no CLI command loads SciPy.  SciPy serves only the dense
+``fbm.cholesky`` oracle and is imported on its first call; each check runs
+in a fresh interpreter."""
 
 import os
 import subprocess
@@ -45,22 +45,25 @@ def test_scalar_command_runs_without_scipy(argv, tmp_path):
     assert child.returncode == 0, child.stderr
 
 
-def test_planar_study_needs_scipy(tmp_path):
-    code = BLOCKED + (
-        "from roughtaylor.harness import StudyConfig, run_study\n"
-        "try:\n"
-        "    run_study(StudyConfig('example3', 'simplified_milstein', step_exponents=(4,),\n"
-        "                          ref_exponent=6, seeds=(0,)))\n"
-        "except ImportError:\n"
-        "    sys.exit(3)\n"
-    )
+PLANAR_SCHEMES = ["simplified_milstein", "semi_implicit_milstein3"]
+
+
+def _planar_run(scheme: str) -> list[str]:
+    return ["run", "--problem", "example3", "--scheme", scheme, "--steps", "4..5",
+            "--ref", "8", "--seeds", "2", "--out", scheme]
+
+
+@pytest.mark.parametrize("scheme", PLANAR_SCHEMES)
+def test_planar_command_runs_without_scipy(scheme, tmp_path):
+    # its implicit steps solve 2x2 Newton systems
+    code = BLOCKED + f"from roughtaylor.cli import main\nsys.exit(main({_planar_run(scheme)!r}))\n"
     child = _python(code, tmp_path)
-    assert child.returncode == 3, child.stderr
+    assert child.returncode == 0, child.stderr
 
 
 def test_planar_run_without_newton_steps_needs_no_scipy(tmp_path):
     # with zero drift every initial guess is the root, so no step of this
-    # d = 2 trajectory takes a Newton step, and building its stepper binds no dgesv
+    # d = 2 trajectory takes a Newton step
     code = BLOCKED + (
         "from roughtaylor import Problem, semi_implicit_taylor, piecewise_linear_lift\n"
         "from roughtaylor.fbm import FbmConfig, sample_fbm\n"
@@ -76,17 +79,18 @@ def test_planar_run_without_newton_steps_needs_no_scipy(tmp_path):
     assert child.returncode == 0, child.stderr
 
 
-def test_scipy_loaded_on_first_planar_step(tmp_path):
+def test_scipy_loaded_only_by_dense_cholesky(tmp_path):
+    commands = SCALAR_COMMANDS + [_planar_run(scheme) for scheme in PLANAR_SCHEMES]
     code = (
         "import sys\n"
-        "import roughtaylor\n"
-        "from roughtaylor.harness import StudyConfig, example_problem, run_study\n"
-        "run_study(StudyConfig('example1', 'implicit_euler', hurst=(0.5,), step_exponents=(4,),\n"
-        "                      ref_exponent=6, seeds=(0,)))\n"
-        "assert 'scipy' not in sys.modules, 'a scalar study loaded SciPy'\n"
-        "problem = example_problem('example3')[0]\n"
-        "roughtaylor.solve_step(problem.drift, 0.01, problem.xi)\n"
-        "assert 'scipy' in sys.modules, 'a planar Newton step ran without dgesv'\n"
+        "import numpy as np\n"
+        "from roughtaylor import fbm\n"
+        "from roughtaylor.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'scipy' not in sys.modules, 'a command loaded SciPy'\n"
+        "fbm.cholesky(np.eye(2))\n"
+        "assert 'scipy' in sys.modules, 'the dense Cholesky ran without SciPy'\n"
     )
     child = _python(code, tmp_path)
     assert child.returncode == 0, child.stderr

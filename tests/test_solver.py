@@ -1,3 +1,4 @@
+import re
 import warnings
 from itertools import pairwise
 
@@ -311,11 +312,16 @@ def float_bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
+# the d > 1 Newton solve: LAPACK dgesv through NumPy, None where dgesv fails
+GESV = solver._gesv()
+
+
 class TestOneByOneLapack:
-    """For d = 1 the solver divides F / (1 - h*Jb) in place of calling dgesv.
-    That is bitwise the same only because LAPACK solves a 1x1 system with
-    one correctly rounded division, and signals a zero pivot and nothing
-    else; a BLAS that breaks either fails here with that cause."""
+    """For d = 1 the solver divides F / (1 - h*Jb) in place of calling the
+    dgesv its d > 1 steps call.  That is bitwise the same only because LAPACK
+    solves a 1x1 system with one correctly rounded division, and signals a
+    zero pivot and nothing else; a BLAS that breaks either fails here with
+    that cause."""
 
     @settings(max_examples=1000, deadline=None)
     @given(a=MAGNITUDES, f=MAGNITUDES)
@@ -326,22 +332,95 @@ class TestOneByOneLapack:
     @example(a=1e300, f=5e-324)
     @example(a=-1.0, f=0.0)
     def test_dgesv_is_one_division(self, a, f):
-        x, info = dgesv(np.array([[a]]), np.array([f]))[2:]
-        assert (info != 0) == (a == 0.0)
+        x = GESV(np.array([[a]]), np.array([f]))
+        assert (x is None) == (a == 0.0)
         if a != 0.0:
             assert float_bits(x[0]) == float_bits(f / a)
 
     @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
     def test_non_finite_pivot_is_not_singular(self, a):
-        x, info = dgesv(np.array([[a]]), np.array([3.0]))[2:]
-        assert info == 0
+        x = GESV(np.array([[a]]), np.array([3.0]))
+        assert x is not None
         want = 3.0 / a
         assert np.isnan(x[0]) if np.isnan(want) else float_bits(x[0]) == float_bits(want)
 
-    def test_solver_binds_this_dgesv_once(self):
-        # the d > 1 Newton step imports dgesv on first use; it is the same routine
-        assert solver._dgesv() is dgesv
-        assert solver._dgesv() is solver._dgesv()
+
+# matrix entries: moderate, huge and tiny magnitudes, zeros, NaN and inf
+ENTRIES = (
+    st.floats(-1e3, 1e3)
+    | MAGNITUDES
+    | st.sampled_from([0.0, -0.0, 1.0, -2.0, np.nan, np.inf, -np.inf])
+)
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, F) at d = 2..5; A is often exactly singular: a zero row or column,
+    a repeated row, a column scaled by 2, or an integer outer product."""
+    d = draw(st.integers(2, 5))
+    A = np.array(draw(st.lists(ENTRIES, min_size=d * d, max_size=d * d))).reshape(d, d)
+    i, k = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    kind = draw(st.sampled_from(["any", "zero_row", "zero_col", "repeat_row", "scale_col", "outer"]))
+    if kind == "zero_row":
+        A[i] = 0.0
+    elif kind == "zero_col":
+        A[:, i] = 0.0
+    elif kind == "repeat_row" and i != k:
+        A[k] = A[i]
+    elif kind == "scale_col" and i != k:
+        A[:, k] = 2.0 * A[:, i]
+    elif kind == "outer":
+        u, v = (draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) for _ in "uv")
+        A = np.outer(u, v).astype(float)
+    F = np.array(draw(st.lists(ENTRIES, min_size=d, max_size=d)))
+    return A, F
+
+
+class TestNumpyGesv:
+    """The d > 1 Newton system is solved by the dgesv NumPy ships, called
+    through its gufunc: it must give SciPy's dgesv bytes and fail where that
+    one reports info != 0, without a warning and under any errstate."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(system=linear_systems())
+    @example(system=(np.zeros((2, 2)), np.ones(2)))
+    @example(system=(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)))
+    @example(system=(np.array([[0.1, 0.3], [0.2, 0.6]]), np.ones(2)))
+    @example(system=(np.array([[0.1, 0.2], [0.3, 0.6]]), np.ones(2)))
+    @example(system=(np.array([[np.nan, 1.0], [1.0, 1.0]]), np.ones(2)))
+    @example(system=(np.array([[np.inf, 1.0], [1.0, np.inf]]), np.ones(2)))
+    @example(system=(np.eye(3), np.array([np.inf, -np.inf, np.nan])))
+    def test_equals_scipy_dgesv(self, system):
+        A, F = system
+        want, info = dgesv(A, F)[2:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = GESV(A, F)
+        assert (got is None) == (info != 0)
+        if got is not None:
+            assert got.dtype == np.float64 and got.shape == F.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_random_systems_equal_scipy_dgesv(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(2000):
+            A, F = rng.standard_normal((d, d)), rng.standard_normal(d)
+            assert GESV(A, F).tobytes() == dgesv(A, F)[2].tobytes()
+
+    def test_caller_errstate_neither_applies_nor_changes(self):
+        A, F = np.zeros((2, 2)), np.ones(2)
+        before = np.geterr()
+        gesv = solver._gesv()
+        assert np.geterr() == before
+        with np.errstate(all="raise"):
+            # built before and inside the caller's errstate
+            for solve in (gesv, solver._gesv()):
+                assert solve(A, F) is None
+                assert solve(np.array([[1e-300, 0.0], [0.0, 1.0]]), np.array([1e300, 0.0]))[0] == np.inf
+            assert set(np.geterr().values()) == {"raise"}
+        assert gesv(A, F) is None
+        assert np.geterr() == before
 
 
 class TestSolveStep:
@@ -443,14 +522,26 @@ class TestSolveStep:
         assert rep.solution[0] == pytest.approx(1.0 / 0.95, rel=1e-10)
 
     def test_singular_newton_matrix_in_two_dimensions(self):
-        # I - h*J = 0, so every pass steps along the residual, y <- y - F
+        # I - h*J = 0, so every pass steps along the residual, y <- y - F,
+        # and no pass warns of the singular system
         h = 0.1
         drift = DriftField(2, lambda y: 0.5 * y, 0.5, jacobian=lambda y: np.eye(2) / h)
         r = np.array([1.0, -2.0])
-        rep = solve_step(drift, h, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_step(drift, h, r)
         assert rep.method_used == "safeguarded"
         assert rep.residual <= 1e-12
         assert np.allclose(rep.solution, r / 0.95, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "dim, shape", [(1, (3, 3)), (1, (2,)), (1, (0,)), (2, (3, 3)), (2, (2,)), (2, ()), (2, (1, 2, 2))]
+    )
+    def test_wrong_jacobian_shape_names_shape_and_dim(self, dim, shape):
+        drift = DriftField(dim, lambda y: -y, -1.0, jacobian=lambda y: np.zeros(shape))
+        want = f"drift Jacobian has shape {shape}, not ({dim}, {dim}), for d = {dim}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            solve_step(drift, 0.1, np.full(dim, 3.0))
 
     def test_backtracking_in_two_dimensions(self):
         # Newton on y + 1e3 arctan(y) from y = 1e3 overshoots to y < -500,
