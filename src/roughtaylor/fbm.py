@@ -120,19 +120,19 @@ def covariance_matrix(H: float, grid: Grid) -> np.ndarray:
 
 def cholesky(M) -> np.ndarray:
     """Lower-triangular L with L @ L.T == M for symmetric positive definite M."""
-    from scipy.linalg import lapack  # on first use: sampling never needs SciPy
-
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"square matrix required, got shape {M.shape}")
     if not np.allclose(M, M.T, rtol=1e-12, atol=1e-12):
         raise ValueError("symmetric matrix required")
-    c, info = lapack.dpotrf(M, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(info)
-    if info < 0:
-        raise ValueError(f"invalid argument {-info} passed to dpotrf")
-    return c
+    L = np.zeros(M.shape, order="F")
+    for j in range(M.shape[0]):  # column sweep: Golub & Van Loan, Matrix Computations, ch. 4
+        pivot = M[j, j] - L[j, :j] @ L[j, :j]
+        if not pivot > 0.0:  # NaN included
+            raise NotPositiveDefiniteError(j + 1)
+        L[j, j] = math.sqrt(pivot)
+        L[j + 1 :, j] = (M[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
 
 
 def _fgn_autocovariance(H: float, grid: Grid) -> np.ndarray:

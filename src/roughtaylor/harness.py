@@ -242,9 +242,9 @@ def _validate_config(config: StudyConfig, problem: Problem | None) -> tuple[tupl
 def _certify_bound(problem: Problem, path: SamplePath, trajectory: Trajectory) -> bool:
     """Assert the a-priori bound on a drift-implicit additive trajectory.
 
-    Applies when 0 <= C_b and 2*C_b*h <= 1; for negative C_b the exponential
-    prefactor drops below 1 and the displayed bound is violated by the
-    initial condition itself, so nothing is certified.
+    Applies when 0 <= C_b and 2*C_b*h <= 1.  The bound holds for a
+    contractive drift (C_b < 0) too, but it is not certified: that would add
+    one drift evaluation per node to every stiff study.
     """
     cb = problem.drift.one_sided_lipschitz
     if cb < 0.0 or 2.0 * cb * trajectory.grid.h > 1.0:

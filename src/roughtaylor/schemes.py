@@ -195,21 +195,25 @@ def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
 
 def boundedness_bound(problem: Problem, path: SamplePath) -> float:
     """A-priori uniform bound for the drift-implicit additive recursion,
-    valid whenever 2*C_b*h <= 1:
+    valid whenever 2*C_b*h <= 1 (``ValueError`` otherwise):
 
-    exp(2*C_b*T) * (|xi| + T * max_{n>=1} |b(x_n)|) + max_n |x_n|.
+    exp(2*max(C_b, 0)*T) * (|xi| + T * max_{n>=1} |b(x_n)|) + max_n |x_n|.
+
+    A contractive drift (C_b < 0) satisfies the one-sided condition with 0.
     """
     if not problem.additive:
         raise ValueError("the boundedness bound holds for additive problems only")
     _check_driver(problem, path.grid, path.m)
     cb = problem.drift.one_sided_lipschitz
+    if 2.0 * cb * path.grid.h > 1.0:
+        raise ValueError(f"boundedness bound needs 2*C_b*h <= 1, got {2.0 * cb * path.grid.h:g}")
     T = path.grid.T
     b = _float_drift(problem.drift) if problem.dim == 1 else problem.drift
     values = path.values[1:, 0].tolist() if problem.dim == 1 else path.values[1:]
     b_max = max(_norm(b(x)) for x in values)
     x_max = float(np.max(np.linalg.norm(path.values, axis=1)))
     xi_norm = _norm(problem.xi)
-    return float(np.exp(2.0 * cb * T) * (xi_norm + b_max * T) + x_max)
+    return float(np.exp(2.0 * max(cb, 0.0) * T) * (xi_norm + b_max * T) + x_max)
 
 
 def dump_trajectory_csv(trajectory: Trajectory, target) -> None:

@@ -86,7 +86,7 @@ def _max_rel(a, b):
 
 def _dense(bands):
     """The N x N factor the bands ``L[a:b, :b]`` are cut from, F-ordered as
-    dpotrf returns it: the dense layout whose products the bands reproduce."""
+    ``cholesky`` returns it: the dense layout whose products the bands reproduce."""
     N = bands[-1].shape[1]
     L = np.zeros((N, N), order="F")
     for band in bands:
@@ -124,9 +124,9 @@ def _extended_schur_factor(H, N):
 
 HURSTS = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
 
-# Tolerance against the dense oracle: at H = 0.99, N = 1024 dpotrf's own factor
-# is off by 1.7e-10 relative (measured against _extended_schur_factor), while
-# the Schur factor is within 1.6e-12 of it.
+# Tolerance against the dense oracle: at H = 0.99, N = 1024 the column sweep's
+# own factor is off by 1.5e-10 relative (measured against
+# _extended_schur_factor), while the Schur factor is within 1.6e-12 of it.
 DENSE_ORACLE_RTOL = 1e-9
 
 
@@ -182,7 +182,7 @@ class TestSchurFactor:
     @pytest.mark.parametrize("H", [0.1, 0.25, 5 / 12, 0.5, 0.75])
     def test_paths_match_dense_oracle(self, H, T):
         # The Hurst values of the built-in studies.  Above them the dense
-        # oracle's own path error exceeds this bound (1.3e-10 at H = 0.9).
+        # oracle's own path error exceeds this bound (1.9e-10 at H = 0.9).
         grid = make_grid(T, 1024)
         fbm._chol_cache.clear()
         x = sample_fbm(FbmConfig((H,), 1, grid, seed=11)).values[1:, 0]

@@ -1,6 +1,6 @@
-"""No study and no CLI command loads SciPy.  SciPy serves only the dense
-``fbm.cholesky`` oracle and is imported on its first call; each check runs
-in a fresh interpreter."""
+"""Nothing in the package imports SciPy: every study, CLI command and the
+dense ``fbm.cholesky`` oracle run with SciPy blocked, each check in a fresh
+interpreter."""
 
 import os
 import subprocess
@@ -79,18 +79,21 @@ def test_planar_run_without_newton_steps_needs_no_scipy(tmp_path):
     assert child.returncode == 0, child.stderr
 
 
-def test_scipy_loaded_only_by_dense_cholesky(tmp_path):
+def test_commands_and_dense_cholesky_run_without_scipy(tmp_path):
     commands = SCALAR_COMMANDS + [_planar_run(scheme) for scheme in PLANAR_SCHEMES]
-    code = (
-        "import sys\n"
+    code = BLOCKED + (
         "import numpy as np\n"
         "from roughtaylor import fbm\n"
         "from roughtaylor.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "assert 'scipy' not in sys.modules, 'a command loaded SciPy'\n"
-        "fbm.cholesky(np.eye(2))\n"
-        "assert 'scipy' in sys.modules, 'the dense Cholesky ran without SciPy'\n"
+        "assert np.array_equal(fbm.cholesky([[4.0, 2.0], [2.0, 5.0]]), [[2.0, 0.0], [1.0, 2.0]])\n"
+        "try:\n"
+        "    fbm.cholesky([[1.0, 0.0], [0.0, -1.0]])\n"
+        "except fbm.NotPositiveDefiniteError as err:\n"
+        "    assert err.index == 2, err.index\n"
+        "else:\n"
+        "    raise AssertionError('no failing pivot reported')\n"
     )
     child = _python(code, tmp_path)
     assert child.returncode == 0, child.stderr

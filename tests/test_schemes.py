@@ -638,16 +638,19 @@ class TestInvariants:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_boundedness_certificate(self, seed):
-        problem = Problem(double_well_drift(), xi=[-3.0], T=1.0)
         path = fbm_path(seed, N=64, hurst=0.75)
-        traj = run_scheme("implicit_euler", problem, path)
-        assert 2.0 * problem.drift.one_sided_lipschitz * path.grid.h <= 1.0
-        bound = boundedness_bound(problem, path)
-        assert np.max(np.abs(traj.states)) <= bound
-        b_max = max(np.linalg.norm(problem.drift(x)) for x in path.values[1:])
-        x_max = np.max(np.linalg.norm(path.values, axis=1))
-        formula = np.exp(2.0 * problem.drift.one_sided_lipschitz) * (3.0 + b_max) + x_max
-        assert bound == formula
+        # example2's drift is contractive: C_b = -70 enters the bound as 0
+        for name in ("example1", "example2"):
+            problem = example_problem(name)[0]
+            cb = problem.drift.one_sided_lipschitz
+            traj = run_scheme("implicit_euler", problem, path)
+            assert 2.0 * cb * path.grid.h <= 1.0
+            bound = boundedness_bound(problem, path)
+            assert np.max(np.abs(traj.states)) <= bound, name
+            b_max = max(np.linalg.norm(problem.drift(x)) for x in path.values[1:])
+            x_max = np.max(np.linalg.norm(path.values, axis=1))
+            xi_norm = np.linalg.norm(problem.xi)
+            assert bound == np.exp(2.0 * max(cb, 0.0)) * (xi_norm + b_max) + x_max, name
 
     def test_boundedness_bound_checks_driver(self):
         path = fbm_path(0)  # on [0, 1]
@@ -655,6 +658,8 @@ class TestInvariants:
             boundedness_bound(Problem(linear_drift(1.0), xi=[1.0], T=2.0), path)
         with pytest.raises(ValueError, match="components"):
             boundedness_bound(Problem(linear_drift(1.0), xi=[1.0], T=1.0), fbm_path(0, m=2))
+        with pytest.raises(ValueError, match=r"needs 2\*C_b\*h <= 1, got 1.25$"):
+            boundedness_bound(Problem(linear_drift(40.0), xi=[1.0], T=1.0), path)  # h = 1/64
 
     def test_gate_on_all_implicit_schemes(self):
         problem = example3_problem()

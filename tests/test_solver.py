@@ -378,8 +378,9 @@ def linear_systems(draw):
 
 class TestNumpyGesv:
     """The d > 1 Newton system is solved by the dgesv NumPy ships, called
-    through its gufunc: it must give SciPy's dgesv bytes and fail where that
-    one reports info != 0, without a warning and under any errstate."""
+    through its gufunc: it must give SciPy's dgesv bytes, NaN where that one
+    gives NaN (of either sign), and fail where that one reports info != 0,
+    without a warning and under any errstate."""
 
     @settings(max_examples=500, deadline=None)
     @given(system=linear_systems())
@@ -390,6 +391,10 @@ class TestNumpyGesv:
     @example(system=(np.array([[np.nan, 1.0], [1.0, 1.0]]), np.ones(2)))
     @example(system=(np.array([[np.inf, 1.0], [1.0, np.inf]]), np.ones(2)))
     @example(system=(np.eye(3), np.array([np.inf, -np.inf, np.nan])))
+    # a NaN pivot is no exact zero, so both solve; their all-NaN solutions
+    # differ in the sign bits
+    @example(system=(np.array([[0.0] * 5, [0.5, 2.0, 1.0, -np.inf, 0.0], [-1.0, 1.0, 2.0, -np.inf, 2.0],
+                               [0.5, 0.5, 0.0, 0.5, 0.0], [1.0, np.nan, -1.0, 2.0, np.inf]]), np.zeros(5)))
     def test_equals_scipy_dgesv(self, system):
         A, F = system
         want, info = dgesv(A, F)[2:]
@@ -399,7 +404,9 @@ class TestNumpyGesv:
         assert (got is None) == (info != 0)
         if got is not None:
             assert got.dtype == np.float64 and got.shape == F.shape
-            assert got.tobytes() == want.tobytes()
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_systems_equal_scipy_dgesv(self, d):
