@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .fbm import DENSE_GRID_LIMIT, FbmConfig, dump_path_csv, sample_fbm
+from .fbm import FbmConfig, dump_path_csv, sample_fbm
 from .grids import make_grid
 from .schemes import dump_trajectory_csv
 from .solver import StepSizeError
@@ -57,7 +57,6 @@ def _cmd_run(args) -> int:
         ref_exponent=args.ref,
         seeds=_parse_seeds(args.seeds),
         out_dir=args.out,
-        max_dense_n=args.max_dense_n,
     )
     result = harness.run_study(config)
     print(f"# {args.problem} / {args.scheme}, {len(config.seeds)} seed(s)")
@@ -110,7 +109,7 @@ def _cmd_probe_local(args) -> int:
 def _cmd_sample_fbm(args) -> int:
     grid = make_grid(args.T, args.n)
     hurst = _parse_list(args.hurst, "--hurst", float)
-    config = FbmConfig(hurst, len(hurst), grid, args.seed, max_dense_n=args.max_dense_n)
+    config = FbmConfig(hurst, len(hurst), grid, args.seed)
     path = sample_fbm(config)
     dump_path_csv(path, _out_file(args.out))
     print(f"wrote {args.out}")
@@ -132,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ref", type=int, default=12, help="reference exponent")
     run.add_argument("--seeds", default="1", help="count n (0..n-1), range lo..hi, or list a,b")
     run.add_argument("--out", default=None, help="output directory for CSV files")
-    run.add_argument("--max-dense-n", type=int, default=DENSE_GRID_LIMIT)
     run.set_defaults(func=_cmd_run)
 
     stab = sub.add_parser("stability", help="stiffness demonstration")
@@ -153,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     samp.add_argument("--seed", type=int, required=True)
     samp.add_argument("--out", required=True)
     samp.add_argument("--T", type=float, default=1.0)
-    samp.add_argument("--max-dense-n", type=int, default=DENSE_GRID_LIMIT)
     samp.set_defaults(func=_cmd_sample_fbm)
     return parser
 

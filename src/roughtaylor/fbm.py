@@ -40,8 +40,9 @@ __all__ = [
 ]
 
 # The factor is kept as row bands L[a:b, :b] of _BAND rows: 4*N*(N + _BAND)
-# bytes per cached factor (68 MiB at N = 4096), built in O(N^2) time.  Grids
-# beyond this need an explicit opt-in through FbmConfig.max_dense_n.
+# bytes per cached factor (68 MiB at N = 4096), built in O(N^2) time.  The
+# paper's reference grids have at most 2^12 steps, so sample_fbm refuses any
+# larger grid rather than build a factor that grows as N^2.
 DENSE_GRID_LIMIT = 4096
 _BAND = 256
 _SUB = 32  # rows of the build's one scratch block; band edges are multiples of it
@@ -86,7 +87,6 @@ class FbmConfig:
     m: int
     grid: Grid
     seed: int
-    max_dense_n: int = DENSE_GRID_LIMIT
 
     def __post_init__(self):
         hs = self.hurst
@@ -226,33 +226,24 @@ def _cholesky_factor(H: float, grid: Grid) -> tuple[np.ndarray, ...]:
     return bands
 
 
-def sample_fbm(config: FbmConfig, seed: int | None = None) -> SamplePath:
+def sample_fbm(config: FbmConfig) -> SamplePath:
     """Draw one m-dimensional fBm path on ``config.grid``.
 
     Component i equals L_i @ V where L_i is the Cholesky factor of its
     covariance and V is standard normal from a PCG64 stream keyed by
-    (seed, i); the value at t_0 is 0.  Components are independent.  Band
-    [a, b) of the path is ``L_i[a:b, :b] @ V[:b]``.
-
-    Parameters
-    ----------
-    config : FbmConfig
-    seed : int, optional
-        Overrides ``config.seed``.
+    (config.seed, i); the value at t_0 is 0.  Components are independent.
+    Band [a, b) of the path is ``L_i[a:b, :b] @ V[:b]``.  Grids of more than
+    ``DENSE_GRID_LIMIT`` steps raise ``ValueError`` before any factor is built.
     """
     grid = config.grid
-    if grid.N > config.max_dense_n:
+    if grid.N > DENSE_GRID_LIMIT:
         raise ValueError(
-            f"grid has N={grid.N} > max_dense_n={config.max_dense_n}; the cached banded "
-            f"factor would take {4 * grid.N * (grid.N + _BAND) / 2**20:.0f} MiB, raise "
-            "FbmConfig.max_dense_n to allow it"
+            f"grid has N={grid.N} steps, above the sampler's limit of {DENSE_GRID_LIMIT}; "
+            f"its banded factor would take {4 * grid.N * (grid.N + _BAND) / 2**20:.0f} MiB"
         )
-    s = config.seed if seed is None else seed
-    if int(s) != s or s < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {s}")
     values = np.zeros((grid.N + 1, config.m))
     for comp in range(config.m):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(s), comp))))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(config.seed), comp))))
         z = rng.standard_normal(grid.N)
         for L in _cholesky_factor(config.hurst[comp], grid):
             rows, b = L.shape

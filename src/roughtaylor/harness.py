@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fbm import DENSE_GRID_LIMIT, FbmConfig, SamplePath, restrict, sample_fbm
+from .fbm import FbmConfig, SamplePath, restrict, sample_fbm
 from .fields import (
     cosine_diffusion,
     cubic_radial_drift,
@@ -154,7 +154,6 @@ class StudyConfig:
     ref_exponent: int = 12
     seeds: tuple[int, ...] = (0,)
     out_dir: str | Path | None = None
-    max_dense_n: int = DENSE_GRID_LIMIT
 
 
 @dataclass(frozen=True)
@@ -201,10 +200,10 @@ def eoc(errors, steps) -> np.ndarray:
     h = np.asarray(steps, dtype=float)
     if e.ndim != 1 or e.shape != h.shape or e.size < 2:
         raise ValueError("need matching 1-d errors and steps with at least two entries")
-    if np.any(e <= 0.0):
-        raise ValueError("errors must be positive")
-    if np.any(h <= 0.0) or np.any(np.diff(h) >= 0.0):
-        raise ValueError("steps must be positive and strictly decreasing")
+    if not np.all(np.isfinite(e) & (e > 0.0)):
+        raise ValueError("errors must be positive and finite")
+    if not (np.all(np.isfinite(h) & (h > 0.0)) and np.all(np.diff(h) < 0.0)):
+        raise ValueError("steps must be positive, finite and strictly decreasing")
     return np.diff(np.log(e)) / np.diff(np.log(h))
 
 
@@ -296,9 +295,7 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
 
     seed_tables: dict[int, ErrorTable] = {}
     for seed in config.seeds:
-        path_ref = sample_fbm(
-            FbmConfig(hurst, problem.noise_dim, ref_grid, seed, max_dense_n=config.max_dense_n)
-        )
+        path_ref = sample_fbm(FbmConfig(hurst, problem.noise_dim, ref_grid, seed))
         ref_traj, ref_flag = run_level(path_ref, "reference-")
 
         rows: list[ErrorRow] = []

@@ -2,6 +2,7 @@
 the measured quantities after its assertions (run with -v to see one
 pass/fail line per criterion, -s to see the measurements)."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_criterion_7_fbm_statistics():
         var_end = 0.0
         inc2 = np.zeros(len(pair_idx))
         for s in range(n_samples):
-            v = sample_fbm(cfg, seed=s).values[:, 0]
+            v = sample_fbm(dataclasses.replace(cfg, seed=s)).values[:, 0]
             var_end += v[-1] ** 2
             for k, (i, j) in enumerate(pair_idx):
                 inc2[k] += (v[j] - v[i]) ** 2

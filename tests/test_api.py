@@ -11,6 +11,7 @@ import pytest
 
 import roughtaylor
 from roughtaylor import fbm, fields, harness, schemes, solver
+from roughtaylor.cli import build_parser
 from roughtaylor.grids import make_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +75,16 @@ def test_removed_names_are_gone():
     assert list(inspect.signature(fields.first_order_composition).parameters) == ["S", "D"]
     assert list(inspect.signature(fields.second_order_composition).parameters) == ["S", "D", "D2"]
     assert not hasattr(harness.ErrorTable, "errors") and not hasattr(harness.ErrorTable, "steps")
+    # FbmConfig alone configures a draw, and the grid cap is fbm.DENSE_GRID_LIMIT
+    assert list(inspect.signature(fbm.sample_fbm).parameters) == ["config"]
+    assert "max_dense_n" not in inspect.signature(fbm.FbmConfig).parameters
+    assert "max_dense_n" not in inspect.signature(harness.StudyConfig).parameters
+    run = ["run", "--problem", "example1", "--scheme", "implicit_euler"]
+    sample = ["sample-fbm", "--hurst", "0.5", "--n", "8", "--seed", "0", "--out", "x.csv"]
+    for command in (run, sample):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "--max-dense-n", "8192"])
+        assert exit_info.value.code == 2
 
 
 def test_traced_benchmark_patches_resolve():

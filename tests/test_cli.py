@@ -1,6 +1,6 @@
 import pytest
 
-from roughtaylor import harness
+from roughtaylor import fbm, harness
 from roughtaylor.cli import _parse_seeds, build_parser, main
 
 
@@ -127,6 +127,22 @@ def test_run_rejects_duplicates(flag, value, message, capsys):
     )
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        ("run --problem example1 --scheme implicit_euler --steps 3 --ref 13", 8192),
+        ("sample-fbm --hurst 0.5 --n 4097 --seed 0 --out x.csv", 4097),
+    ],
+)
+def test_grid_cap_refused_before_any_factor(command, n, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    fbm._chol_cache.clear()
+    assert main(command.split()) == 2
+    assert f"grid has N={n} steps, above the sampler's limit of 4096" in capsys.readouterr().err
+    assert not fbm._chol_cache
+    assert not list(tmp_path.iterdir())
 
 
 def test_stability_command(capsys):

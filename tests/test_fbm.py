@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -447,7 +448,17 @@ class TestSampling:
 
     def test_seed_override_changes_path(self):
         cfg = FbmConfig((0.5,), 1, make_grid(1.0, 32), seed=0)
-        assert not np.array_equal(sample_fbm(cfg).values, sample_fbm(cfg, seed=1).values)
+        other = dataclasses.replace(cfg, seed=1)
+        assert not np.array_equal(sample_fbm(cfg).values, sample_fbm(other).values)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_config_rejects_bad_seed(self, seed):
+        # FbmConfig is the one place a seed is checked, replace() included
+        cfg = FbmConfig((0.5,), 1, make_grid(1.0, 8), seed=0)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            FbmConfig((0.5,), 1, make_grid(1.0, 8), seed=seed)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            dataclasses.replace(cfg, seed=seed)
 
     def test_scalar_hurst_broadcast(self):
         cfg = FbmConfig(0.5, 3, make_grid(1.0, 8), seed=0)
@@ -455,9 +466,11 @@ class TestSampling:
         assert sample_fbm(cfg).values.shape == (9, 3)
 
     def test_dense_cap(self):
-        cfg = FbmConfig((0.5,), 1, make_grid(1.0, 64), seed=0, max_dense_n=32)
-        with pytest.raises(ValueError, match="max_dense_n"):
+        cfg = FbmConfig((0.5,), 1, make_grid(1.0, 4097), seed=0)
+        fbm._chol_cache.clear()
+        with pytest.raises(ValueError, match=r"N=4097 steps, above the sampler's limit of 4096"):
             sample_fbm(cfg)
+        assert not fbm._chol_cache
 
     @pytest.mark.parametrize("H", [0.3, 0.7])
     def test_stationary_increment_variance(self, H):
@@ -468,7 +481,7 @@ class TestSampling:
         pairs = [(0, 32), (16, 48), (8, 40), (0, 64)]
         acc = np.zeros(len(pairs))
         for s in range(n):
-            v = sample_fbm(cfg, seed=s).values[:, 0]
+            v = sample_fbm(dataclasses.replace(cfg, seed=s)).values[:, 0]
             for k, (i, j) in enumerate(pairs):
                 acc[k] += (v[j] - v[i]) ** 2
         for k, (i, j) in enumerate(pairs):
@@ -478,7 +491,7 @@ class TestSampling:
     def test_components_uncorrelated(self):
         cfg = FbmConfig((0.5, 0.5), 2, make_grid(1.0, 32), seed=0)
         n = 4000
-        ends = np.array([sample_fbm(cfg, seed=s).values[-1] for s in range(n)])
+        ends = np.array([sample_fbm(dataclasses.replace(cfg, seed=s)).values[-1] for s in range(n)])
         corr = np.corrcoef(ends.T)[0, 1]
         assert abs(corr) < 0.05
 

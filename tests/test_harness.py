@@ -55,6 +55,20 @@ class TestEoc:
         with pytest.raises(ValueError):
             eoc([0.1, 0.05], [0.05, 0.1])
 
+    # NaN fails every comparison, so a NaN passes a bare "<= 0" test
+    @pytest.mark.parametrize(
+        "errors, steps, match",
+        [
+            ([np.nan, 1.0], [1.0, 0.5], "errors"),
+            ([1.0, np.inf], [1.0, 0.5], "errors"),
+            ([1.0, 0.5], [np.inf, 0.5], "steps"),
+            ([1.0, 0.5], [1.0, np.nan], "steps"),
+        ],
+    )
+    def test_rejects_nonfinite_input(self, errors, steps, match):
+        with pytest.raises(ValueError, match=match):
+            eoc(errors, steps)
+
 
 def zero_driver_states(problem, n_steps):
     """Implicit Euler states of an additive scalar problem on T = 1 with the
