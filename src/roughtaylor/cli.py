@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness
 from .fbm import FbmConfig, dump_path_csv, sample_fbm
-from .grids import make_grid
+from .grids import _write_csv, make_grid
 from .schemes import dump_trajectory_csv
 from .solver import StepSizeError
 
@@ -39,13 +39,6 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         return _parse_list(text, "--seeds")
     (count,) = _parse_list(text, "--seeds")
     return tuple(range(count))
-
-
-def _out_file(target: str) -> Path:
-    """``target`` as a Path, with its missing parent directories created."""
-    path = Path(target)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _cmd_run(args) -> int:
@@ -85,7 +78,6 @@ def _cmd_stability(args) -> int:
     )
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         dump_trajectory_csv(report.explicit, out / "stability_explicit.csv")
         dump_trajectory_csv(report.implicit, out / "stability_implicit.csv")
         print(f"wrote {out / 'stability_explicit.csv'} and {out / 'stability_implicit.csv'}")
@@ -100,8 +92,7 @@ def _cmd_probe_local(args) -> int:
         print(f"{h:<12.6g} {e:.6g}")
     print(f"log-log slope: {result.slope:.4g}")
     if args.out:
-        lines = ["h,error"] + [f"{h:.10g},{e:.10g}" for h, e in zip(result.steps, result.errors)]
-        _out_file(args.out).write_text("\n".join(lines) + "\n")
+        _write_csv(args.out, ("h", "error"), zip(result.steps, result.errors), 10)
         print(f"wrote {args.out}")
     return 0
 
@@ -111,7 +102,7 @@ def _cmd_sample_fbm(args) -> int:
     hurst = _parse_list(args.hurst, "--hurst", float)
     config = FbmConfig(hurst, len(hurst), grid, args.seed)
     path = sample_fbm(config)
-    dump_path_csv(path, _out_file(args.out))
+    dump_path_csv(path, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -39,12 +40,25 @@ def make_grid(T: float, N: int) -> Grid:
     return Grid(float(T), int(N))
 
 
+def _write_csv(target, header, rows, digits: int) -> None:
+    r"""Write a CSV table with "\n" line ends, creating the missing parent
+    directories of ``target``.  Numbers get ``digits`` significant digits,
+    None an empty cell; strings are written as they are."""
+    spec = f".{digits}g"
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return v if isinstance(v, str) else format(v, spec)
+
+    Path(target).parent.mkdir(parents=True, exist_ok=True)
+    with open(target, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 def _write_node_csv(grid: Grid, values: np.ndarray, column: str, target) -> None:
     """Write one row per node with columns t, <column>1..<column>k (17
     significant digits), k the number of columns of ``values``."""
-    header = "t," + ",".join(f"{column}{i + 1}" for i in range(values.shape[1]))
-    lines = [header]
-    for t, row in zip(grid.nodes, values):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
-    with open(target, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t", *(f"{column}{i + 1}" for i in range(values.shape[1]))]
+    _write_csv(target, header, ((t, *row) for t, row in zip(grid.nodes, values)), 17)

@@ -25,7 +25,7 @@ from .fields import (
     zero_drift,
     geometric_diffusion,
 )
-from .grids import Grid, make_grid
+from .grids import Grid, _write_csv, make_grid
 from .lift import RoughLift, chen_compose, piecewise_linear_lift
 from .schemes import (
     BlowupError,
@@ -293,9 +293,11 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
             bound_checks += 1
         return trajectory, None
 
+    # every seed is checked before the first path is sampled
+    drivers = [FbmConfig(hurst, problem.noise_dim, ref_grid, seed) for seed in config.seeds]
     seed_tables: dict[int, ErrorTable] = {}
-    for seed in config.seeds:
-        path_ref = sample_fbm(FbmConfig(hurst, problem.noise_dim, ref_grid, seed))
+    for seed, driver in zip(config.seeds, drivers):
+        path_ref = sample_fbm(driver)
         ref_traj, ref_flag = run_level(path_ref, "reference-")
 
         rows: list[ErrorRow] = []
@@ -337,37 +339,24 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
     return StudyResult(config, seed_tables, tuple(aggregate), mean_avg, bound_checks, files)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def _write_study_files(config, seed_tables, aggregate) -> tuple[Path, ...]:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"{config.problem}_{config.scheme}"
     written = []
+
+    def write(name, header, rows):
+        written.append(out / f"{stem}_{name}.csv")
+        _write_csv(written[-1], header, rows, 10)
+
     for seed, table in seed_tables.items():
-        p = out / f"{stem}_seed{seed}.csv"
-        lines = ["h,error,eoc,flag"]
-        for r in table.rows:
-            eoc_txt = _fmt(r.eoc) if r.eoc is not None else ""
-            lines.append(f"{_fmt(r.h)},{_fmt(r.error)},{eoc_txt},{r.flag or ''}")
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
-    p = out / f"{stem}_aggregate.csv"
-    lines = ["h,mean_error,mean_eoc,std_error"]
-    for r in aggregate:
-        lines.append(f"{_fmt(r.h)},{_fmt(r.mean_error)},{_fmt(r.mean_eoc)},{_fmt(r.std_error)}")
-    p.write_text("\n".join(lines) + "\n")
-    written.append(p)
+        rows = [(r.h, r.error, r.eoc, r.flag) for r in table.rows]
+        write(f"seed{seed}", ("h", "error", "eoc", "flag"), rows)
+    rows = [(r.h, r.mean_error, r.mean_eoc, r.std_error) for r in aggregate]
+    write("aggregate", ("h", "mean_error", "mean_eoc", "std_error"), rows)
     # two-column log-log companion for plotting
-    p = out / f"{stem}_loglog.csv"
-    lines = ["log2_h,log2_mean_error"]
-    for r in aggregate:
-        if math.isfinite(r.mean_error) and r.mean_error > 0.0:
-            lines.append(f"{_fmt(math.log2(r.h))},{_fmt(math.log2(r.mean_error))}")
-    p.write_text("\n".join(lines) + "\n")
-    written.append(p)
+    finite = [r for r in aggregate if math.isfinite(r.mean_error) and r.mean_error > 0.0]
+    rows = [(math.log2(r.h), math.log2(r.mean_error)) for r in finite]
+    write("loglog", ("log2_h", "log2_mean_error"), rows)
     return tuple(written)
 
 

@@ -76,6 +76,8 @@ class Problem:
         xi = np.asarray(self.xi, dtype=float).reshape(-1)
         if xi.size != self.drift.dim:
             raise ValueError(f"initial condition has dim {xi.size}, drift has {self.drift.dim}")
+        if not np.all(np.isfinite(xi)):
+            raise ValueError(f"initial condition xi must be finite, got {xi}")
         if self.diffusion is not None and self.diffusion.dim != self.drift.dim:
             raise ValueError(
                 f"diffusion state dim {self.diffusion.dim} != drift dim {self.drift.dim}"

@@ -87,25 +87,46 @@ def test_removed_names_are_gone():
         assert exit_info.value.code == 2
 
 
-def test_traced_benchmark_patches_resolve():
+def test_traced_benchmark_patches_resolve(tmp_path):
     # perfbench/spans.py wraps module attributes by name; load it from its
     # file, enter and leave its context, and check every name is restored
     spec = importlib.util.spec_from_file_location("_perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     watched = [
+        (harness, "sample_fbm"),
         (fbm, "covariance_matrix"),
         (fbm, "cholesky"),
-        (schemes, "solve_step"),
-        (harness, "run_scheme"),
+        (harness, "restrict"),
+        (harness, "piecewise_linear_lift"),
         (schemes, "first_order_composition"),
         (schemes, "second_order_composition"),
+        (harness, "boundedness_bound"),
+        (harness, "_write_study_files"),
+        (schemes, "solve_step"),
+        (harness, "run_scheme"),
     ]
     before = [getattr(module, attr) for module, attr in watched]
     with spans.instrumented(spans.SpanRecorder()) as rec:
-        assert schemes.solve_step is not before[2]
+        assert schemes.solve_step is not before[-2]
         # the order-3 step looks both compositions up through schemes
         path = harness.smooth_driver_path(make_grid(1.0, 4), 2)
         harness.run_scheme("simplified_milstein3", harness.example_problem("example3")[0], path)
+        # the study path looks the wrapped names up at call time
+        config = harness.StudyConfig(
+            "example1", "implicit_euler", step_exponents=(3, 4), ref_exponent=6, out_dir=tmp_path
+        )
+        assert harness.run_study(config).bound_checks > 0
     assert rec.counts["fields.composition_calls"] == 2 * 4
+    recorded = {span[0] for span in rec.spans}
+    for layer in (
+        "fbm.sample",
+        "fbm.restrict",
+        "lift.lift",
+        "schemes.trajectory",
+        "harness.certify",
+        "harness.csv",
+    ):
+        assert layer in recorded, layer
+    assert rec.counts["harness.csv_bytes"] > 0
     assert [getattr(module, attr) for module, attr in watched] == before

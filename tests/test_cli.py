@@ -153,6 +153,14 @@ def test_stability_command(capsys):
     assert "implicit Euler" in out
 
 
+def test_stability_out_creates_missing_directories(tmp_path, capsys):
+    out = tmp_path / "missing" / "stab"
+    assert main(["stability", "--h", "0.0625", "--out", str(out)]) == 0
+    for name in ("stability_explicit.csv", "stability_implicit.csv"):
+        assert (out / name).read_text().startswith("t,y1\n")
+    assert f"wrote {out / 'stability_explicit.csv'}" in capsys.readouterr().out
+
+
 def test_stability_rejects_bad_step(capsys):
     # 0.3 does not divide T; 0 and nan are rejected before any division
     for h in ("0.3", "0", "nan"):

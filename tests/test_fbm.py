@@ -525,8 +525,9 @@ class TestRestrict:
 def test_dump_path_csv(tmp_path):
     cfg = FbmConfig((0.5,), 1, make_grid(1.0, 4), seed=2)
     p = sample_fbm(cfg)
-    target = tmp_path / "path.csv"
+    target = tmp_path / "missing" / "dir" / "path.csv"
     dump_path_csv(p, target)
+    assert b"\r" not in target.read_bytes()
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "t,x1"
     assert len(lines) == 6

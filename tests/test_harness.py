@@ -211,6 +211,18 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=r"seeds must be distinct, got \(0, 0, 0\)"):
             run_study(cfg)
 
+    @pytest.mark.parametrize("seeds", [(0, -1), (0, 2.5)])
+    def test_rejects_bad_seed_before_sampling(self, seeds, monkeypatch):
+        def no_sampling(*_):
+            raise AssertionError("a study with a bad seed must not start")
+
+        monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+        cfg = StudyConfig(
+            "example1", "implicit_euler", step_exponents=(5, 6), ref_exponent=10, seeds=seeds
+        )
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seeds[1]}"):
+            run_study(cfg)
+
     def test_rejects_incompatible_scheme(self):
         cfg = StudyConfig("example1", "simplified_milstein", step_exponents=(4,), ref_exponent=6)
         with pytest.raises(ValueError):

@@ -681,8 +681,9 @@ def test_dump_trajectory_csv(tmp_path):
     problem = Problem(zero_drift(1), xi=[1.0], T=1.0)
     path = fbm_path(0, N=4)
     traj = run_scheme("implicit_euler", problem, path)
-    target = tmp_path / "traj.csv"
+    target = tmp_path / "missing" / "dir" / "traj.csv"
     dump_trajectory_csv(traj, target)
+    assert b"\r" not in target.read_bytes()
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "t,y1"
     assert len(lines) == 6
@@ -699,6 +700,21 @@ def test_problem_dimension_mismatch():
         Problem(double_well_drift(), xi=[1.0, 2.0], T=1.0)
     with pytest.raises(ValueError):
         Problem(cubic_radial_drift(2), xi=[1.0, 2.0], T=1.0, diffusion=geometric_diffusion())
+
+
+@pytest.mark.parametrize(
+    "drift, xi",
+    [
+        (linear_drift(-1.0), [np.nan]),
+        (linear_drift(-1.0), [np.inf]),
+        (linear_drift(-1.0), [-np.inf]),
+        (linear_drift(-1.0, dim=2), [1.0, np.nan]),
+    ],
+    ids=["nan", "inf", "-inf", "d2-nan"],
+)
+def test_problem_rejects_nonfinite_initial_condition(drift, xi):
+    with pytest.raises(ValueError, match="initial condition xi must be finite"):
+        Problem(drift, xi=xi, T=1.0)
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
