@@ -19,7 +19,6 @@ from . import harness
 from .fbm import FbmConfig, dump_path_csv, sample_fbm
 from .grids import _write_csv, make_grid
 from .schemes import dump_trajectory_csv
-from .solver import StepSizeError
 
 
 def _parse_list(text: str, flag: str, kind=int) -> tuple:
@@ -151,7 +150,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, StepSizeError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ reference the fast factor is tested against.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -102,8 +103,9 @@ class FbmConfig:
         for H in hs:
             if not 0.0 < H < 1.0:
                 raise ValueError(f"Hurst parameter must lie in (0, 1), got {H}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        seed = self.seed
+        if not (isinstance(seed, numbers.Real) and 0 <= seed < math.inf and seed % 1 == 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
 def covariance_matrix(H: float, grid: Grid) -> np.ndarray:

@@ -36,6 +36,7 @@ from .schemes import (
     explicit_euler,
     semi_implicit_taylor,
 )
+from .solver import _check_step
 
 __all__ = [
     "EXAMPLES",
@@ -209,11 +210,9 @@ def eoc(errors, steps) -> np.ndarray:
 
 def _validate_config(config: StudyConfig, problem: Problem | None) -> tuple[tuple[int, ...], int]:
     """Check a study's config; return its sorted step and reference exponents as ints."""
-    if config.problem != "custom" and config.problem not in EXAMPLES:
-        raise ValueError(f"unknown problem {config.problem!r}")
     if config.problem == "custom" and problem is None:
         raise ValueError("problem='custom' requires an explicit Problem")
-    if config.problem != "custom" and problem is not None:
+    if config.problem in EXAMPLES and problem is not None:
         raise ValueError(
             f"problem {config.problem!r} is built in; use problem='custom' to pass a Problem"
         )
@@ -273,7 +272,10 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
     else:
         problem, _, default_hurst = example_problem(config.problem)
     hurst = config.hurst if config.hurst is not None else default_hurst
-    _scheme_order(config.scheme, problem)
+    if _scheme_order(config.scheme, problem) is not None:
+        # each level's step T/2^k, as ldexp so that no exponent overflows
+        for k in (*exponents, ref_exponent):
+            _check_step(problem.drift, math.ldexp(problem.T, -k))
 
     ref_grid = make_grid(problem.T, 2**ref_exponent)
     certify = problem.additive and config.scheme == "implicit_euler"

@@ -9,6 +9,7 @@ strongly monotone with constant 1 - C_b*h, so G is invertible with
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -82,13 +83,10 @@ def _gesv():
 
 
 def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
-    # column-wise central differences, step scaled by the state magnitude
+    # column-wise central differences on fresh arrays, step scaled by the state magnitude
     eps = _FD_STEP * max(1.0, _norm(y))
-    d = y.size
-    J = np.empty((d, d))
-    for p in range(d):
-        e = np.zeros(d)
-        e[p] = eps
+    J = np.empty((y.size, y.size))
+    for p, e in enumerate(eps * np.eye(y.size)):
         J[:, p] = (b(y + e) - b(y - e)) / (2.0 * eps)
     return J
 
@@ -110,18 +108,24 @@ def _float_drift(drift: DriftField):
     return b
 
 
-def _implicit_step(drift: DriftField, h: float):
-    """The stepper of one (drift, h): checks the gate and sets up the drift's
-    evaluators once, and returns the function r -> (solution, iterations,
-    residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
-    the solution are Python floats, else shape-(d,) float arrays."""
+def _check_step(drift: DriftField, h: float) -> None:
+    """Raise StepSizeError unless 0 <= h < inf and C_b*h < 1."""
     cb = drift.one_sided_lipschitz
     if not (0.0 <= h < math.inf and cb * h < 1.0):
         raise StepSizeError(
             f"implicit step needs 0 <= h < inf and C_b*h < 1, "
             f"got C_b={cb} and h={h} (C_b*h={cb * h})"
         )
-    jacobian, d = drift.jacobian, drift.dim
+
+
+def _implicit_step(drift: DriftField, h: float):
+    """The stepper of one (drift, h): checks the gate and sets up the drift's
+    evaluators once, and returns the function r -> (solution, iterations,
+    residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
+    the solution are Python floats, else shape-(d,) float arrays."""
+    _check_step(drift, h)
+    cb, d = drift.one_sided_lipschitz, drift.dim
+    jacobian = drift.jacobian or functools.partial(_fd_jacobian, drift)
     scalar = d == 1
     if scalar:
         # scalar problems iterate on Python floats: the same IEEE operations
@@ -132,16 +136,11 @@ def _implicit_step(drift: DriftField, h: float):
         def newton_step(y, F):
             # F / (1 - h*Jb) is bitwise what dgesv returns for a 1x1 system,
             # and a zero divisor is its singular (info != 0) exit
-            if jacobian is not None:
-                buf[0] = y
-                J = np.asarray(jacobian(buf), dtype=float)
-                if J.size != 1:
-                    raise ValueError(f"drift Jacobian has shape {J.shape}, not (1, 1), for d = 1")
-                Jb = J.item()
-            else:
-                eps = _FD_STEP * max(1.0, _norm(y))
-                Jb = (b(y + eps) - b(y - eps)) / (2.0 * eps)
-            a = 1.0 - h * Jb
+            buf[0] = y
+            J = np.asarray(jacobian(buf), dtype=float)
+            if J.size != 1:
+                raise ValueError(f"drift Jacobian has shape {J.shape}, not (1, 1), for d = 1")
+            a = 1.0 - h * J.item()
             return None if a == 0.0 else F / a
 
     else:
@@ -149,14 +148,11 @@ def _implicit_step(drift: DriftField, h: float):
 
         def newton_step(y, F):
             # (I - h*Jb)^{-1} F by LAPACK dgesv, or None if I - h*Jb is singular
-            if jacobian is not None:
-                Jb = np.asarray(jacobian(y), dtype=float)
-                if Jb.shape != (d, d):
-                    raise ValueError(
-                        f"drift Jacobian has shape {Jb.shape}, not {(d, d)}, for d = {d}"
-                    )
-            else:
-                Jb = _fd_jacobian(b, y)
+            Jb = np.asarray(jacobian(y), dtype=float)
+            if Jb.shape != (d, d):
+                raise ValueError(
+                    f"drift Jacobian has shape {Jb.shape}, not {(d, d)}, for d = {d}"
+                )
             return gesv(eye - h * Jb, F)
 
     m = min(1.0, 1.0 - cb * h)  # strong monotonicity constant, capped at 1
@@ -172,7 +168,7 @@ def _implicit_step(drift: DriftField, h: float):
         return F, norm
 
     def solve(r):
-        y = r if scalar else r.copy()
+        y = r
         floor = _ROUNDING * _norm(r)
         tol = floor if floor > DEFAULT_TOL else DEFAULT_TOL
         iters = 0  # the residual of the initial guess is iteration 0
@@ -255,7 +251,7 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
         infinite residual.
     """
     solve = _implicit_step(drift, h)
-    r = np.asarray(r, dtype=float).reshape(drift.dim)
+    r = np.array(r, dtype=float).reshape(drift.dim)
     if drift.dim > 1:
         return SolveReport(*solve(r))
     y, *report = solve(r.item())

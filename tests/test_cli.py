@@ -129,6 +129,19 @@ def test_run_rejects_duplicates(flag, value, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_run_refuses_ill_posed_step_before_any_draw(tmp_path, monkeypatch, capsys):
+    # h = 1 on example1 (C_b = 1) fails the implicit gate: exit 2, no file written
+    def no_sampling(*_):
+        raise AssertionError("an ill-posed study must not sample a path")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+    command = "run --problem example1 --scheme implicit_euler --steps 0..2 --ref 5 --out gate"
+    assert main(command.split()) == 2
+    assert "C_b*h < 1, got C_b=1.0 and h=1.0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, n",
     [

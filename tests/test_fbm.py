@@ -451,7 +451,7 @@ class TestSampling:
         other = dataclasses.replace(cfg, seed=1)
         assert not np.array_equal(sample_fbm(cfg).values, sample_fbm(other).values)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, float("inf"), float("nan"), None])
     def test_config_rejects_bad_seed(self, seed):
         # FbmConfig is the one place a seed is checked, replace() included
         cfg = FbmConfig((0.5,), 1, make_grid(1.0, 8), seed=0)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from roughtaylor import harness
-from roughtaylor.fbm import SamplePath
+from roughtaylor.fbm import FbmConfig, SamplePath, restrict, sample_fbm
 from roughtaylor.fields import (
+    DriftField,
     constant_diffusion,
     cosine_diffusion,
     cubic_radial_drift,
@@ -28,6 +29,7 @@ from roughtaylor.harness import (
 from roughtaylor.grids import make_grid
 from roughtaylor.lift import piecewise_linear_lift
 from roughtaylor.schemes import Problem, semi_implicit_taylor
+from roughtaylor.solver import StepSizeError
 
 
 class TestEoc:
@@ -85,6 +87,16 @@ BAD_STEPS = {
     (5.5,): r"step exponents must be non-negative integers, got \(5\.5,\)",
     (float("inf"),): r"step exponents must be non-negative integers, got \(inf,\)",
 }
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test if a study samples a driver path."""
+
+    def sample(*_):
+        raise AssertionError("a study with a bad config must not sample a path")
+
+    monkeypatch.setattr(harness, "sample_fbm", sample)
 
 
 class TestRunStudy:
@@ -146,11 +158,7 @@ class TestRunStudy:
             run_study(cfg)
 
     @pytest.mark.parametrize("steps", list(BAD_STEPS))
-    def test_rejects_duplicate_step_exponents(self, steps, monkeypatch):
-        def no_sampling(*_):
-            raise AssertionError("a study with bad step exponents must not start")
-
-        monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+    def test_rejects_duplicate_step_exponents(self, steps, no_sampling):
         cfg = StudyConfig("example1", "implicit_euler", step_exponents=steps, ref_exponent=8)
         with pytest.raises(ValueError, match=BAD_STEPS[steps]):
             run_study(cfg)
@@ -163,11 +171,7 @@ class TestRunStudy:
             (float("nan"), "reference exponent must be an integer, got nan"),
         ],
     )
-    def test_rejects_non_integral_reference_exponent(self, ref, message, monkeypatch):
-        def no_sampling(*_):
-            raise AssertionError("a study with a bad reference exponent must not start")
-
-        monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+    def test_rejects_non_integral_reference_exponent(self, ref, message, no_sampling):
         cfg = StudyConfig("example1", "implicit_euler", step_exponents=(4, 5), ref_exponent=ref)
         with pytest.raises(ValueError, match=message):
             run_study(cfg)
@@ -200,23 +204,17 @@ class TestRunStudy:
         assert custom.seed_tables == builtin.seed_tables
         assert all(r.flag is None for t in custom.seed_tables.values() for r in t.rows)
 
-    def test_rejects_duplicate_seeds(self, monkeypatch):
-        def no_sampling(*_):
-            raise AssertionError("a study with duplicate seeds must not start")
-
-        monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+    def test_rejects_duplicate_seeds(self, no_sampling):
         cfg = StudyConfig(
             "example1", "implicit_euler", step_exponents=(4, 5), ref_exponent=7, seeds=(0, 0, 0)
         )
         with pytest.raises(ValueError, match=r"seeds must be distinct, got \(0, 0, 0\)"):
             run_study(cfg)
 
-    @pytest.mark.parametrize("seeds", [(0, -1), (0, 2.5)])
-    def test_rejects_bad_seed_before_sampling(self, seeds, monkeypatch):
-        def no_sampling(*_):
-            raise AssertionError("a study with a bad seed must not start")
-
-        monkeypatch.setattr(harness, "sample_fbm", no_sampling)
+    @pytest.mark.parametrize(
+        "seeds", [(0, -1), (0, 2.5), (0, float("inf")), (0, float("nan")), (0, None)]
+    )
+    def test_rejects_bad_seed_before_sampling(self, seeds, no_sampling):
         cfg = StudyConfig(
             "example1", "implicit_euler", step_exponents=(5, 6), ref_exponent=10, seeds=seeds
         )
@@ -235,6 +233,96 @@ class TestRunStudy:
         cfg = StudyConfig("example1", "implicit_eular", step_exponents=(4,), ref_exponent=6)
         with pytest.raises(ValueError, match="unknown scheme 'implicit_eular'; choose from"):
             run_study(cfg)
+
+    @pytest.mark.parametrize("custom", [None, Problem(linear_drift(-1.0), xi=[1.0], T=1.0)])
+    def test_rejects_unknown_problem_before_sampling(self, custom, no_sampling):
+        # example_problem's message, with or without a Problem passed
+        cfg = StudyConfig("example9", "implicit_euler", step_exponents=(4,), ref_exponent=6)
+        message = r"unknown problem 'example9'; choose from \[.*\] or 'custom'"
+        with pytest.raises(ValueError, match=message):
+            run_study(cfg, problem=custom)
+
+    @pytest.mark.parametrize(
+        "name, custom, message",
+        [
+            ("example1", None, r"C_b=1\.0 and h=1\.0 \(C_b\*h=1\.0\)"),
+            (
+                "custom",
+                Problem(linear_drift(3.0), xi=[1.0], T=1.0),
+                r"C_b=3\.0 and h=1\.0 \(C_b\*h=3\.0\)",
+            ),
+            (
+                "custom",
+                Problem(cubic_radial_drift(2), xi=[1.0, 1.0], T=2.0, diffusion=cosine_diffusion()),
+                r"C_b=1\.0 and h=2\.0 \(C_b\*h=2\.0\)",
+            ),
+        ],
+        ids=["example1", "custom-additive", "custom-multiplicative"],
+    )
+    def test_rejects_ill_posed_step_before_sampling(self, name, custom, message, no_sampling):
+        # the stepper's gate C_b*h < 1, checked at every level before the first draw
+        scheme = "implicit_euler" if custom is None or custom.additive else "simplified_milstein"
+        cfg = StudyConfig(name, scheme, step_exponents=(0, 1), ref_exponent=4, seeds=(0, 1))
+        gate = r"needs 0 <= h < inf and C_b\*h < 1, got "
+        with pytest.raises(StepSizeError, match=gate + message):
+            run_study(cfg, problem=custom)
+
+    def test_forward_euler_has_no_step_gate(self):
+        cfg = StudyConfig("example1", "explicit_euler", step_exponents=(0, 1), ref_exponent=4)
+        (table,) = run_study(cfg).seed_tables.values()
+        assert all(row.flag is None for row in table.rows)
+
+    def test_failed_solves_become_flagged_rows(self, tmp_path):
+        # b(y) = -50 y, with no Jacobian, is NaN beyond |y| = 0.35: a step
+        # fails at its initial guess y_j + dx_j once that passes the cliff
+        cliff = 0.35
+        drift = DriftField(1, lambda y: np.where(np.abs(y) <= cliff, -50.0 * y, np.nan), -50.0)
+        problem = Problem(drift, xi=[0.0], T=1.0)
+        cfg = StudyConfig(
+            "custom",
+            "implicit_euler",
+            hurst=(0.5,),
+            step_exponents=(2, 4, 6),
+            ref_exponent=8,
+            seeds=(0, 1),
+            out_dir=tmp_path,
+        )
+        result = run_study(cfg, problem=problem)
+
+        def first_failure(seed, k):
+            # implicit Euler of the linear drift in closed form, y_{j+1} = r_j / (1 + 50h)
+            fine = sample_fbm(FbmConfig((0.5,), 1, make_grid(1.0, 2**8), seed))
+            path = restrict(fine, 2 ** (8 - k))
+            y = 0.0
+            for j, dx in enumerate(np.diff(path.values[:, 0])):
+                if abs(y + dx) > cliff:
+                    return j
+                y = (y + dx) / (1.0 + 50.0 * 2.0**-k)
+            return None
+
+        # seed 0 fails on the reference grid, seed 1 on the two coarsest grids
+        expected = {
+            0: ["reference-solver:step=48"] * 3,
+            1: ["solver:step=3", "solver:step=14", None],
+        }
+        assert first_failure(0, 8) == 48 and first_failure(1, 8) is None
+        assert [first_failure(1, k) for k in (2, 4, 6)] == [3, 14, None]
+        for seed, flags in expected.items():
+            rows = result.seed_tables[seed].rows
+            assert [row.flag for row in rows] == flags
+            assert [np.isnan(row.error) for row in rows] == [f is not None for f in flags]
+            lines = (tmp_path / f"custom_implicit_euler_seed{seed}.csv").read_text().splitlines()
+            assert [line.split(",")[3] or None for line in lines[1:]] == flags
+        assert [row.flagged for row in result.aggregate] == [2, 2, 1]
+
+    def test_violated_boundedness_certificate_raises(self):
+        # b(y) = 5y declares C_b = 0, so the bound is certified, and the
+        # trajectory grows like exp(5t) past it
+        drift = DriftField(1, lambda y: 5.0 * y, 0.0)
+        problem = Problem(drift, xi=[1.0], T=1.0)
+        cfg = StudyConfig("custom", "implicit_euler", step_exponents=(4, 5), ref_exponent=7)
+        with pytest.raises(RuntimeError, match="boundedness certificate violated"):
+            run_study(cfg, problem=problem)
 
     def test_overflow_becomes_flagged_row(self):
         cfg = StudyConfig(

@@ -462,6 +462,27 @@ class TestSolveStep:
         rep = solve_step(drift, 2**-6, np.array([2.0]))
         assert rep.residual <= 1e-12
 
+    @pytest.mark.parametrize("y", [0.0, -0.0, 1e-300, 0.3, -2.0, 1e8, -7.5e150])
+    def test_fd_jacobian_is_the_float_difference_in_one_dimension(self, y):
+        # the one difference rule, on a shape-(1,) array, is bitwise the
+        # central difference of the drift as a map of floats
+        drift = sqrt_kink_drift()
+
+        def b(x):
+            return drift.func(np.array([x]))[0]
+
+        eps = 1e-7 * max(1.0, abs(y))
+        J = solver._fd_jacobian(drift, np.array([y]))
+        assert J.shape == (1, 1)
+        assert float_bits(J[0, 0]) == float_bits((b(y + eps) - b(y - eps)) / (2.0 * eps))
+
+    def test_solution_does_not_alias_r(self):
+        # a stepper may return r itself, so solve_step passes it a copy of the caller's array
+        for r in (np.array([3.0]), np.array([3.0, -1.0])):
+            rep = solve_step(zero_drift(r.size), 0.25, r)
+            rep.solution[0] = 7.0
+            assert r[0] == 3.0
+
     def test_multidimensional(self):
         drift = cubic_radial_drift(2)
         rep = solve_step(drift, 2**-5, np.array([10.0, -10.0]))
