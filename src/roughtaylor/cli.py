@@ -6,7 +6,8 @@ Subcommands:
   probe-local one-step order probe on the smooth deterministic driver
   sample-fbm  dump one seeded fBm path as CSV
 
-Exit code 0 on success, 2 with a diagnostic on precondition violations.
+Exit code 0 on success, 2 with a diagnostic on precondition violations,
+among them an output path no file can be written to.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import harness
 from .fbm import FbmConfig, dump_path_csv, sample_fbm
-from .grids import _write_csv, make_grid
+from .grids import _check_target, _write_csv, make_grid
 from .schemes import dump_trajectory_csv
 
 
@@ -62,6 +63,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    if args.out:
+        _check_target(args.out, directory=True)
     report = harness.stability_demo(args.h, seed=args.seed, zero_noise=args.zero_noise)
     verdict = "UNSTABLE" if report.explicit_unstable else "stable"
     print(f"h = {report.h:g}: forward drift map |1 - 70h| = {abs(1 - 70 * args.h):g} -> {verdict}")
@@ -84,6 +87,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_probe_local(args) -> int:
+    if args.out:
+        _check_target(args.out)
     problem = harness.probe_default_problem()
     result = harness.local_error_probe(problem, args.scheme)
     print("h            one_step_error")
@@ -100,6 +105,7 @@ def _cmd_sample_fbm(args) -> int:
     grid = make_grid(args.T, args.n)
     hurst = _parse_list(args.hurst, "--hurst", float)
     config = FbmConfig(hurst, len(hurst), grid, args.seed)
+    _check_target(args.out)
     path = sample_fbm(config)
     dump_path_csv(path, args.out)
     print(f"wrote {args.out}")
@@ -152,6 +158,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
 
 

@@ -45,6 +45,7 @@ __all__ = [
 # paper's reference grids have at most 2^12 steps, so sample_fbm refuses any
 # larger grid rather than build a factor that grows as N^2.
 DENSE_GRID_LIMIT = 4096
+_LOG2_LIMIT = math.log2(DENSE_GRID_LIMIT)
 _BAND = 256
 _SUB = 32  # rows of the build's one scratch block; band edges are multiples of it
 
@@ -228,6 +229,27 @@ def _cholesky_factor(H: float, grid: Grid) -> tuple[np.ndarray, ...]:
     return bands
 
 
+def _check_grid_size(log2_n: float) -> None:
+    """Raise ValueError if a grid of 2**log2_n steps is above DENSE_GRID_LIMIT.
+
+    The size comes as its base-2 logarithm, so that a study checks its
+    reference grid of 2**k steps before it builds 2**k, and the message is
+    built from floats.  Up to 2**40 steps, where 2**log2_n rounds back to N,
+    it gives N in full; above, N and the factor's size as powers of two, so
+    no size overflows it."""
+    if not log2_n > _LOG2_LIMIT:
+        return
+    if log2_n <= 40.0:
+        n = round(2.0**log2_n)
+        size = f"N={n} steps", f"{4.0 * n * (n + _BAND) / 2**20:.0f} MiB"
+    else:
+        size = f"N=2^{log2_n:.10g} steps", f"2^{2.0 * log2_n - 18.0:.10g} MiB"
+    raise ValueError(
+        f"grid has {size[0]}, above the sampler's limit of {DENSE_GRID_LIMIT}; "
+        f"its banded factor would take {size[1]}"
+    )
+
+
 def sample_fbm(config: FbmConfig) -> SamplePath:
     """Draw one m-dimensional fBm path on ``config.grid``.
 
@@ -238,11 +260,7 @@ def sample_fbm(config: FbmConfig) -> SamplePath:
     ``DENSE_GRID_LIMIT`` steps raise ``ValueError`` before any factor is built.
     """
     grid = config.grid
-    if grid.N > DENSE_GRID_LIMIT:
-        raise ValueError(
-            f"grid has N={grid.N} steps, above the sampler's limit of {DENSE_GRID_LIMIT}; "
-            f"its banded factor would take {4 * grid.N * (grid.N + _BAND) / 2**20:.0f} MiB"
-        )
+    _check_grid_size(math.log2(grid.N))
     values = np.zeros((grid.N + 1, config.m))
     for comp in range(config.m):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(config.seed), comp))))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +40,26 @@ def make_grid(T: float, N: int) -> Grid:
     if int(N) != N or N < 1:
         raise ValueError(f"number of steps must be a positive integer, got N={N}")
     return Grid(float(T), int(N))
+
+
+def _check_target(target, directory: bool = False) -> None:
+    """Raise the OSError, naming the path, that writing the file ``target``
+    (or, with ``directory``, files into the directory ``target``) would
+    meet: something of the other kind at ``target``, a nearest existing
+    ancestor that is not a directory, or one that is not writable.  Creates
+    nothing, so a command can check its output before any work."""
+    path = Path(target)
+    if path.exists():
+        if path.is_dir() != directory:
+            code = errno.ENOTDIR if directory else errno.EISDIR
+            raise OSError(code, os.strerror(code), str(path))
+        writable = path
+    else:
+        writable = next(p for p in path.parents if p.exists())
+        if not writable.is_dir():
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(writable))
+    if not os.access(writable, os.W_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(writable))
 
 
 def _write_csv(target, header, rows, digits: int) -> None:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fbm import FbmConfig, SamplePath, restrict, sample_fbm
+from .fbm import FbmConfig, SamplePath, _check_grid_size, restrict, sample_fbm
 from .fields import (
     cosine_diffusion,
     cubic_radial_drift,
@@ -25,7 +25,7 @@ from .fields import (
     zero_drift,
     geometric_diffusion,
 )
-from .grids import Grid, _write_csv, make_grid
+from .grids import Grid, _check_target, _write_csv, make_grid
 from .lift import RoughLift, chen_compose, piecewise_linear_lift
 from .schemes import (
     BlowupError,
@@ -277,6 +277,7 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
         for k in (*exponents, ref_exponent):
             _check_step(problem.drift, math.ldexp(problem.T, -k))
 
+    _check_grid_size(ref_exponent)  # before 2**ref_exponent is built
     ref_grid = make_grid(problem.T, 2**ref_exponent)
     certify = problem.additive and config.scheme == "implicit_euler"
     bound_checks = 0
@@ -295,8 +296,10 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
             bound_checks += 1
         return trajectory, None
 
-    # every seed is checked before the first path is sampled
+    # every seed, and the output directory, is checked before the first path is sampled
     drivers = [FbmConfig(hurst, problem.noise_dim, ref_grid, seed) for seed in config.seeds]
+    if config.out_dir is not None:
+        _check_target(config.out_dir, directory=True)
     seed_tables: dict[int, ErrorTable] = {}
     for seed, driver in zip(config.seeds, drivers):
         path_ref = sample_fbm(driver)
@@ -419,6 +422,8 @@ def stability_demo(
     if not 0.0 < h < math.inf:
         raise ValueError(f"step size must be positive and finite, got h={h}")
     problem, m, hurst = example_problem("example2")
+    if not zero_noise:
+        _check_grid_size(math.log2(problem.T / h))  # before round(T/h) is built
     N = round(problem.T / h)
     if N < 1 or abs(N * h - problem.T) > 1e-9:
         raise ValueError(f"step size {h} does not divide the horizon T={problem.T}")

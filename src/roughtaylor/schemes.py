@@ -173,7 +173,14 @@ def semi_implicit_taylor(problem: Problem, lift: RoughLift, order: int) -> Traje
     y_{j+1} = y_j + h*b(y_{j+1}) + sum_{k <= order} C_k(y_j) : X^k_{j,j+1},
     with C_1 = sigma and C_2, C_3 its first- and second-order compositions
     contracted against the level-k tensors X^k of the lift.  For additive
-    problems sigma is the identity and every order is drift-implicit Euler."""
+    problems sigma is the identity and every order is drift-implicit Euler.
+
+    One stepper solves every step.  Step j + 1 starts its Newton iteration at
+    the Newton point from y_j, built from the last Newton matrix of step j,
+    not at its right-hand side (see ``solver._implicit_step``).  So every
+    state solves its step to the solver's tolerance, and it can differ from
+    a solve started at the right-hand side by as much as that tolerance
+    allows."""
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
     if order == 3 and not lift.has_level3:

@@ -120,9 +120,22 @@ def _check_step(drift: DriftField, h: float) -> None:
 
 def _implicit_step(drift: DriftField, h: float):
     """The stepper of one (drift, h): checks the gate and sets up the drift's
-    evaluators once, and returns the function r -> (solution, iterations,
-    residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
-    the solution are Python floats, else shape-(d,) float arrays."""
+    evaluators once, and returns the function (r, start=None) -> (solution,
+    iterations, residual, method_used) of ``solve_step``'s iteration.  For
+    d = 1, r, start and the solution are Python floats, else shape-(d,)
+    float arrays.
+
+    The stepper remembers its last solve: the right-hand side r_{j-1}, the
+    solution y_j, its accepted residual F_j and the last Newton matrix
+    A = I - h*Jb it formed.  The next solve starts at the Newton point from
+    y_j, g = y_j + A^{-1}(r_j - r_{j-1} - F_j): one division by A for d = 1,
+    one dgesv for d > 1, no drift or Jacobian call, and for a linear drift
+    the root to rounding.  It starts at r_j instead on its first solve,
+    while it has formed no Newton matrix (so a zero drift always starts at
+    r_j) and where A is singular.  A given ``start`` replaces g.  Where the
+    residual at the start is not finite, the solve starts again from r_j,
+    so a start where the drift is not finite costs one drift call and is
+    not itself a failure."""
     _check_step(drift, h)
     cb, d = drift.one_sided_lipschitz, drift.dim
     jacobian = drift.jacobian or functools.partial(_fd_jacobian, drift)
@@ -133,29 +146,44 @@ def _implicit_step(drift: DriftField, h: float):
         h = float(h)
         b, buf = _float_drift(drift), np.empty(1)
 
-        def newton_step(y, F):
-            # F / (1 - h*Jb) is bitwise what dgesv returns for a 1x1 system,
-            # and a zero divisor is its singular (info != 0) exit
+        def newton_matrix(y):
             buf[0] = y
             J = np.asarray(jacobian(buf), dtype=float)
             if J.size != 1:
                 raise ValueError(f"drift Jacobian has shape {J.shape}, not (1, 1), for d = 1")
-            a = 1.0 - h * J.item()
+            return 1.0 - h * J.item()
+
+        def linear_solve(a, F):
+            # F / a is bitwise what dgesv returns for a 1x1 system,
+            # and a zero divisor is its singular (info != 0) exit
             return None if a == 0.0 else F / a
 
     else:
-        b, eye, gesv = drift, np.eye(d), _gesv()
+        # A^{-1} F by LAPACK dgesv, or None if A is singular
+        b, eye, linear_solve = drift, np.eye(d), _gesv()
 
-        def newton_step(y, F):
-            # (I - h*Jb)^{-1} F by LAPACK dgesv, or None if I - h*Jb is singular
+        def newton_matrix(y):
             Jb = np.asarray(jacobian(y), dtype=float)
             if Jb.shape != (d, d):
                 raise ValueError(
                     f"drift Jacobian has shape {Jb.shape}, not {(d, d)}, for d = {d}"
                 )
-            return gesv(eye - h * Jb, F)
+            return eye - h * Jb
 
     m = min(1.0, 1.0 - cb * h)  # strong monotonicity constant, capped at 1
+    A = last = None  # the last Newton matrix formed; (r, y, F) of the last solve
+
+    def newton_step(y, F):
+        nonlocal A
+        A = newton_matrix(y)
+        return linear_solve(A, F)
+
+    def guess(r):
+        if last is None or A is None:
+            return r
+        r_last, y_last, F_last = last
+        step = linear_solve(A, (r - r_last) - F_last)
+        return r if step is None else y_last + step
 
     def residual(y, r, iters, res):
         # F = y - h*b(y) - r and |F| as residual `iters`; a spent budget reports `res`
@@ -167,12 +195,17 @@ def _implicit_step(drift: DriftField, h: float):
             raise ConvergenceError("implicit step residual is not finite", norm, iters)
         return F, norm
 
-    def solve(r):
-        y = r
+    def solve(r, start=None):
+        nonlocal last
+        y = guess(r) if start is None else start
+        F = y - h * b(y) - r
+        res = _norm(F)
+        if not math.isfinite(res):  # start again from r, or raise there
+            y = r
+            F, res = residual(y, r, 0, None)
         floor = _ROUNDING * _norm(r)
         tol = floor if floor > DEFAULT_TOL else DEFAULT_TOL
-        iters = 0  # the residual of the initial guess is iteration 0
-        F, res = residual(y, r, iters, None)
+        iters = 0  # the residual of the start is iteration 0
         lo = hi = None  # d = 1: the bracket, built at the first rejected step
         method = "newton"
         while res > tol:
@@ -206,6 +239,7 @@ def _implicit_step(drift: DriftField, h: float):
             iters += 1
             F, res = residual(y, r, iters, res)
             method = "safeguarded"
+        last = r, y, F
         return y, iters, res, method
 
     return solve
@@ -240,7 +274,9 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     division dgesv performs on a 1x1 system, so the report is bitwise the
     array arithmetic's.  The solution is a shape-(d,) array in either case.
 
-    It is one step of the stepper a trajectory builds once per (drift, h).
+    It is the first solve of a fresh stepper of the kind a trajectory
+    builds once per (drift, h), so it starts at r, where a trajectory's
+    later steps start at the Newton point from the last solution.
 
     Raises
     ------

@@ -1,7 +1,20 @@
 import pytest
 
-from roughtaylor import fbm, harness
+from roughtaylor import cli, fbm, harness
 from roughtaylor.cli import _parse_seeds, build_parser, main
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test if a command samples a driver path; returns the
+    failing stand-in, for other work a refused command must not start."""
+
+    def sample(*_):
+        raise AssertionError("a refused command must not start its work")
+
+    monkeypatch.setattr(harness, "sample_fbm", sample)
+    monkeypatch.setattr(cli, "sample_fbm", sample)
+    return sample
 
 
 def test_sample_fbm_writes_csv(tmp_path, capsys):
@@ -156,6 +169,49 @@ def test_grid_cap_refused_before_any_factor(command, n, tmp_path, monkeypatch, c
     assert f"grid has N={n} steps, above the sampler's limit of 4096" in capsys.readouterr().err
     assert not fbm._chol_cache
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, size",
+    [
+        ("run --problem example1 --scheme implicit_euler --steps 5 --ref 1030", "N=2^1030 steps"),
+        ("run --problem example1 --scheme implicit_euler --steps 5 --ref 100000", "N=2^100000 steps"),
+        ("run --problem example1 --scheme implicit_euler --steps 5 --ref 1000000000", "N=2^1000000000"),
+        ("stability --h 1e-300", "N=2^996.5784285 steps"),
+    ],
+)
+def test_huge_grid_refused_by_size_alone(command, size, tmp_path, monkeypatch, capsys, no_sampling):
+    # the cap is compared by log2 of the grid size, so neither 2^ref nor round(T/h) is built
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert f"grid has {size}" in err and "above the sampler's limit of 4096" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("run --problem example1 --scheme implicit_euler --steps 4 --ref 6 --out /dev/null/x",
+         "cannot write /dev/null: Not a directory"),
+        ("run --problem example1 --scheme implicit_euler --steps 4 --ref 6 --out file",
+         "cannot write file: Not a directory"),
+        ("stability --h 0.0625 --out file/stab", "cannot write file: Not a directory"),
+        ("probe-local --scheme euler --out folder", "cannot write folder: Is a directory"),
+        ("sample-fbm --hurst 0.5 --n 16 --seed 0 --out folder", "cannot write folder: Is a directory"),
+    ],
+)
+def test_impossible_output_refused_before_any_work(
+    command, message, tmp_path, monkeypatch, capsys, no_sampling
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "folder").mkdir()
+    monkeypatch.setattr(harness, "local_error_probe", no_sampling)
+    assert main(command.split()) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "folder"]
+    assert (tmp_path / "file").read_text() == "" and not list((tmp_path / "folder").iterdir())
 
 
 def test_stability_command(capsys):

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
@@ -21,9 +23,12 @@ from roughtaylor.grids import make_grid
 from roughtaylor.harness import (
     ADDITIVE_SCHEMES,
     MULTIPLICATIVE_SCHEMES,
+    StudyConfig,
     example_problem,
     run_scheme,
+    run_study,
 )
+from roughtaylor import schemes
 from roughtaylor.lift import RoughLift, piecewise_linear_lift
 from roughtaylor.schemes import (
     BLOWUP_NORM,
@@ -36,15 +41,29 @@ from roughtaylor.schemes import (
     _guard,
     semi_implicit_taylor,
 )
-from roughtaylor.solver import ConvergenceError, StepSizeError, solve_step
-from test_solver import half_line_sqrt_drift, sqrt_kink_drift
+from roughtaylor.solver import (
+    ConvergenceError,
+    SolveReport,
+    StepSizeError,
+    _implicit_step,
+    solve_step,
+)
+from test_solver import (
+    documented_start_solver,
+    effective_tol,
+    half_line_sqrt_drift,
+    root_gap_bound,
+    sqrt_kink_drift,
+)
 
 
 def simplified_taylor(problem, path, order):
     """Reference oracle for the "simplified" schemes: the semi-implicit
     Taylor recursion with the level-2/3 tensors replaced by the increment
-    products v⊗v/2 and v⊗v⊗v/6, in its own loop.  Returns the states."""
+    products v⊗v/2 and v⊗v⊗v/6, in its own loop, each step solved from the
+    documented start.  Returns the states."""
     sig = problem.diffusion
+    solve = documented_start_solver(problem.drift, path.grid.h)
     dx = np.diff(path.values, axis=0)
     y = problem.xi.copy()
     states = [y]
@@ -56,16 +75,19 @@ def simplified_taylor(problem, path, order):
         if order >= 3:
             F = second_order_composition(sig.func(y), sig.dfunc(y), sig.d2func(y))
             term = term + np.einsum("ijka,i,j,k->a", F, v, v, v) / 6.0
-        y = solve_step(problem.drift, path.grid.h, y + term).solution
+        y = solve(y + term)
         states.append(y)
     return np.array(states)
 
 
-def array_trajectory(problem, path):
+def array_trajectory(problem, path, solve=None):
     """Reference oracle for the additive trajectory loop: the loop as it ran
     on 1-element arrays, with a preallocated state array written per step
-    and the np.linalg.norm blow-up guard.  Returns the states."""
+    and the np.linalg.norm blow-up guard, each step solved by ``solve``
+    (r -> root), by default from the documented start.  Returns the
+    states."""
     grid = path.grid
+    solve = solve or documented_start_solver(problem.drift, grid.h)
     dx = piecewise_linear_lift(path).increments
     states = np.empty((grid.N + 1, problem.dim))
     states[0] = problem.xi
@@ -73,7 +95,7 @@ def array_trajectory(problem, path):
     for j in range(grid.N):
         r = y + dx[j]
         try:
-            y = solve_step(problem.drift, grid.h, r).solution
+            y = solve(r)
         except ConvergenceError as err:
             raise SchemeStepError(j, err) from err
         n = np.linalg.norm(y)
@@ -398,9 +420,18 @@ STEPPER_DRIFTS = {
 }
 
 
+def start_from_r_trajectory(problem, path):
+    """The additive trajectory loop with every step solved by solve_step,
+    which starts each solve at r.  Returns the states."""
+    h = path.grid.h
+    return array_trajectory(problem, path, lambda r: solve_step(problem.drift, h, r).solution)
+
+
 class TestStepperAgainstSolveStep:
     """A trajectory builds one stepper for its (drift, h) and calls it each
-    step; it ends exactly as a serial loop of solve_step calls does."""
+    step; it ends exactly as the array loop from the documented start does,
+    and from each of its states its next state is within the
+    inverse-Lipschitz bound of solve_step's root, started at r."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -417,6 +448,142 @@ class TestStepperAgainstSolveStep:
         path = sample_fbm(FbmConfig(hurst, drift.dim, grid, seed))
         want = outcome(lambda: array_trajectory(problem, path))
         assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
+        if want[0] != "states":
+            return
+        states = run_scheme("implicit_euler", problem, path).states
+        dx = piecewise_linear_lift(path).increments
+        for y, y_next, v in zip(states, states[1:], dx):
+            r = y + v
+            F = y_next - grid.h * drift(y_next) - r
+            here = SolveReport(y_next, 0, float(np.linalg.norm(F)), "newton")
+            assert here.residual <= effective_tol(r)
+            try:
+                there = solve_step(drift, grid.h, r)
+            except ConvergenceError:
+                continue  # the documented start may solve a step that r does not
+            gap = np.linalg.norm(y_next - there.solution)
+            assert gap <= root_gap_bound(drift, grid.h, r, here, there)
+
+
+def recording_stepper(solves):
+    """A stand-in for solver._implicit_step whose steppers append the
+    right-hand side and the report of each solve to ``solves``."""
+
+    def implicit_step(drift, h):
+        solve = _implicit_step(drift, h)
+
+        def recorded(r):
+            report = solve(r)
+            solves.append((r, report))
+            return report
+
+        return recorded
+
+    return implicit_step
+
+
+def cliff_drift():
+    """b(y) = -50 y, with no Jacobian, and NaN beyond |y| = 0.35."""
+    return DriftField(1, lambda y: np.where(np.abs(y) <= 0.35, -50.0 * y, np.nan), -50.0)
+
+
+# name: c -> (drift, initial condition) of the start properties
+START_DRIFTS = {
+    "double_well": lambda c: (double_well_drift(), [-3.0]),
+    "linear": lambda c: (linear_drift(c), [1.0]),
+    "cubic_radial_2": lambda c: (cubic_radial_drift(2), [10.0, -10.0]),
+    "no_jacobian": lambda c: (DriftField(1, lambda y: y - y**3, 1.0), [-3.0]),
+}
+
+
+class TestStartAtLastNewtonPoint:
+    """A trajectory's stepper starts each solve at the Newton point from its
+    last solution; whatever the start, every state solves its step to the
+    solver's tolerance, a zero drift starts every solve at r, and the start
+    fails no step that a start at r solves."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(START_DRIFTS)),
+        c=st.floats(-100.0, 100.0),
+        hurst=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 256),
+    )
+    def test_every_state_solves_its_step(self, name, c, hurst, seed, n):
+        drift, xi = START_DRIFTS[name](c)
+        grid = make_grid(1.0, n)
+        assume(drift.one_sided_lipschitz * grid.h < 1.0)
+        problem = Problem(drift, xi=xi, T=1.0)
+        path = sample_fbm(FbmConfig(hurst, drift.dim, grid, seed))
+        solves = []
+        with mock.patch.object(schemes, "_implicit_step", recording_stepper(solves)):
+            ending = outcome(
+                lambda: semi_implicit_taylor(problem, piecewise_linear_lift(path), 1).states
+            )
+        assert ending[0] in ("states", "blowup")
+        for r, (y, *_) in solves:
+            r, y = np.atleast_1d(r), np.atleast_1d(y)
+            F = y - grid.h * drift(y) - r
+            tol = max(1e-12, 16.0 * np.finfo(float).eps * np.linalg.norm(r))
+            assert np.linalg.norm(F) <= tol
+        if ending[0] == "states":
+            solutions = [report[0] for _, report in solves]
+            states = np.vstack([problem.xi, np.reshape(solutions, (n, drift.dim))])
+            assert ending == ("states", states.shape, states.tobytes())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 2),
+        hurst=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 256),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_zero_drift_starts_at_r(self, dim, hurst, seed, n, scale):
+        problem = Problem(zero_drift(dim), xi=np.full(dim, 0.5), T=1.0)
+        path = sample_fbm(FbmConfig(hurst, dim, make_grid(1.0, n), seed))
+        path = SamplePath(path.grid, scale * path.values)
+        want = outcome(lambda: start_from_r_trajectory(problem, path))
+        assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(hurst=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 256))
+    def test_cliff_fails_no_step_that_r_solves(self, hurst, seed, n):
+        drift = cliff_drift()
+        problem = Problem(drift, xi=[0.0], T=1.0)
+        path = sample_fbm(FbmConfig(hurst, 1, make_grid(1.0, n), seed))
+        solves = []
+        with mock.patch.object(schemes, "_implicit_step", recording_stepper(solves)):
+            ending = outcome(lambda: run_scheme("implicit_euler", problem, path).states)
+        assert ending[0] in ("states", "solver")
+        if ending[0] == "solver":
+            step = ending[1]
+            assert step == len(solves)
+            y = solves[-1][1][0] if solves else 0.0
+            r = y + piecewise_linear_lift(path).increments[step, 0]
+            with pytest.raises(ConvergenceError):
+                solve_step(drift, path.grid.h, [r])
+
+
+class TestNewtonIterationsPerStep:
+    """Newton iterations per implicit step, counted at the stepper, on two
+    seeds of each benchmark study shape: a linear drift's guess is its root,
+    so only the first solve of a trajectory iterates."""
+
+    @pytest.mark.parametrize(
+        "problem, hurst, ceiling", [("example2", (0.75,), 0.01), ("example1", (0.75,), 1.3)]
+    )
+    def test_iterations_per_step(self, problem, hurst, ceiling):
+        config = StudyConfig(
+            problem, "implicit_euler", hurst=hurst, step_exponents=(5, 6, 7, 8, 9, 10),
+            ref_exponent=12, seeds=(0, 1),
+        )
+        solves = []
+        with mock.patch.object(schemes, "_implicit_step", recording_stepper(solves)):
+            run_study(config)
+        iterations = sum(report[1] for _, report in solves)
+        assert iterations / len(solves) <= ceiling
 
 
 class TestExplicitEuler:

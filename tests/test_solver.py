@@ -86,16 +86,22 @@ def effective_tol(r):
     return max(1e-12, ROUNDING_FLOOR * float(np.linalg.norm(r)))
 
 
-def reference_solve_step(drift, h, r, tol=1e-12, max_newton=50, max_fallback=1000, residuals=None):
+def reference_solve_step(
+    drift, h, r, tol=1e-12, max_newton=50, max_fallback=1000, residuals=None,
+    start=None, jacobians=None,
+):
     """Oracle: the solver as it was before it was safeguarded and before its
     per-step overhead was cut.  Newton with an absolute tolerance, a stall
     counter and a damped fixed-point fallback, with np.linalg.solve,
     np.linalg.norm, a fresh identity per call and the residual of the
-    returned iterate evaluated a second time.  ``residuals``, if given,
-    collects the residual norm of the initial guess and of every Newton
-    iterate."""
+    returned iterate evaluated a second time.  Newton starts at ``start``,
+    r if none is given.  ``residuals``, if given, collects the residual norm
+    of the initial guess and of every Newton iterate, and ``jacobians``
+    every drift Jacobian evaluated."""
     if residuals is None:
         residuals = []
+    if jacobians is None:
+        jacobians = []
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     cb = drift.one_sided_lipschitz
@@ -112,7 +118,7 @@ def reference_solve_step(drift, h, r, tol=1e-12, max_newton=50, max_fallback=100
             raise ConvergenceError("implicit step did not converge", res, iters)
         return SolveReport(y, iters, res, method)
 
-    y = r.copy()
+    y = r.copy() if start is None else np.array(start, dtype=float).reshape(drift.dim)
     F = residual_of(y)
     res = float(np.linalg.norm(F))
     residuals.append(res)
@@ -126,6 +132,7 @@ def reference_solve_step(drift, h, r, tol=1e-12, max_newton=50, max_fallback=100
             Jb = np.asarray(drift.jacobian(y), dtype=float)
         else:
             Jb = reference_fd_jacobian(drift, y)
+        jacobians.append(Jb)
         try:
             step = np.linalg.solve(eye - h * Jb, F)
         except np.linalg.LinAlgError:
@@ -151,6 +158,65 @@ def reference_solve_step(drift, h, r, tol=1e-12, max_newton=50, max_fallback=100
         if res <= tol:
             return finish(y, iters, "contraction")
     raise ConvergenceError("implicit step did not converge", res, iters)
+
+
+class DocumentedStart:
+    """Oracle of where a trajectory's stepper starts each solve, on arrays:
+    r_j on the first solve, while no Newton matrix has been formed, where
+    the last one, A = I - h*Jb, is singular, and where the residual at the
+    guess is not finite; else the guess y_j + A^{-1}(r_j - r_{j-1} - F_j),
+    with y_j the last solution, r_{j-1} its right-hand side and F_j its
+    residual.  Jb is the last entry of ``jacobians``, where the oracle's
+    solver appends every Jacobian it evaluates; ``solved`` records each
+    solution."""
+
+    def __init__(self, drift, h):
+        self.drift, self.h = drift, h
+        self.jacobians = []
+        self.last = None
+
+    def __call__(self, r):
+        if self.last is None or not self.jacobians:
+            return r
+        r_last, y_last, F_last = self.last
+        A = np.eye(r.size) - self.h * self.jacobians[-1]
+        try:
+            guess = y_last + np.linalg.solve(A, (r - r_last) - F_last)
+        except np.linalg.LinAlgError:
+            return r
+        with np.errstate(all="ignore"):
+            F = guess - self.h * self.drift(guess) - r
+        return guess if np.isfinite(np.linalg.norm(F)) else r
+
+    def solved(self, r, y):
+        self.last = r, y, y - self.h * self.drift(y) - r
+
+
+def documented_start_solver(drift, h):
+    """r -> the solution of y - h*b(y) = r on arrays, for the steps of one
+    trajectory in order: each step is solved by a fresh stepper of the
+    solver from the DocumentedStart, with the Jacobians it evaluates (the
+    drift's own, or the solver's central difference) recorded."""
+    start = DocumentedStart(drift, h)
+    jacobian = drift.jacobian or (lambda y: solver._fd_jacobian(drift, y))
+
+    def record(y):
+        start.jacobians.append(np.array(jacobian(y), dtype=float))
+        return start.jacobians[-1]
+
+    recorded = DriftField(drift.dim, drift.func, drift.one_sided_lipschitz, jacobian=record)
+
+    def solve(r):
+        guess = start(r)
+        stepper = solver._implicit_step(recorded, h)
+        if drift.dim == 1:
+            y = np.array([stepper(r.item(), guess.item())[0]])
+        else:
+            y = stepper(r, guess)[0]
+        start.solved(r, y)
+        return y
+
+    return solve
 
 
 # drifts of the equivalence property: (drift, smallest and largest log10 h)
@@ -190,10 +256,10 @@ def root_gap_bound(drift, h, r, *reports):
 
 class TestAgainstReferenceSolver:
     """Where every full Newton step of the oracle passes the Armijo test, the
-    solver gives bitwise the oracle's report, and so bitwise the oracle's
-    trajectories on the paper's examples.  Elsewhere it converges, to the
-    oracle's root within the inverse-Lipschitz bound when the oracle
-    converges too."""
+    solver gives bitwise the oracle's report, and so, each solve started
+    where DocumentedStart says, bitwise the oracle's trajectories on the
+    paper's examples.  Elsewhere it converges, to the oracle's root within
+    the inverse-Lipschitz bound when the oracle converges too."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -275,13 +341,14 @@ def test_oracle_orders_cover_every_scheme():
 def oracle_trajectory(scheme, problem, path):
     """Reference oracle for the trajectory loop: each step on arrays, its
     noise term contracted from the piecewise-linear lift as the schemes do,
-    and the implicit step solved by reference_solve_step.  Returns the
-    states."""
+    and the implicit step solved by reference_solve_step from the
+    DocumentedStart.  Returns the states."""
     explicit = ORACLE_ORDERS[scheme] is None
     order = ORACLE_ORDERS[scheme] or 1
     h = path.grid.h
     lift = piecewise_linear_lift(path, include_level3=order == 3)
     sig = problem.diffusion
+    start = DocumentedStart(problem.drift, h)
     y = problem.xi.copy()
     states = [y]
     for j, v in enumerate(lift.increments):
@@ -299,7 +366,11 @@ def oracle_trajectory(scheme, problem, path):
         if explicit:
             y = y + h * problem.drift(y) + term
         else:
-            y = reference_solve_step(problem.drift, h, y + term).solution
+            r = y + term
+            y = reference_solve_step(
+                problem.drift, h, r, start=start(r), jacobians=start.jacobians
+            ).solution
+            start.solved(r, y)
         states.append(y)
     return np.array(states)
 
