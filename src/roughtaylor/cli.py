@@ -160,6 +160,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
+        if err.filename is None:  # not a path the command writes to
+            raise
         print(f"error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
 

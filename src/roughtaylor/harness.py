@@ -422,8 +422,8 @@ def stability_demo(
     if not 0.0 < h < math.inf:
         raise ValueError(f"step size must be positive and finite, got h={h}")
     problem, m, hurst = example_problem("example2")
-    if not zero_noise:
-        _check_grid_size(math.log2(problem.T / h))  # before round(T/h) is built
+    if not math.isfinite(problem.T / h):
+        raise ValueError(f"step size {h} gives no finite number of steps over T={problem.T}")
     N = round(problem.T / h)
     if N < 1 or abs(N * h - problem.T) > 1e-9:
         raise ValueError(f"step size {h} does not divide the horizon T={problem.T}")

@@ -120,10 +120,9 @@ def _check_step(drift: DriftField, h: float) -> None:
 
 def _implicit_step(drift: DriftField, h: float):
     """The stepper of one (drift, h): checks the gate and sets up the drift's
-    evaluators once, and returns the function (r, start=None) -> (solution,
-    iterations, residual, method_used) of ``solve_step``'s iteration.  For
-    d = 1, r, start and the solution are Python floats, else shape-(d,)
-    float arrays.
+    evaluators once, and returns the function r -> (solution, iterations,
+    residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
+    the solution are Python floats, else shape-(d,) float arrays.
 
     The stepper remembers its last solve: the right-hand side r_{j-1}, the
     solution y_j, its accepted residual F_j and the last Newton matrix
@@ -132,10 +131,9 @@ def _implicit_step(drift: DriftField, h: float):
     one dgesv for d > 1, no drift or Jacobian call, and for a linear drift
     the root to rounding.  It starts at r_j instead on its first solve,
     while it has formed no Newton matrix (so a zero drift always starts at
-    r_j) and where A is singular.  A given ``start`` replaces g.  Where the
-    residual at the start is not finite, the solve starts again from r_j,
-    so a start where the drift is not finite costs one drift call and is
-    not itself a failure."""
+    r_j) and where A is singular.  Where the residual at g is not finite,
+    the solve starts again from r_j, so a g where the drift is not finite
+    costs one drift call and is not itself a failure."""
     _check_step(drift, h)
     cb, d = drift.one_sided_lipschitz, drift.dim
     jacobian = drift.jacobian or functools.partial(_fd_jacobian, drift)
@@ -195,9 +193,9 @@ def _implicit_step(drift: DriftField, h: float):
             raise ConvergenceError("implicit step residual is not finite", norm, iters)
         return F, norm
 
-    def solve(r, start=None):
+    def solve(r):
         nonlocal last
-        y = guess(r) if start is None else start
+        y = guess(r)
         F = y - h * b(y) - r
         res = _norm(F)
         if not math.isfinite(res):  # start again from r, or raise there

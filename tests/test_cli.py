@@ -160,6 +160,8 @@ def test_run_refuses_ill_posed_step_before_any_draw(tmp_path, monkeypatch, capsy
     [
         ("run --problem example1 --scheme implicit_euler --steps 3 --ref 13", 8192),
         ("sample-fbm --hurst 0.5 --n 4097 --seed 0 --out x.csv", 4097),
+        # the sampler compares the cap by log2 of the step count
+        ("stability --h 1e-300 --out stab", "2^996.5784285"),
     ],
 )
 def test_grid_cap_refused_before_any_factor(command, n, tmp_path, monkeypatch, capsys):
@@ -177,11 +179,10 @@ def test_grid_cap_refused_before_any_factor(command, n, tmp_path, monkeypatch, c
         ("run --problem example1 --scheme implicit_euler --steps 5 --ref 1030", "N=2^1030 steps"),
         ("run --problem example1 --scheme implicit_euler --steps 5 --ref 100000", "N=2^100000 steps"),
         ("run --problem example1 --scheme implicit_euler --steps 5 --ref 1000000000", "N=2^1000000000"),
-        ("stability --h 1e-300", "N=2^996.5784285 steps"),
     ],
 )
 def test_huge_grid_refused_by_size_alone(command, size, tmp_path, monkeypatch, capsys, no_sampling):
-    # the cap is compared by log2 of the grid size, so neither 2^ref nor round(T/h) is built
+    # a study compares the cap with its reference exponent, so 2^ref is never built
     monkeypatch.chdir(tmp_path)
     assert main(command.split()) == 2
     err = capsys.readouterr().err
@@ -214,6 +215,16 @@ def test_impossible_output_refused_before_any_work(
     assert (tmp_path / "file").read_text() == "" and not list((tmp_path / "folder").iterdir())
 
 
+def test_os_error_without_a_path_is_not_a_write_error(monkeypatch):
+    # only an OSError naming a path is reported as an output that cannot be written
+    def broken(*_):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(harness, "local_error_probe", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["probe-local", "--scheme", "euler"])
+
+
 def test_stability_command(capsys):
     code = main(["stability", "--h", "0.03125"])
     assert code == 0
@@ -235,6 +246,15 @@ def test_stability_rejects_bad_step(capsys):
     for h in ("0.3", "0", "nan"):
         assert main(["stability", "--h", h]) == 2
         assert "error: step size" in capsys.readouterr().err
+    # T/h = 4096.13 does not divide T either, whatever the sampler's cap;
+    # T/h = inf is refused with or without noise
+    for args, message in [
+        (["--h", "0.00024413"], "step size 0.00024413 does not divide the horizon T=1.0"),
+        (["--h", "5e-324"], "step size 5e-324 gives no finite number of steps over T=1.0"),
+        (["--h", "5e-324", "--zero-noise"], "step size 5e-324 gives no finite number"),
+    ]:
+        assert main(["stability", *args]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_probe_local_command(tmp_path, capsys):

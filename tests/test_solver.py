@@ -192,27 +192,80 @@ class DocumentedStart:
         self.last = r, y, y - self.h * self.drift(y) - r
 
 
+def documented_solve_step(drift, h, r, start, jacobians):
+    """Oracle of one solve of a trajectory's stepper, on arrays: the
+    iteration solve_step documents, from ``start``, with np.linalg.solve,
+    np.linalg.norm and, for d = 1, the bracket on 1-element arrays.  Every
+    Jacobian evaluated (the drift's own, or central differences) is
+    appended to ``jacobians``.  Returns the solution; raises
+    ConvergenceError where and with the residual the solver does."""
+    tol = effective_tol(r)
+    m = min(1.0, 1.0 - drift.one_sided_lipschitz * h)
+    jacobian = drift.jacobian or (lambda y: reference_fd_jacobian(drift, y))
+    eye = np.eye(drift.dim)
+
+    def residual(y, iters, last):
+        if iters > solver.MAX_NEWTON:
+            raise ConvergenceError("implicit step did not converge", last, iters - 1)
+        F = y - h * drift(y) - r
+        res = float(np.linalg.norm(F))
+        if not np.isfinite(res):
+            raise ConvergenceError("implicit step residual is not finite", res, iters)
+        return F, res
+
+    y = start
+    F, res = residual(y, 0, None)
+    iters, lo, hi = 0, None, None
+    while res > tol:
+        jacobians.append(np.array(jacobian(y), dtype=float))
+        try:
+            step = np.linalg.solve(eye - h * jacobians[-1], F)
+        except np.linalg.LinAlgError:
+            step = None
+        if drift.dim > 1:
+            # full Newton step, halved until the Armijo test passes;
+            # along the residual where the Newton matrix is singular
+            step = F if step is None else step
+            shrink = 1.0
+            while True:
+                iters += 1
+                F_trial, res_trial = residual(y - step, iters, res)
+                if res_trial <= tol or res_trial <= (1.0 - ARMIJO * shrink) * res:
+                    break
+                step, shrink = 0.5 * step, 0.5 * shrink
+            y, F, res = y - step, F_trial, res_trial
+            continue
+        # d = 1: the Newton point if it lies in the bracket and passes the
+        # Armijo test, else the midpoint of the bracket narrowed by it
+        tried = step is not None and (lo is None or lo < y - step < hi)
+        if tried:
+            iters += 1
+            F_trial, res_trial = residual(y - step, iters, res)
+            if res_trial <= tol or res_trial <= (1.0 - ARMIJO) * res:
+                y, F, res = y - step, F_trial, res_trial
+                continue
+        if lo is None:
+            width = 2.0 * res / m
+            lo, hi = y - width, y + width
+        for point, value in [(y, F), (y - step, F_trial)] if tried else [(y, F)]:
+            if value < 0.0:
+                lo = max(lo, point)
+            else:
+                hi = min(hi, point)
+        y = 0.5 * (lo + hi)
+        iters += 1
+        F, res = residual(y, iters, res)
+    return y
+
+
 def documented_start_solver(drift, h):
     """r -> the solution of y - h*b(y) = r on arrays, for the steps of one
-    trajectory in order: each step is solved by a fresh stepper of the
-    solver from the DocumentedStart, with the Jacobians it evaluates (the
-    drift's own, or the solver's central difference) recorded."""
+    trajectory in order: each step is solved by documented_solve_step from
+    the DocumentedStart."""
     start = DocumentedStart(drift, h)
-    jacobian = drift.jacobian or (lambda y: solver._fd_jacobian(drift, y))
-
-    def record(y):
-        start.jacobians.append(np.array(jacobian(y), dtype=float))
-        return start.jacobians[-1]
-
-    recorded = DriftField(drift.dim, drift.func, drift.one_sided_lipschitz, jacobian=record)
 
     def solve(r):
-        guess = start(r)
-        stepper = solver._implicit_step(recorded, h)
-        if drift.dim == 1:
-            y = np.array([stepper(r.item(), guess.item())[0]])
-        else:
-            y = stepper(r, guess)[0]
+        y = documented_solve_step(drift, h, r, start(r), start.jacobians)
         start.solved(r, y)
         return y
 
