@@ -1,19 +1,19 @@
 """Fractional Brownian motion driver.
 
-Paths are sampled exactly on a fine reference grid as L @ V, with V
-standard normal and L the Cholesky factor of the fBm covariance at the grid
-nodes, then restricted to coarser grids for convergence studies.  Sampling
-is deterministic per (config, seed) and bitwise reproducible for a given
-BLAS thread count.
+Paths are sampled exactly on a fine reference grid as the cumulative sum
+of the increments R.T @ V, with V standard normal and R.T the Cholesky
+factor of the covariance of the fBm increments, then restricted to coarser
+grids for convergence studies.  Sampling is deterministic per (config, seed)
+and bitwise reproducible for a given BLAS thread count.
 
 The increments of fBm on a uniform grid (fractional Gaussian noise) are
 stationary, so their covariance is a symmetric positive definite Toeplitz
-matrix.  The Schur algorithm gives its Cholesky factor one row at a time in
-O(N^2) time without forming the N x N matrix, and the cumulative sum of each
-row is a column of the Cholesky factor of the path covariance.  Only the
-nonzero half of that factor is kept, as row bands ``L[a:b, :b]``.  The dense
+matrix.  The Schur algorithm gives its Cholesky factor R.T one row of R at a
+time in O(N^2) time without forming the N x N matrix.  Only the nonzero half
+of R.T is kept, as row bands ``R.T[a:b, :b]``.  The dense
 ``covariance_matrix`` and ``cholesky`` stay as the public API and as the
-reference the fast factor is tested against.
+reference the fast factor is tested against: C @ R.T, C the lower-triangular
+matrix of ones, is the Cholesky factor of the path covariance.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "dump_path_csv",
 ]
 
-# The factor is kept as row bands L[a:b, :b] of _BAND rows: 4*N*(N + _BAND)
+# The factor is kept as row bands R.T[a:b, :b] of _BAND rows: 4*N*(N + _BAND)
 # bytes per cached factor (68 MiB at N = 4096), built in O(N^2) time.  The
 # paper's reference grids have at most 2^12 steps, so sample_fbm refuses any
 # larger grid rather than build a factor that grows as N^2.
@@ -149,20 +149,18 @@ def _fgn_autocovariance(H: float, grid: Grid) -> np.ndarray:
 
 
 def _schur_bands(c) -> tuple[np.ndarray, ...]:
-    """Row bands ``L[a:b, :b]`` of the lower-triangular L with
-    L @ L.T == C toeplitz(c) C.T, C the lower-triangular matrix of ones.
+    """Row bands ``R.T[a:b, :b]`` of the lower-triangular Cholesky factor
+    R.T of toeplitz(c), R.T @ R == toeplitz(c).
 
     The Schur algorithm on the generators of the displacement
-    T - Z T Z.T = u u.T - v v.T gives the Cholesky factor R.T of toeplitz(c)
-    one row of R at a time: row j is the generator u after j hyperbolic
-    rotations, applied in the mixed form (Bojanczyk, Brent, de Hoog & Sweet
-    1995), which is backward stable for positive definite Toeplitz matrices.
-    The path is the cumulative sum of its increments, so C @ R.T is lower
-    triangular with the diagonal of R and column j of L is the cumulative
-    sum of row j of R.  Each band is built transposed and handed out
-    F-ordered like the dense factor, so its products round as the dense
-    product did.  Raises ``NotPositiveDefiniteError`` with the same 1-based index as
-    ``cholesky``.
+    T - Z T Z.T = u u.T - v v.T gives R one row at a time: row j is the
+    generator u after j hyperbolic rotations, applied in the mixed form
+    (Bojanczyk, Brent, de Hoog & Sweet 1995), which is backward stable for
+    positive definite Toeplitz matrices.  Each row is written straight into
+    its row of a scratch block, and each band is built transposed and handed
+    out F-ordered like the dense factor, so its products round as the dense
+    product did.  Raises ``NotPositiveDefiniteError`` with the same 1-based
+    index as ``cholesky``.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -173,12 +171,12 @@ def _schur_bands(c) -> tuple[np.ndarray, ...]:
         del edges[-2]  # a tail of fewer than 8 rows joins the band above
     spans = list(zip(edges, edges[1:]))
     bands = [np.zeros((b, b - a)) for a, b in spans]
-    r = c / np.sqrt(c[0])  # R[j, j:]
+    scratch = np.zeros((_SUB, n))  # row t is written from column t on: its first t stay 0
+    r = np.divide(c, np.sqrt(c[0]), out=scratch[0])  # R[j, j:]
     v = r.copy()
     v[0] = 0.0
-    scratch = np.zeros((_SUB, n))  # row t is written from column t on: its first t stay 0
     for a in range(0, n, _SUB):
-        # Columns a..b-1 of L, rows a..n-1, then one block copy per band.
+        # Rows a..b-1 of R, columns a..n-1, then one block copy per band.
         b = min(a + _SUB, n)
         block = scratch[: b - a, : n - a]
         for j in range(a, b):
@@ -189,10 +187,9 @@ def _schur_bands(c) -> tuple[np.ndarray, ...]:
                 if not abs(rho) < 1.0:
                     raise NotPositiveDefiniteError(j + 1)
                 s = math.sqrt((1.0 - rho) * (1.0 + rho))
-                r = (r[:-1] - rho * w) / s
+                r = np.divide(r[:-1] - rho * w, s, out=block[j - a, j - a :])
                 w *= s
                 w -= rho * r
-            np.add.accumulate(r, out=block[j - a, j - a :])  # cumsum
         for (lo, hi), band in zip(spans, bands):
             if hi > a:
                 band[a:b, max(a - lo, 0) :] = block[:, max(lo - a, 0) : hi - a]
@@ -210,8 +207,10 @@ _chol_lock = threading.Lock()
 
 
 def _cholesky_factor(H: float, grid: Grid) -> tuple[np.ndarray, ...]:
-    """Row bands ``L[a:b, :b]`` of the lower-triangular Cholesky factor L of
-    ``covariance_matrix(H, grid)``, cached and read-only."""
+    """Row bands ``R.T[a:b, :b]`` of the lower-triangular Cholesky factor R.T
+    of the covariance of the increments of fBm on ``grid``, cached and
+    read-only.  Its cumulative sum down each column is the Cholesky factor of
+    ``covariance_matrix(H, grid)``."""
     key = (float(H), float(grid.T), int(grid.N))
     with _chol_lock:
         if key in _chol_cache:
@@ -253,10 +252,11 @@ def _check_grid_size(log2_n: float) -> None:
 def sample_fbm(config: FbmConfig) -> SamplePath:
     """Draw one m-dimensional fBm path on ``config.grid``.
 
-    Component i equals L_i @ V where L_i is the Cholesky factor of its
-    covariance and V is standard normal from a PCG64 stream keyed by
-    (config.seed, i); the value at t_0 is 0.  Components are independent.
-    Band [a, b) of the path is ``L_i[a:b, :b] @ V[:b]``.  Grids of more than
+    The increments of component i are R_i.T @ V, where R_i.T is the
+    Cholesky factor of their covariance and V is standard normal from a PCG64
+    stream keyed by (config.seed, i); the path is their cumulative sum, and
+    its value at t_0 is 0.  Components are independent.  Band [a, b) of the
+    increments is ``R_i.T[a:b, :b] @ V[:b]``.  Grids of more than
     ``DENSE_GRID_LIMIT`` steps raise ``ValueError`` before any factor is built.
     """
     grid = config.grid
@@ -265,9 +265,11 @@ def sample_fbm(config: FbmConfig) -> SamplePath:
     for comp in range(config.m):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(config.seed), comp))))
         z = rng.standard_normal(grid.N)
-        for L in _cholesky_factor(config.hurst[comp], grid):
-            rows, b = L.shape
-            values[1 + b - rows : 1 + b, comp] = L @ z[:b]
+        x = values[1:, comp]
+        for R_T in _cholesky_factor(config.hurst[comp], grid):
+            rows, b = R_T.shape
+            x[b - rows : b] = R_T @ z[:b]  # increments
+        np.add.accumulate(x, out=x)  # cumsum
     return SamplePath(grid, values)
 
 

@@ -427,6 +427,7 @@ def stability_demo(
     N = round(problem.T / h)
     if N < 1 or abs(N * h - problem.T) > 1e-9:
         raise ValueError(f"step size {h} does not divide the horizon T={problem.T}")
+    _check_grid_size(math.log2(N))  # with or without noise, before the path is allocated
     grid = make_grid(problem.T, N)
     if zero_noise:
         path = SamplePath(grid, np.zeros((N + 1, m)))

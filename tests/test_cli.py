@@ -257,6 +257,15 @@ def test_stability_rejects_bad_step(capsys):
         assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, n", [("1e-300", "2^996.5784285"), ("1e-7", "10000000")])
+def test_zero_noise_grid_cap_refused_before_any_allocation(h, n, monkeypatch, capsys, no_sampling):
+    # a zero-noise run samples nothing, so stability_demo checks the cap itself
+    monkeypatch.setattr(harness, "make_grid", no_sampling)
+    assert main(["stability", "--h", h, "--zero-noise"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: grid has N={n} steps, above the sampler's limit of 4096" in err
+
+
 def test_probe_local_command(tmp_path, capsys):
     out = tmp_path / "probe.csv"
     code = main(["probe-local", "--scheme", "milstein", "--out", str(out)])

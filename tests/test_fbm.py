@@ -86,7 +86,7 @@ def _max_rel(a, b):
 
 
 def _dense(bands):
-    """The N x N factor the bands ``L[a:b, :b]`` are cut from, F-ordered as
+    """The N x N factor the bands ``R.T[a:b, :b]`` are cut from, F-ordered as
     ``cholesky`` returns it: the dense layout whose products the bands reproduce."""
     N = bands[-1].shape[1]
     L = np.zeros((N, N), order="F")
@@ -97,8 +97,10 @@ def _dense(bands):
 
 
 def _cold_factor(H, grid):
+    """The path factor C @ R.T, C the lower-triangular matrix of ones, from a
+    freshly built increment factor R.T."""
     fbm._chol_cache.clear()
-    return _dense(fbm._cholesky_factor(H, grid))
+    return np.cumsum(_dense(fbm._cholesky_factor(H, grid)), axis=0)
 
 
 def _extended_schur_factor(H, N):
@@ -160,6 +162,16 @@ class TestSchurFactor:
     @given(H=st.floats(0.01, 0.99), N=st.integers(1, 512), T=st.floats(0.1, 10.0))
     def test_property_matches_dense_cholesky(self, H, N, T):
         _assert_matches_dense(H, N, T)
+
+    @pytest.mark.parametrize("H", HURSTS)
+    def test_increment_factor_reproduces_toeplitz(self, H):
+        # the cached factor is R.T, the Cholesky factor of the increments'
+        # Toeplitz covariance, not of the path covariance
+        c = fbm._fgn_autocovariance(H, make_grid(1.0, 1024))
+        R_T = _dense(fbm._schur_bands(c))
+        T = scipy.linalg.toeplitz(c)
+        assert np.array_equal(R_T, np.tril(R_T))
+        assert np.max(np.abs(R_T @ R_T.T - T)) <= 1e-12 * np.max(np.abs(T))
 
     def test_autocovariance_is_increment_covariance(self):
         grid = make_grid(0.37, 9)
@@ -329,13 +341,14 @@ def _one_blas_thread():
 
 
 def _dense_paths(config, seed):
-    """The path as sampled from the dense N x N factor, one BLAS thread."""
+    """The path as the cumulative sum of the increments drawn from the dense
+    N x N increment factor, one BLAS thread."""
     values = np.zeros((config.grid.N + 1, config.m))
     for comp, H in enumerate(config.hurst):
-        L = _dense(fbm._cholesky_factor(H, config.grid))
+        R_T = _dense(fbm._cholesky_factor(H, config.grid))
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, comp))))
         with _one_blas_thread():
-            values[1:, comp] = L @ rng.standard_normal(config.grid.N)
+            values[1:, comp] = np.cumsum(R_T @ rng.standard_normal(config.grid.N))
     return values
 
 
@@ -344,7 +357,7 @@ BAND_SIZES = [1, 2, 3, 5, 8, 17, 255, 256, 257, 258, 259, 263, 511, 513, 1000, 1
 
 def oracle_schur_bands(c):
     """``fbm._schur_bands`` as first written: one fresh (b - a) x (n - a)
-    block per band of columns, copied into every band below it."""
+    block per band of columns of R.T, copied into every band below it."""
     n = c.shape[0]
     edges = [*range(0, n, fbm._BAND), n]
     if len(edges) > 2 and n - edges[-2] < 8:
@@ -364,7 +377,7 @@ def oracle_schur_bands(c):
                 r = (r[:-1] - rho * w) / s
                 w *= s
                 w -= rho * r
-            np.add.accumulate(r, out=block[j - a, j - a :])
+            block[j - a, j - a :] = r
         for (lo, hi), band in zip(spans[i:], bands[i:]):
             band[a:b] = block[:, lo - a : hi - a]
     return tuple(band.T for band in bands)
@@ -390,6 +403,24 @@ class TestBands:
     def test_property_paths_equal_dense_product(self, N, H, seed):
         config = FbmConfig((H,), 1, make_grid(1.0, N), seed=seed)
         assert sample_fbm(config).values.tobytes() == _dense_paths(config, seed).tobytes()
+
+    @pytest.mark.parametrize("hurst", [(0.75,), (0.1, 5 / 12)])
+    @pytest.mark.parametrize("N", [1, 17, 257, 1027])
+    def test_path_increments_are_banded_product(self, N, hurst):
+        # the path is the cumulative sum of R.T @ z, so its differences give
+        # the banded product back up to the rounding of that sum
+        config = FbmConfig(hurst, len(hurst), make_grid(1.0, N), seed=5)
+        values = sample_fbm(config).values
+        for comp, H in enumerate(hurst):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, comp))))
+            z = rng.standard_normal(N)
+            increments = np.zeros(N)
+            for band in fbm._cholesky_factor(H, config.grid):
+                rows, b = band.shape
+                increments[b - rows : b] = band @ z[:b]
+            got = np.diff(values[:, comp])
+            eps = np.finfo(float).eps
+            assert np.max(np.abs(got - increments)) <= 4 * eps * np.max(np.abs(values[:, comp]))
 
     @pytest.mark.parametrize("N", [1, 7, 8, 255, 256, 257, 263, 264, 1000, 2048, 4096])
     def test_band_shapes_and_bytes(self, N):
