@@ -22,23 +22,32 @@ from .grids import _check_target, _write_csv, make_grid
 from .schemes import dump_trajectory_csv
 
 
+def _span(lo: int, stop: int, flag: str, text: str) -> tuple[int, ...]:
+    """The integers lo..stop-1, or ValueError naming ``flag`` if they are
+    more than a tuple can hold."""
+    try:
+        return tuple(range(lo, stop))
+    except OverflowError:
+        raise ValueError(f"{flag} {text!r} gives more than {sys.maxsize} values") from None
+
+
 def _parse_list(text: str, flag: str, kind=int) -> tuple:
     """A comma list of ``kind`` values, or for integers a range lo..hi."""
     try:
-        if kind is int and ".." in text:
-            lo, hi = text.split("..")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(kind(tok) for tok in text.split(","))
+        if not (kind is int and ".." in text):
+            return tuple(kind(tok) for tok in text.split(","))
+        lo, hi = map(int, text.split(".."))
     except ValueError:
         noun = "integers" if kind is int else "numbers"
         raise ValueError(f"{flag} expects {noun}, got {text!r}") from None
+    return _span(lo, hi + 1, flag, text)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     if "," in text or ".." in text:
         return _parse_list(text, "--seeds")
     (count,) = _parse_list(text, "--seeds")
-    return tuple(range(count))
+    return _span(0, count, "--seeds", text)
 
 
 def _cmd_run(args) -> int:
@@ -67,7 +76,7 @@ def _cmd_stability(args) -> int:
         _check_target(args.out, directory=True)
     report = harness.stability_demo(args.h, seed=args.seed, zero_noise=args.zero_noise)
     verdict = "UNSTABLE" if report.explicit_unstable else "stable"
-    print(f"h = {report.h:g}: forward drift map |1 - 70h| = {abs(1 - 70 * args.h):g} -> {verdict}")
+    print(f"h = {report.h:g}: forward drift map |1 - 70h| = {report.explicit_factor:g} -> {verdict}")
     print(
         f"forward Euler : {report.explicit_increment_flips} increment sign flips, "
         f"{report.explicit_sign_changes} zero crossings, "

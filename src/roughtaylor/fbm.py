@@ -101,9 +101,19 @@ class FbmConfig:
             raise ValueError(f"need at least one component, got m={self.m}")
         if len(hs) != self.m:
             raise ValueError(f"{self.m} components but {len(hs)} Hurst parameters")
+        h = self.grid.h
         for H in hs:
             if not 0.0 < H < 1.0:
                 raise ValueError(f"Hurst parameter must lie in (0, 1), got {H}")
+            try:  # the variance of one increment, the factor's first pivot
+                variance = h ** (2.0 * H)
+            except OverflowError:
+                variance = math.inf
+            if not 0.0 < variance < math.inf:
+                raise ValueError(
+                    f"increment variance h^2H = {variance} for h={h} and H={H} "
+                    "is not positive and finite"
+                )
         seed = self.seed
         if not (isinstance(seed, numbers.Real) and 0 <= seed < math.inf and seed % 1 == 0):
             raise ValueError(f"seed must be a nonnegative integer, got {seed}")
@@ -198,9 +208,8 @@ def _schur_bands(c) -> tuple[np.ndarray, ...]:
     return tuple(band.T for band in bands)
 
 
-# Factor cache: the Cholesky of the covariance is reused across Monte Carlo
-# seeds.  Reads are lock-free on the returned (read-only) arrays; writes are
-# serialized.
+# Factor cache, reused across Monte Carlo seeds.  A miss builds under the
+# lock, so concurrent misses build one at a time, each key once.
 _CHOLESKY_CACHE_SIZE = 2
 _chol_cache: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 _chol_lock = threading.Lock()
@@ -220,12 +229,8 @@ def _cholesky_factor(H: float, grid: Grid) -> tuple[np.ndarray, ...]:
         # of the _CHOLESKY_CACHE_SIZE alive, not one more
         while len(_chol_cache) >= _CHOLESKY_CACHE_SIZE:
             _chol_cache.popitem(last=False)
-    bands = _schur_bands(_fgn_autocovariance(H, grid))
-    with _chol_lock:
-        _chol_cache[key] = bands
-        while len(_chol_cache) > _CHOLESKY_CACHE_SIZE:  # racing builders
-            _chol_cache.popitem(last=False)
-    return bands
+        bands = _chol_cache[key] = _schur_bands(_fgn_autocovariance(H, grid))
+        return bands
 
 
 def _check_grid_size(log2_n: float) -> None:

@@ -389,6 +389,7 @@ class StabilityReport:
     explicit_max_amplitude: float
     implicit_max_amplitude: float
     explicit_unstable: bool
+    explicit_factor: float  # |1 - rate*h| of the forward drift map
 
 
 def increment_flip_count(states: np.ndarray) -> int:
@@ -415,8 +416,9 @@ def stability_demo(
     """Run forward and drift-implicit Euler on the stiff linear problem with
     the same driver and report oscillation diagnostics.
 
-    The forward drift map contracts iff |1 - 70h| <= 1, so the run is
-    classified unstable when |1 - 70h| > 1; the implicit step has no size
+    The forward drift map contracts iff its factor |1 - 70h| is at most 1;
+    the report carries that factor as ``explicit_factor`` and classifies the
+    run unstable when it exceeds 1.  The implicit step has no size
     restriction (the one-sided Lipschitz constant is negative).
     """
     if not 0.0 < h < math.inf:
@@ -436,6 +438,7 @@ def stability_demo(
     expl = explicit_euler(problem, path)
     impl = run_scheme("implicit_euler", problem, path)
     rate = -problem.drift.one_sided_lipschitz  # 70
+    factor = abs(1.0 - rate * h)
     return StabilityReport(
         h=h,
         explicit=expl,
@@ -446,7 +449,8 @@ def stability_demo(
         implicit_sign_changes=sign_change_count(impl.states),
         explicit_max_amplitude=float(np.max(np.abs(expl.states))),
         implicit_max_amplitude=float(np.max(np.abs(impl.states))),
-        explicit_unstable=abs(1.0 - rate * h) > 1.0,
+        explicit_unstable=factor > 1.0,
+        explicit_factor=factor,
     )
 
 

@@ -208,35 +208,34 @@ def _implicit_step(drift: DriftField, h: float):
         method = "newton"
         while res > tol:
             step = newton_step(y, F)
-            if not scalar:
-                if step is None:
-                    step, method = F, "safeguarded"
-                shrink, trial = 1.0, y - step
+            if step is None and not scalar:
+                step, method = F, "safeguarded"
+            trial = None if step is None else y - step
+            tried = trial is not None and (lo is None or lo < trial < hi)
+            if tried:  # the full step, kept if it cuts the residual to 3/4
                 iters += 1
                 F_trial, res_trial = residual(trial, r, iters, res)
+                if res_trial <= tol or res_trial <= (1.0 - _ARMIJO) * res:
+                    y, F, res = trial, F_trial, res_trial
+                    continue
+            method = "safeguarded"
+            if not scalar:  # Armijo halving, continued from the rejected full step
+                shrink = 1.0
                 while res_trial > tol and res_trial > (1.0 - _ARMIJO * shrink) * res:
-                    step, shrink, method = 0.5 * step, 0.5 * shrink, "safeguarded"
+                    step, shrink = 0.5 * step, 0.5 * shrink
                     trial = y - step
                     iters += 1
                     F_trial, res_trial = residual(trial, r, iters, res)
                 y, F, res = trial, F_trial, res_trial
                 continue
-            tried = step is not None and (lo is None or lo < y - step < hi)
-            if tried:
-                iters += 1
-                F_trial, res_trial = residual(y - step, r, iters, res)
-                if res_trial <= tol or res_trial <= (1.0 - _ARMIJO) * res:
-                    y, F, res = y - step, F_trial, res_trial
-                    continue
             if lo is None:
                 width = 2.0 * res / m
                 lo, hi = y - width, y + width
-            for point, value in [(y, F), (y - step, F_trial)] if tried else [(y, F)]:
+            for point, value in [(y, F), (trial, F_trial)] if tried else [(y, F)]:
                 lo, hi = (max(lo, point), hi) if value < 0.0 else (lo, min(hi, point))
             y = 0.5 * (lo + hi)
             iters += 1
             F, res = residual(y, r, iters, res)
-            method = "safeguarded"
         last = r, y, F
         return y, iters, res, method
 
@@ -248,15 +247,15 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
 
     Safeguarded Newton iteration from the initial guess r (Jacobian analytic
     when the drift supplies one, otherwise central finite differences; the
-    linear system is solved by LAPACK ``dgesv``).  A pass keeps the full
-    Newton step if it cuts the residual norm |y - h*b(y) - r| to 3/4 or to
-    the tolerance.  Otherwise, for d > 1, the step is halved until it cuts
-    by 1 - t/4 at length t (Armijo backtracking); a singular Newton matrix
+    linear system is solved by LAPACK ``dgesv``).  Each iteration tries the
+    full Newton step, kept if it cuts the residual norm |y - h*b(y) - r| to
+    3/4 or to the tolerance; after a rejection, Armijo halving (d > 1) or
+    the bracket midpoint (d = 1).  The halving continues from the rejected
+    step until a step of length t cuts by 1 - t/4; a singular Newton matrix
     steps along the residual, a descent direction too, as G(y) = y - h*b(y)
-    is strongly monotone with constant m = 1 - C_b*h.  For d = 1 the iterate
-    moves to the midpoint of a bracket of the root, which lies within |F|/m
-    of an iterate with residual F: built at the first rejected step as
-    y -+ 2|F|/min(1, m), the bracket is narrowed at each rejected step by
+    is strongly monotone with constant m = 1 - C_b*h.  The root lies within
+    |F|/m of an iterate with residual F, so the bracket, built at the first
+    rejection as y -+ 2|F|/min(1, m), holds it; each rejection narrows it by
     the residual's sign at the iterate and at the Newton point.  A Newton
     point outside it is not tried; a zero Newton divisor bisects too.
 
@@ -286,7 +285,5 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     """
     solve = _implicit_step(drift, h)
     r = np.array(r, dtype=float).reshape(drift.dim)
-    if drift.dim > 1:
-        return SolveReport(*solve(r))
-    y, *report = solve(r.item())
-    return SolveReport(np.array([y]), *report)
+    y, *report = solve(r if r.size > 1 else r.item())
+    return SolveReport(np.reshape(y, r.shape), *report)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from roughtaylor import cli, fbm, harness
 from roughtaylor.cli import _parse_seeds, build_parser, main
@@ -190,6 +192,31 @@ def test_huge_grid_refused_by_size_alone(command, size, tmp_path, monkeypatch, c
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("T, variance", [("1e308", "inf"), ("5e-324", "0.0")])
+def test_sample_fbm_increment_variance_refused(T, variance, tmp_path, capsys, no_sampling):
+    out = tmp_path / "x.csv"
+    command = ["sample-fbm", "--hurst", "0.75", "--n", "64", "--seed", "0", "--out", str(out), "--T", T]
+    assert main(command) == 2
+    assert f"error: increment variance h^2H = {variance} for h=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seeds", "99999999999999999999999"),
+        ("--seeds", "0..99999999999999999999999"),
+        ("--steps", "4..99999999999999999999999"),
+    ],
+)
+def test_count_or_range_too_long_refused(flag, value, capsys, no_sampling):
+    # a count or range with more values than a tuple holds is refused by name
+    command = "run --problem example1 --scheme implicit_euler --steps 4..5 --ref 8"
+    assert main([*command.split(), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} '{value}' gives more than" in err and "values" in err
+
+
 @pytest.mark.parametrize(
     "command, message",
     [
@@ -229,6 +256,7 @@ def test_stability_command(capsys):
     code = main(["stability", "--h", "0.03125"])
     assert code == 0
     out = capsys.readouterr().out
+    assert out.startswith("h = 0.03125: forward drift map |1 - 70h| = 1.1875 -> UNSTABLE\n")
     assert "UNSTABLE" in out
     assert "implicit Euler" in out
 
@@ -320,3 +348,142 @@ def test_run_reruns_one_explicit_seed(tmp_path, capsys):
     name = "example1_implicit_euler_seed3.csv"
     assert sorted(p.name for p in (tmp_path / "one").glob("*_seed*.csv")) == [name]
     assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+
+
+# Edge values of the CLI grammar.  Every command built from them either is
+# refused or runs a small problem: `--ref` is at most 8 or above the cap of
+# 12, `--n` at most 64 or above 4096, `--h` gives at most 64 steps or is
+# refused, and a count or range of seeds or steps has at most 5 values or
+# more than 2^63.
+_HUGE = "99999999999999999999999"  # 23 digits: above 2^63, within float range
+_INTS = ["0", "3", "-1", _HUGE, "-" + _HUGE]
+_FLOATS = [
+    "0", "-0.0", "-1", "inf", "-inf", "nan", "5e-324", "2.2250738585072014e-308",
+    "1e-308", "1e308", "-1e308", "0.25", "0.5", "0.03125", _HUGE,
+]
+_MALFORMED = ["", ",", "1,", "..", "1..", "..3", "a", "1..2..3", "0.5,x", "1.5"]
+
+
+def _int_list():
+    one = st.sampled_from(_INTS)
+    return st.one_of(
+        one,
+        st.builds(lambda lo, hi: f"{lo}..{hi}", one, one),
+        st.lists(one, min_size=2, max_size=3).map(",".join),
+        st.sampled_from(_MALFORMED),
+    )
+
+
+def _float_list():
+    one = st.sampled_from(_FLOATS)
+    return st.one_of(st.lists(one, min_size=1, max_size=2).map(",".join), st.sampled_from(_MALFORMED))
+
+
+def _command(name, base, edges):
+    """argv for ``name``: a command that runs, drawn from ``base``, with up
+    to three of its flags set to edge values (None drops the flag, True
+    passes it bare)."""
+
+    def argv(flags):
+        return [name, *(k if v is True else f"{k}={v}" for k, v in flags.items() if v is not None)]
+
+    replaced = st.sets(st.sampled_from(sorted(edges)), max_size=3).flatmap(
+        lambda keys: st.fixed_dictionaries({k: edges[k] for k in keys})
+    )
+    return st.tuples(base, replaced).map(lambda flags: argv({**flags[0], **flags[1]}))
+
+
+_VALID_STUDIES = [
+    (problem, scheme)
+    for problem in sorted(harness.EXAMPLES)
+    for scheme in (
+        harness.ADDITIVE_SCHEMES
+        if harness.example_problem(problem)[0].additive
+        else harness.MULTIPLICATIVE_SCHEMES
+    )
+]
+_RUN = _command(
+    "run",
+    st.sampled_from(_VALID_STUDIES).map(
+        lambda study: {"--problem": study[0], "--scheme": study[1], "--steps": "2..3", "--ref": "6", "--seeds": "2"}
+    ),
+    {
+        "--scheme": st.sampled_from([*harness.ADDITIVE_SCHEMES, *harness.MULTIPLICATIVE_SCHEMES, "euler", None]),
+        "--steps": _int_list(),
+        "--ref": st.sampled_from(["-1", "0", "1", "8", "13", "1030", _HUGE, "-" + _HUGE]),
+        "--seeds": _int_list(),
+        "--hurst": _float_list(),
+        "--out": st.just("out"),
+    },
+)
+_ARGV = st.one_of(
+    _RUN,
+    _RUN,
+    _command(
+        "stability",
+        st.fixed_dictionaries({"--h": st.sampled_from(["0.0625", "0.03125", "0.015625"])}),
+        {
+            "--h": st.sampled_from(_FLOATS),
+            "--seed": st.sampled_from(_INTS),
+            "--zero-noise": st.just(True),
+            "--out": st.just("out"),
+        },
+    ),
+    _command(
+        "probe-local",
+        st.fixed_dictionaries({"--scheme": st.sampled_from(sorted(harness._PROBE_SCHEMES))}),
+        {"--scheme": st.sampled_from(["heun", None]), "--out": st.just("probe.csv")},
+    ),
+    _command(
+        "sample-fbm",
+        st.fixed_dictionaries(
+            {
+                "--hurst": st.sampled_from(["0.5", "0.3,0.7"]),
+                "--n": st.just("64"),
+                "--seed": st.just("0"),
+                "--out": st.just("path.csv"),
+            }
+        ),
+        {
+            "--hurst": _float_list(),
+            "--n": st.sampled_from(["0", "1", "4097", "-1", _HUGE, "-" + _HUGE]),
+            "--seed": st.sampled_from(_INTS),
+            "--T": st.sampled_from(_FLOATS),
+            "--out": st.none(),
+        },
+    ),
+)
+
+
+@pytest.fixture
+def counted_sampling(monkeypatch):
+    """The seeds of the driver paths commands sample, each recorded once the
+    sampler returns it; unlike ``no_sampling``, the paths are still drawn.
+    A sampler that refuses its config (such as a grid above the cap) has
+    drawn no path."""
+    draws, sample = [], harness.sample_fbm
+
+    def counted(config):
+        path = sample(config)
+        draws.append(config.seed)
+        return path
+
+    monkeypatch.setattr(harness, "sample_fbm", counted)
+    monkeypatch.setattr(cli, "sample_fbm", counted)
+    return draws
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+def test_property_every_command_exits_0_or_2(argv, tmp_path, monkeypatch, capsys, counted_sampling):
+    # whatever the command line, the CLI runs (0) or refuses with a message (2),
+    # and refuses before it samples a path: never a traceback
+    monkeypatch.chdir(tmp_path)
+    counted_sampling.clear()
+    try:
+        code = main(argv)
+    except SystemExit as exit:  # argparse refuses a malformed command line with status 2
+        code = exit.code
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert code == 0 or not counted_sampling, err

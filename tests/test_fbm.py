@@ -284,6 +284,44 @@ class TestFactorCache:
             fbm._cholesky_factor(0.4, grid)
         assert list(fbm._chol_cache) == [(0.3, 1.0, 16)]
 
+    @pytest.mark.parametrize("hs", [(0.3, 0.4, 0.5), (0.3, 0.4, 0.3, 0.4)])
+    def test_concurrent_misses_build_each_key_once(self, hs, monkeypatch):
+        # threads released together build one at a time under the cache lock:
+        # no key is built twice, and at most two factors are alive at once
+        n = 1024
+        grid = make_grid(1.0, n)
+        built, build = [], fbm._schur_bands
+
+        def recording(c):
+            built.append(len(c))
+            return build(c)
+
+        monkeypatch.setattr(fbm, "_schur_bands", recording)
+        barrier = threading.Barrier(len(hs))
+
+        def worker(H):
+            barrier.wait()
+            fbm._cholesky_factor(H, grid)
+
+        threads = [threading.Thread(target=worker, args=(H,)) for H in hs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        tracemalloc.start()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == len(set(hs))
+        factor = sum(band.nbytes for band in next(iter(fbm._chol_cache.values())))
+        block = 8 * fbm._BAND * n  # the widest block of the Schur sweep
+        assert peak < 2 * factor + block + factor // 4
+
     def test_racing_misses_keep_two_correct_entries(self):
         grid = make_grid(1.0, 16)
         hs = (0.3, 0.4, 0.5, 0.6)
@@ -490,6 +528,12 @@ class TestSampling:
             FbmConfig((0.5,), 1, make_grid(1.0, 8), seed=seed)
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             dataclasses.replace(cfg, seed=seed)
+
+    @pytest.mark.parametrize("T, H", [(1e308, 0.75), (1e300, 0.99), (5e-324, 0.5), (1e-300, 0.75)])
+    def test_config_rejects_increment_variance_out_of_range(self, T, H):
+        # h^2H overflows or underflows: no factor exists, so the config is refused
+        with pytest.raises(ValueError, match=r"increment variance h\^2H = (inf|0\.0) for h="):
+            FbmConfig((0.5, H), 2, make_grid(T, 64), seed=0)
 
     def test_scalar_hurst_broadcast(self):
         cfg = FbmConfig(0.5, 3, make_grid(1.0, 8), seed=0)

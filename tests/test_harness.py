@@ -399,6 +399,12 @@ class TestStabilityDemo:
         report = stability_demo(2**-7, zero_noise=True)
         assert not report.explicit_unstable
 
+    @pytest.mark.parametrize("h, factor", [(2**-5, 1.1875), (2**-7, 0.453125), (2**-4, 3.375)])
+    def test_report_carries_forward_factor(self, h, factor):
+        report = stability_demo(h, zero_noise=True)
+        assert report.explicit_factor == factor == abs(1.0 - 70.0 * h)
+        assert report.explicit_unstable == (factor > 1.0)
+
     def test_maximally_damped_step(self):
         report = stability_demo(1.0 / 70.0, zero_noise=True)
         assert not report.explicit_unstable
