@@ -4,7 +4,8 @@ Paths are sampled exactly on a fine reference grid as the cumulative sum
 of the increments R.T @ V, with V standard normal and R.T the Cholesky
 factor of the covariance of the fBm increments, then restricted to coarser
 grids for convergence studies.  Sampling is deterministic per (config, seed)
-and bitwise reproducible for a given BLAS thread count.
+and bitwise reproducible for a given BLAS thread count and NumPy SIMD dispatch:
+the autocovariance's array ``**`` follows it, so disabling AVX-512 moves paths.
 
 The increments of fBm on a uniform grid (fractional Gaussian noise) are
 stationary, so their covariance is a symmetric positive definite Toeplitz
@@ -53,8 +54,8 @@ _SUB = 32  # rows of the build's one scratch block; band edges are multiples of 
 class NotPositiveDefiniteError(ValueError):
     """Cholesky pivot failure; ``index`` is the 1-based failing leading minor."""
 
-    def __init__(self, index: int):
-        super().__init__(f"matrix is not positive definite (failing pivot {index})")
+    def __init__(self, index: int, what: str = "matrix"):
+        super().__init__(f"{what} is not positive definite (failing pivot {index})")
         self.index = index
 
 
@@ -229,7 +230,11 @@ def _cholesky_factor(H: float, grid: Grid) -> tuple[np.ndarray, ...]:
         # of the _CHOLESKY_CACHE_SIZE alive, not one more
         while len(_chol_cache) >= _CHOLESKY_CACHE_SIZE:
             _chol_cache.popitem(last=False)
-        bands = _chol_cache[key] = _schur_bands(_fgn_autocovariance(H, grid))
+        try:
+            bands = _chol_cache[key] = _schur_bands(_fgn_autocovariance(H, grid))
+        except NotPositiveDefiniteError as err:
+            what = f"the fBm increment covariance for H={H} on N={grid.N} steps"
+            raise NotPositiveDefiniteError(err.index, what) from None
         return bands
 
 
@@ -263,15 +268,17 @@ def sample_fbm(config: FbmConfig) -> SamplePath:
     its value at t_0 is 0.  Components are independent.  Band [a, b) of the
     increments is ``R_i.T[a:b, :b] @ V[:b]``.  Grids of more than
     ``DENSE_GRID_LIMIT`` steps raise ``ValueError`` before any factor is built.
+    Every factor is built before any normal is drawn; a failing one names H and N.
     """
     grid = config.grid
     _check_grid_size(math.log2(grid.N))
+    factors = [_cholesky_factor(H, grid) for H in config.hurst]
     values = np.zeros((grid.N + 1, config.m))
-    for comp in range(config.m):
+    for comp, bands in enumerate(factors):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(config.seed), comp))))
         z = rng.standard_normal(grid.N)
         x = values[1:, comp]
-        for R_T in _cholesky_factor(config.hurst[comp], grid):
+        for R_T in bands:
             rows, b = R_T.shape
             x[b - rows : b] = R_T @ z[:b]  # increments
         np.add.accumulate(x, out=x)  # cumsum

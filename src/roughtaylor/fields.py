@@ -97,25 +97,34 @@ def second_order_composition(S: np.ndarray, D: np.ndarray, D2: np.ndarray) -> np
 # built-in coefficient catalogue (used by the experiment harness)
 
 
+def _on_floats_form(func, float_func):
+    """Give ``func`` the float form ``float_func``: the IEEE operations that
+    ``func`` does on a shape-(1,) array, on a Python float (solver._on_floats)."""
+    func._floats = float_func
+    return func
+
+
 def zero_drift(dim: int = 1) -> DriftField:
-    return DriftField(
-        dim,
-        lambda y: np.zeros(dim),
-        0.0,
-        jacobian=lambda y: np.zeros((dim, dim)),
-    )
+    b, jac = (lambda y: np.zeros(dim)), (lambda y: np.zeros((dim, dim)))
+    if dim == 1:
+        b, jac = _on_floats_form(b, lambda y: 0.0), _on_floats_form(jac, lambda y: 0.0)
+    return DriftField(dim, b, 0.0, jacobian=jac)
 
 
 def double_well_drift() -> DriftField:
-    """Scalar b(y) = y - y^3; one-sided Lipschitz constant 1."""
+    """Scalar b(y) = y - y^3, as y - y*y*y; one-sided Lipschitz constant 1."""
 
     def b(y):
-        return y - y**3
+        return y - y * y * y
 
-    def jac(y):
-        return np.array(1.0 - 3.0 * y[0] ** 2, ndmin=2)
+    def db(y):  # y a float or a float64 scalar
+        try:  # libm pow, as for a float64 scalar; pow(y, 2) is not always y*y
+            return 1.0 - 3.0 * y**2
+        except OverflowError:  # where a float64 scalar gives inf
+            return -math.inf
 
-    return DriftField(1, b, 1.0, jacobian=jac)
+    jac = _on_floats_form(lambda y: np.array(db(y[0]), ndmin=2), db)
+    return DriftField(1, _on_floats_form(b, b), 1.0, jacobian=jac)
 
 
 def linear_drift(coeff: float, dim: int = 1) -> DriftField:
@@ -124,7 +133,10 @@ def linear_drift(coeff: float, dim: int = 1) -> DriftField:
     coeff = float(coeff)
     J = coeff * np.eye(dim)
     J.flags.writeable = False
-    return DriftField(dim, lambda y: coeff * y, coeff, jacobian=lambda y: J)
+    b, jac = (lambda y: coeff * y), (lambda y: J)
+    if dim == 1:
+        b, jac = _on_floats_form(b, b), _on_floats_form(jac, lambda y: coeff)
+    return DriftField(dim, b, coeff, jacobian=jac)
 
 
 def cubic_radial_drift(dim: int = 2) -> DriftField:

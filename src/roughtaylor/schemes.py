@@ -27,7 +27,7 @@ from .fields import (
 )
 from .grids import Grid, _write_node_csv
 from .lift import RoughLift
-from .solver import ConvergenceError, _float_drift, _implicit_step, _norm
+from .solver import ConvergenceError, _implicit_step, _norm, _on_floats
 from .solver import solve_step  # noqa: F401  (perfbench/spans.py wraps schemes.solve_step)
 
 __all__ = [
@@ -197,7 +197,7 @@ def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
     sigma(y_j) (x_{j+1} - x_j) for multiplicative ones."""
     _check_driver(problem, path.grid, path.m)
     h = path.grid.h
-    b = _float_drift(problem.drift) if problem.dim == 1 else problem.drift
+    b = _on_floats(problem.drift.func) if problem.dim == 1 else problem.drift
     term = _taylor_term(problem, np.diff(path.values, axis=0))
     return _trajectory(problem, path.grid, lambda j, y: y + h * b(y) + term(j, y))
 
@@ -217,7 +217,7 @@ def boundedness_bound(problem: Problem, path: SamplePath) -> float:
     if 2.0 * cb * path.grid.h > 1.0:
         raise ValueError(f"boundedness bound needs 2*C_b*h <= 1, got {2.0 * cb * path.grid.h:g}")
     T = path.grid.T
-    b = _float_drift(problem.drift) if problem.dim == 1 else problem.drift
+    b = _on_floats(problem.drift.func) if problem.dim == 1 else problem.drift
     values = path.values[1:, 0].tolist() if problem.dim == 1 else path.values[1:]
     b_max = max(_norm(b(x)) for x in values)
     x_max = float(np.max(np.linalg.norm(path.values, axis=1)))

@@ -91,21 +91,28 @@ def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
     return J
 
 
-def _float_drift(drift: DriftField):
-    """The drift of a d = 1 problem as a map of Python floats.  Each call hands
-    ``drift.func`` this map's one shape-(1,) scratch array, holding y, and reads
-    the output (float64, exactly one value, as DriftField.__call__ checks)."""
-    func, buf = drift.func, np.empty(1)
+def _jacobian_shape_error(J: np.ndarray, d: int) -> ValueError:
+    return ValueError(f"drift Jacobian has shape {J.shape}, not {(d, d)}, for d = {d}")
 
-    def b(y):
+
+def _on_floats(func, size_error=_size_error):
+    """A d = 1 drift's ``func`` or Jacobian on Python floats: its float form if
+    it has one, else ``func`` on one shape-(1,) scratch array holding y, its
+    output read as one float64 value, else ``size_error(output, 1)`` raised."""
+    floats = getattr(func, "_floats", None)
+    if floats is not None:
+        return floats
+    buf = np.empty(1)
+
+    def on_floats(y):
         buf[0] = y
         out = np.asarray(func(buf), dtype=float)
         try:
             return out.item()
         except ValueError:  # not exactly one value
-            raise _size_error(out, 1) from None
+            raise size_error(out, 1) from None
 
-    return b
+    return on_floats
 
 
 def _check_step(drift: DriftField, h: float) -> None:
@@ -142,14 +149,10 @@ def _implicit_step(drift: DriftField, h: float):
         # scalar problems iterate on Python floats: the same IEEE operations
         # in the same order as on 1-element arrays, without their overhead
         h = float(h)
-        b, buf = _float_drift(drift), np.empty(1)
+        b, jac = _on_floats(drift.func), _on_floats(jacobian, _jacobian_shape_error)
 
         def newton_matrix(y):
-            buf[0] = y
-            J = np.asarray(jacobian(buf), dtype=float)
-            if J.size != 1:
-                raise ValueError(f"drift Jacobian has shape {J.shape}, not (1, 1), for d = 1")
-            return 1.0 - h * J.item()
+            return 1.0 - h * jac(y)
 
         def linear_solve(a, F):
             # F / a is bitwise what dgesv returns for a 1x1 system,
@@ -163,9 +166,7 @@ def _implicit_step(drift: DriftField, h: float):
         def newton_matrix(y):
             Jb = np.asarray(jacobian(y), dtype=float)
             if Jb.shape != (d, d):
-                raise ValueError(
-                    f"drift Jacobian has shape {Jb.shape}, not {(d, d)}, for d = {d}"
-                )
+                raise _jacobian_shape_error(Jb, d)
             return eye - h * Jb
 
     m = min(1.0, 1.0 - cb * h)  # strong monotonicity constant, capped at 1

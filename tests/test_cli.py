@@ -202,6 +202,23 @@ def test_sample_fbm_increment_variance_refused(T, variance, tmp_path, capsys, no
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        "sample-fbm --hurst 0.9999999999999999 --n 64 --seed 0 --out x.csv",
+        "run --problem example1 --scheme implicit_euler --hurst 0.9999999999999999 "
+        "--steps 3..4 --ref 6 --out study",
+    ],
+)
+def test_failing_factor_names_hurst_and_size(command, tmp_path, monkeypatch, capsys):
+    # a Hurst parameter this close to 1 makes the increment covariance singular
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert "H=0.9999999999999999 on N=64 steps is not positive definite" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--seeds", "99999999999999999999999"),

@@ -535,6 +535,29 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"increment variance h\^2H = (inf|0\.0) for h="):
             FbmConfig((0.5, H), 2, make_grid(T, 64), seed=0)
 
+    def test_every_factor_before_any_draw(self, monkeypatch):
+        events = []
+        factor, generator = fbm._cholesky_factor, np.random.Generator
+        monkeypatch.setattr(fbm, "_cholesky_factor", lambda H, g: events.append(H) or factor(H, g))
+        monkeypatch.setattr(np.random, "Generator", lambda b: events.append("draw") or generator(b))
+        sample_fbm(FbmConfig((0.3, 0.7), 2, make_grid(1.0, 32), seed=0))
+        assert events == [0.3, 0.7, "draw", "draw"]
+
+    def test_failing_factor_names_hurst_and_size_before_any_draw(self, monkeypatch):
+        # H this close to 1 makes the increment covariance numerically singular
+        def no_draw(bits):
+            raise AssertionError("a normal drawn before every factor exists")
+
+        monkeypatch.setattr(np.random, "Generator", no_draw)
+        cfg = FbmConfig((0.5, 0.9999999999999999), 2, make_grid(1.0, 64), seed=0)
+        message = (
+            r"^the fBm increment covariance for H=0\.9999999999999999 on N=64 steps "
+            r"is not positive definite \(failing pivot \d+\)$"
+        )
+        with pytest.raises(NotPositiveDefiniteError, match=message) as err:
+            sample_fbm(cfg)
+        assert err.value.index > 1
+
     def test_scalar_hurst_broadcast(self):
         cfg = FbmConfig(0.5, 3, make_grid(1.0, 8), seed=0)
         assert cfg.hurst == (0.5, 0.5, 0.5)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,11 +18,12 @@ from roughtaylor.fields import (
     geometric_diffusion,
     linear_drift,
     second_order_composition,
+    zero_drift,
 )
 from roughtaylor.grids import make_grid
 from roughtaylor.harness import run_scheme
 from roughtaylor.schemes import Problem, boundedness_bound
-from roughtaylor.solver import solve_step
+from roughtaylor.solver import _on_floats, solve_step
 
 
 def _first_at(sigma: DiffusionField, y) -> np.ndarray:
@@ -420,3 +423,64 @@ class TestDriftFieldCall:
         }
         with pytest.raises(ValueError, match=message):
             runs[form]()
+
+
+def scalar_catalogue(coeff):
+    """The catalogue's d = 1 drifts, each evaluator of which has a float form."""
+    return {
+        "double_well": double_well_drift(),
+        "linear": linear_drift(coeff),
+        "zero": zero_drift(1),
+    }
+
+
+def float_bits(x):
+    """The bytes of a float, every NaN as one value."""
+    return "nan" if math.isnan(x) else np.float64(x).tobytes()
+
+
+# signed zeros, subnormals, the extremes of the doubles, values whose square
+# or cube overflow or underflow, infinities and NaN; and a y whose libm
+# pow(y, 2) is not y*y and one whose AVX-512 array y**3 is not y*y*y
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+    1e-308, -1e-308, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e-200, -1e-200, 1e103, -1e103, 1.4e154, -1.4e154, math.inf, -math.inf, math.nan,
+    -1.4394943995478604, 1.8107117333462355,
+]
+
+
+class TestFloatForms:
+    """Each evaluator of a catalogue d = 1 drift has a float form, which the
+    d = 1 stepper calls in place of it: it has the bits of the evaluator on
+    a shape-(1,) array at every float, and raises at none."""
+
+    @staticmethod
+    def check(coeff, y):
+        for name, drift in scalar_catalogue(coeff).items():
+            for evaluator in (drift.func, drift.jacobian):
+                floats = _on_floats(evaluator)
+                assert floats is evaluator._floats, name
+                got = floats(y)
+                assert type(got) is float, name
+                with np.errstate(all="ignore"):
+                    want = np.asarray(evaluator(np.array([y]))).item()
+                assert float_bits(got) == float_bits(want), (name, coeff, y)
+
+    @settings(max_examples=500, deadline=None)
+    @given(coeff=st.floats(), y=st.floats())
+    def test_property_float_form_is_array_form_bitwise(self, coeff, y):
+        self.check(coeff, y)
+
+    @pytest.mark.parametrize("y", EDGE_FLOATS)
+    def test_edge_floats(self, y):
+        for coeff in (-70.0, 30.0, 1.0, -0.0, 1e300, -math.inf, math.nan):
+            self.check(coeff, y)
+
+    def test_user_fields_and_planar_fields_keep_the_scratch_array(self):
+        seen = []
+        user = DriftField(1, lambda y: seen.append(y) or -y, -1.0)
+        assert _on_floats(user.func)(2.0) == -2.0
+        assert seen[0].shape == (1,) and not hasattr(user.func, "_floats")
+        for drift in (linear_drift(-70.0, dim=2), zero_drift(2), cubic_radial_drift(1)):
+            assert not hasattr(drift.func, "_floats") and not hasattr(drift.jacobian, "_floats")

@@ -1,3 +1,5 @@
+import collections
+import sys
 from unittest import mock
 
 import numpy as np
@@ -584,6 +586,64 @@ class TestNewtonIterationsPerStep:
             run_study(config)
         iterations = sum(report[1] for _, report in solves)
         assert iterations / len(solves) <= ceiling
+
+
+def plain(drift):
+    """A d = 1 drift as a user field: the same evaluators behind lambdas, which
+    carry no float form, so the stepper hands them its scratch array."""
+    return DriftField(
+        1, lambda y: drift.func(y), drift.one_sided_lipschitz, lambda y: drift.jacobian(y)
+    )
+
+
+# name: seed -> (problem with a catalogue d = 1 drift, path)
+FLOAT_PATH_CASES = {
+    "example1_H0.1": lambda seed: (example_problem("example1")[0], fbm_path(seed, 1024, hurst=0.1)),
+    "example1_H0.75": lambda seed: (
+        example_problem("example1")[0], fbm_path(seed, 1024, hurst=0.75)
+    ),
+    "example2": lambda seed: (example_problem("example2")[0], fbm_path(seed, 1024, hurst=0.75)),
+    "zero_drift": lambda seed: (Problem(zero_drift(1), xi=[0.5], T=1.0), fbm_path(seed, 256)),
+}
+
+
+class TestFloatPath:
+    """The catalogue's d = 1 drifts are evaluated on their float forms, a user
+    field through the scratch array; the same evaluators end in the same
+    bits either way, under implicit and forward Euler and in the bound."""
+
+    @pytest.mark.parametrize("case", sorted(FLOAT_PATH_CASES))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_float_path_is_scratch_array_path_bitwise(self, case, seed):
+        problem, path = FLOAT_PATH_CASES[case](seed)
+        user = Problem(plain(problem.drift), xi=problem.xi, T=problem.T)
+        runs = [
+            lambda p: run_scheme("implicit_euler", p, path).states,
+            lambda p: explicit_euler(p, path).states,
+        ]
+        for run in runs:
+            assert outcome(lambda: run(problem)) == outcome(lambda: run(user))
+        bounds = [np.float64(boundedness_bound(p, path)).tobytes() for p in (problem, user)]
+        assert bounds[0] == bounds[1]
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_implicit_trajectory_makes_no_array_call(self, name):
+        problem, _, hurst = example_problem(name)
+        path = fbm_path(0, 256, hurst=hurst[0])
+        func, jacobian = problem.drift.func, problem.drift.jacobian
+        codes = {f.__code__ for f in (func, jacobian, func._floats, jacobian._floats)}
+        arguments = collections.Counter()  # the type of y at each evaluator call
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                arguments[type(frame.f_locals["y"])] += 1
+
+        sys.setprofile(count)
+        try:
+            run_scheme("implicit_euler", problem, path)
+        finally:
+            sys.setprofile(None)
+        assert set(arguments) == {float} and arguments[float] > path.grid.N
 
 
 class TestExplicitEuler:
