@@ -115,9 +115,15 @@ class FbmConfig:
                     f"increment variance h^2H = {variance} for h={h} and H={H} "
                     "is not positive and finite"
                 )
-        seed = self.seed
-        if not (isinstance(seed, numbers.Real) and 0 <= seed < math.inf and seed % 1 == 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> int:
+    """The seed as an int; ValueError unless it is a nonnegative integer
+    (a bool or an integral float is one)."""
+    if not (isinstance(seed, numbers.Real) and 0 <= seed < math.inf and seed % 1 == 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return int(seed)
 
 
 def covariance_matrix(H: float, grid: Grid) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fbm import FbmConfig, SamplePath, _check_grid_size, restrict, sample_fbm
+from .fbm import FbmConfig, SamplePath, _check_grid_size, _check_seed, restrict, sample_fbm
 from .fields import (
     cosine_diffusion,
     cubic_radial_drift,
@@ -208,8 +208,11 @@ def eoc(errors, steps) -> np.ndarray:
     return np.diff(np.log(e)) / np.diff(np.log(h))
 
 
-def _validate_config(config: StudyConfig, problem: Problem | None) -> tuple[tuple[int, ...], int]:
-    """Check a study's config; return its sorted step and reference exponents as ints."""
+def _validate_config(
+    config: StudyConfig, problem: Problem | None
+) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """Check a study's config; return its sorted step and reference exponents
+    and its seeds, as ints."""
     if config.problem == "custom" and problem is None:
         raise ValueError("problem='custom' requires an explicit Problem")
     if config.problem in EXAMPLES and problem is not None:
@@ -234,7 +237,8 @@ def _validate_config(config: StudyConfig, problem: Problem | None) -> tuple[tupl
         raise ValueError("need at least one seed")
     if len(set(config.seeds)) != len(config.seeds):
         raise ValueError(f"seeds must be distinct, got {tuple(config.seeds)}")
-    return tuple(sorted(int(k) for k in config.step_exponents)), int(config.ref_exponent)
+    seeds = tuple(_check_seed(seed) for seed in config.seeds)
+    return tuple(sorted(int(k) for k in config.step_exponents)), int(config.ref_exponent), seeds
 
 
 def _certify_bound(problem: Problem, path: SamplePath, trajectory: Trajectory) -> bool:
@@ -266,7 +270,7 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
     Divergence or a failed implicit solve is recorded as a flagged row, never
     raised.  Identical configs produce byte-identical CSV output.
     """
-    exponents, ref_exponent = _validate_config(config, problem)
+    exponents, ref_exponent, seeds = _validate_config(config, problem)
     if config.problem == "custom":
         default_hurst = (0.5,) * problem.noise_dim
     else:
@@ -296,12 +300,12 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
             bound_checks += 1
         return trajectory, None
 
-    # every seed, and the output directory, is checked before the first path is sampled
-    drivers = [FbmConfig(hurst, problem.noise_dim, ref_grid, seed) for seed in config.seeds]
+    # every driver, and the output directory, is checked before the first path is sampled
+    drivers = [FbmConfig(hurst, problem.noise_dim, ref_grid, seed) for seed in seeds]
     if config.out_dir is not None:
         _check_target(config.out_dir, directory=True)
     seed_tables: dict[int, ErrorTable] = {}
-    for seed, driver in zip(config.seeds, drivers):
+    for seed, driver in zip(seeds, drivers):
         path_ref = sample_fbm(driver)
         ref_traj, ref_flag = run_level(path_ref, "reference-")
 

@@ -181,7 +181,7 @@ def semi_implicit_taylor(problem: Problem, lift: RoughLift, order: int) -> Traje
     state solves its step to the solver's tolerance, and it can differ from
     a solve started at the right-hand side by as much as that tolerance
     allows."""
-    if order not in (1, 2, 3):
+    if type(order) is not int or order not in (1, 2, 3):  # not 2.0, not True
         raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
     if order == 3 and not lift.has_level3:
         raise ValueError("third-order scheme needs a lift with level-3 tensors")

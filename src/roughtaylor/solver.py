@@ -29,7 +29,7 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 MAX_NEWTON = 100
 _FD_STEP = 1e-7
-_ROUNDING = 16.0 * sys.float_info.epsilon  # residual rounding floor per unit |r|
+_ROUNDING = 16.0 * sys.float_info.epsilon  # residual rounding floor per unit |r| or |y|
 _ARMIJO = 0.25  # sufficient decrease of the residual norm per unit step
 
 
@@ -131,16 +131,16 @@ def _implicit_step(drift: DriftField, h: float):
     residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
     the solution are Python floats, else shape-(d,) float arrays.
 
-    The stepper remembers its last solve: the right-hand side r_{j-1}, the
-    solution y_j, its accepted residual F_j and the last Newton matrix
-    A = I - h*Jb it formed.  The next solve starts at the Newton point from
-    y_j, g = y_j + A^{-1}(r_j - r_{j-1} - F_j): one division by A for d = 1,
-    one dgesv for d > 1, no drift or Jacobian call, and for a linear drift
-    the root to rounding.  It starts at r_j instead on its first solve,
-    while it has formed no Newton matrix (so a zero drift always starts at
-    r_j) and where A is singular.  Where the residual at g is not finite,
-    the solve starts again from r_j, so a g where the drift is not finite
-    costs one drift call and is not itself a failure."""
+    Every Newton matrix is A = eye - h*jac(y): 1.0 less a float Jacobian for
+    d = 1, the identity less the checked (d, d) Jacobian for d > 1.  Only
+    ``solve`` writes the state: the last A formed and the right-hand side
+    r_{j-1}, solution y_j and accepted residual F_j of the last solve.  A
+    solve starts at the Newton point g = y_j + A^{-1}(r_j - r_{j-1} - F_j),
+    with no drift or Jacobian call (for a linear drift the root to rounding),
+    or at r_j on its first solve, while no A is formed (so a zero drift always
+    starts at r_j) and where A is singular.  Where the residual at g is not
+    finite, the solve starts again from r_j, so a g where the drift is not
+    finite costs one drift call and is not itself a failure."""
     _check_step(drift, h)
     cb, d = drift.one_sided_lipschitz, drift.dim
     jacobian = drift.jacobian or functools.partial(_fd_jacobian, drift)
@@ -150,9 +150,7 @@ def _implicit_step(drift: DriftField, h: float):
         # in the same order as on 1-element arrays, without their overhead
         h = float(h)
         b, jac = _on_floats(drift.func), _on_floats(jacobian, _jacobian_shape_error)
-
-        def newton_matrix(y):
-            return 1.0 - h * jac(y)
+        eye, size = 1.0, abs
 
         def linear_solve(a, F):
             # F / a is bitwise what dgesv returns for a 1x1 system,
@@ -161,28 +159,16 @@ def _implicit_step(drift: DriftField, h: float):
 
     else:
         # A^{-1} F by LAPACK dgesv, or None if A is singular
-        b, eye, linear_solve = drift, np.eye(d), _gesv()
+        b, eye, size, linear_solve = drift, np.eye(d), _norm, _gesv()
 
-        def newton_matrix(y):
+        def jac(y):
             Jb = np.asarray(jacobian(y), dtype=float)
             if Jb.shape != (d, d):
                 raise _jacobian_shape_error(Jb, d)
-            return eye - h * Jb
+            return Jb
 
     m = min(1.0, 1.0 - cb * h)  # strong monotonicity constant, capped at 1
     A = last = None  # the last Newton matrix formed; (r, y, F) of the last solve
-
-    def newton_step(y, F):
-        nonlocal A
-        A = newton_matrix(y)
-        return linear_solve(A, F)
-
-    def guess(r):
-        if last is None or A is None:
-            return r
-        r_last, y_last, F_last = last
-        step = linear_solve(A, (r - r_last) - F_last)
-        return r if step is None else y_last + step
 
     def residual(y, r, iters, res):
         # F = y - h*b(y) - r and |F| as residual `iters`; a spent budget reports `res`
@@ -195,8 +181,12 @@ def _implicit_step(drift: DriftField, h: float):
         return F, norm
 
     def solve(r):
-        nonlocal last
-        y = guess(r)
+        nonlocal A, last
+        y = r
+        if last is not None and A is not None:  # the Newton point from the last solution
+            r_last, y_last, F_last = last
+            step = linear_solve(A, (r - r_last) - F_last)
+            y = r if step is None else y_last + step
         F = y - h * b(y) - r
         res = _norm(F)
         if not math.isfinite(res):  # start again from r, or raise there
@@ -207,8 +197,9 @@ def _implicit_step(drift: DriftField, h: float):
         iters = 0  # the residual of the start is iteration 0
         lo = hi = None  # d = 1: the bracket, built at the first rejected step
         method = "newton"
-        while res > tol:
-            step = newton_step(y, F)
+        while res > tol and res > _ROUNDING * size(y):
+            A = eye - h * jac(y)
+            step = linear_solve(A, F)
             if step is None and not scalar:
                 step, method = F, "safeguarded"
             trial = None if step is None else y - step
@@ -260,9 +251,10 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     the residual's sign at the iterate and at the Newton point.  A Newton
     point outside it is not tried; a zero Newton divisor bisects too.
 
-    The tolerance is max(DEFAULT_TOL, 16*eps*|r|), as below that the
-    residual is the rounding of y - h*b(y) - r.  Every residual after the
-    first counts as an iteration, and at most MAX_NEWTON are taken.  The
+    The tolerance is max(DEFAULT_TOL, 16*eps*max(|r|, |y|)) at the iterate
+    y, as below that the residual is the rounding of y - h*b(y) - r.  Every
+    residual after the first counts as an iteration, and at most MAX_NEWTON
+    are taken.  The
     solution is the iterate whose residual was found within tolerance,
     reported with it; ``method_used`` is "newton" if every full Newton step
     was kept, else "safeguarded".

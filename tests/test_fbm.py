@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import dataclasses
+import re
 import sys
 import threading
 import tracemalloc
@@ -79,6 +80,11 @@ class TestCholesky:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             cholesky([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"square matrix required, got shape {shape}")):
+            cholesky(np.ones(shape))
 
 
 def _max_rel(a, b):
@@ -522,7 +528,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, float("inf"), float("nan"), None])
     def test_config_rejects_bad_seed(self, seed):
-        # FbmConfig is the one place a seed is checked, replace() included
+        # FbmConfig checks the seed itself, replace() included
         cfg = FbmConfig((0.5,), 1, make_grid(1.0, 8), seed=0)
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             FbmConfig((0.5,), 1, make_grid(1.0, 8), seed=seed)
@@ -557,6 +563,16 @@ class TestSampling:
         with pytest.raises(NotPositiveDefiniteError, match=message) as err:
             sample_fbm(cfg)
         assert err.value.index > 1
+
+    def test_config_rejects_no_components(self):
+        with pytest.raises(ValueError, match="need at least one component, got m=0"):
+            FbmConfig((), 0, make_grid(1.0, 8), seed=0)
+
+    @pytest.mark.parametrize("shape", [(8,), (10, 1), (9, 1, 1)])
+    def test_path_rejects_rows_other_than_nodes(self, shape):
+        # N = 8 steps: 9 nodes, so 9 rows
+        with pytest.raises(ValueError, match=r"values must have one row per node \(9\), got shape"):
+            SamplePath(make_grid(1.0, 8), np.zeros(shape))
 
     def test_scalar_hurst_broadcast(self):
         cfg = FbmConfig(0.5, 3, make_grid(1.0, 8), seed=0)
@@ -618,6 +634,11 @@ class TestRestrict:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             restrict(self._path(8), 3)
+
+    @pytest.mark.parametrize("factor", [2.5, 0, -2])
+    def test_rejects_factor_that_is_not_a_positive_integer(self, factor):
+        with pytest.raises(ValueError, match=f"factor must be a positive integer, got {factor}"):
+            restrict(self._path(8), factor)
 
 
 def test_dump_path_csv(tmp_path):

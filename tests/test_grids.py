@@ -1,7 +1,10 @@
+import errno
+
 import numpy as np
 import pytest
 
-from roughtaylor.grids import make_grid
+from roughtaylor import grids
+from roughtaylor.grids import _check_target, make_grid
 
 
 class TestMakeGrid:
@@ -24,3 +27,11 @@ class TestMakeGrid:
     def test_rejects_non_finite_horizon(self, T):
         with pytest.raises(ValueError, match="final time must be positive and finite"):
             make_grid(T, 4)
+
+
+def test_check_target_names_an_ancestor_that_is_not_writable(tmp_path, monkeypatch):
+    # os.access stands in for a read-only directory, which root could write anyway
+    monkeypatch.setattr(grids.os, "access", lambda path, mode: False)
+    with pytest.raises(OSError, match="Permission denied") as exc:
+        _check_target(tmp_path / "new" / "table.csv")
+    assert (exc.value.errno, exc.value.filename) == (errno.EACCES, str(tmp_path))

@@ -72,6 +72,14 @@ class TestEoc:
             eoc(errors, steps)
 
 
+    @pytest.mark.parametrize(
+        "errors, steps", [([1.0, 0.5, 0.25], [1.0, 0.5]), ([1.0], [1.0]), ([[1.0, 0.5]], [[1.0, 0.5]])]
+    )
+    def test_rejects_mismatched_input(self, errors, steps):
+        with pytest.raises(ValueError, match="need matching 1-d errors and steps with at least two"):
+            eoc(errors, steps)
+
+
 def zero_driver_states(problem, n_steps):
     """Implicit Euler states of an additive scalar problem on T = 1 with the
     driver held at zero, on n_steps steps."""
@@ -187,6 +195,23 @@ class TestRunStudy:
 
         assert study(steps, ref, tmp_path / "a") == study((4, 5), int(ref), tmp_path / "b")
 
+    @pytest.mark.parametrize("seeds", [(2.0,), (True, 2.0)])
+    def test_integral_float_and_bool_seeds_run_as_ints(self, seeds, tmp_path):
+        # seed 2.0 draws the path of seed 2 and True that of seed 1, so the
+        # tables and files are named after those ints
+        def study(seeds, out):
+            config = StudyConfig(
+                "example2", "implicit_euler", step_exponents=(3,), ref_exponent=4, seeds=seeds,
+                out_dir=out,
+            )
+            result = run_study(config)
+            return list(result.seed_tables), [(p.name, p.read_bytes()) for p in result.files]
+
+        ints = tuple(int(seed) for seed in seeds)
+        got, want = study(seeds, tmp_path / "a"), study(ints, tmp_path / "b")
+        assert got == want
+        assert all(type(seed) is int for seed in got[0])
+
     def test_rejects_problem_with_builtin_config(self):
         cfg = StudyConfig("example2", "implicit_euler", step_exponents=(4,), ref_exponent=6)
         with pytest.raises(ValueError, match="'example2' is built in"):
@@ -232,6 +257,11 @@ class TestRunStudy:
     def test_rejects_unknown_scheme(self):
         cfg = StudyConfig("example1", "implicit_eular", step_exponents=(4,), ref_exponent=6)
         with pytest.raises(ValueError, match="unknown scheme 'implicit_eular'; choose from"):
+            run_study(cfg)
+
+    def test_custom_requires_a_problem(self, no_sampling):
+        cfg = StudyConfig("custom", "implicit_euler", step_exponents=(4,), ref_exponent=6)
+        with pytest.raises(ValueError, match="problem='custom' requires an explicit Problem"):
             run_study(cfg)
 
     @pytest.mark.parametrize("custom", [None, Problem(linear_drift(-1.0), xi=[1.0], T=1.0)])
@@ -495,6 +525,11 @@ class TestLocalErrorProbe:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             local_error_probe(probe_default_problem(), "heun")
+
+    def test_rejects_additive_problem(self):
+        problem = Problem(linear_drift(-1.0), xi=[1.0], T=1.0)
+        with pytest.raises(ValueError, match="the probe needs a multiplicative problem"):
+            local_error_probe(problem, "euler")
 
     @pytest.mark.parametrize("scheme", ["euler", "milstein", "milstein3"])
     def test_errors_bitwise_pinned(self, scheme):

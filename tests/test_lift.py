@@ -49,6 +49,26 @@ class TestPiecewiseLinearLift:
         assert random_lift(3, include_level3=False).level3 is None
 
 
+class TestRoughLiftShapes:
+    """RoughLift names the first tensor whose shape does not fit N = 4, m = 2."""
+
+    GOOD = dict(increments=np.zeros((4, 2)), level2=np.zeros((4, 2, 2)), level3=np.zeros((4, 2, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "name, shape, message",
+        [
+            ("increments", (3, 2), r"increments must have shape \(N, m\), got \(3, 2\)"),
+            ("increments", (4,), r"increments must have shape \(N, m\), got \(4,\)"),
+            ("level2", (4, 2, 3), r"level2 must have shape \(N, m, m\), got \(4, 2, 3\)"),
+            ("level3", (4, 2, 2), r"level3 must have shape \(N, m, m, m\), got \(4, 2, 2\)"),
+        ],
+    )
+    def test_rejects_wrong_shape(self, name, shape, message):
+        tensors = {**self.GOOD, name: np.zeros(shape)}
+        with pytest.raises(ValueError, match=message):
+            RoughLift(make_grid(1.0, 4), **tensors)
+
+
 class TestChenCompose:
     def test_neutral_right_factor(self):
         L = random_lift(1, m=2, N=1)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
@@ -512,6 +512,8 @@ class TestStartAtLastNewtonPoint:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 256),
     )
+    # C_b*h = 0.99999: the root is about 1e5*r, its residual rounds at eps*|y|
+    @example(name="linear", c=0.99999, hurst=0.5, seed=0, n=1)
     def test_every_state_solves_its_step(self, name, c, hurst, seed, n):
         drift, xi = START_DRIFTS[name](c)
         grid = make_grid(1.0, n)
@@ -527,7 +529,7 @@ class TestStartAtLastNewtonPoint:
         for r, (y, *_) in solves:
             r, y = np.atleast_1d(r), np.atleast_1d(y)
             F = y - grid.h * drift(y) - r
-            tol = max(1e-12, 16.0 * np.finfo(float).eps * np.linalg.norm(r))
+            tol = max(1e-12, 16.0 * np.finfo(float).eps * max(np.linalg.norm(r), np.linalg.norm(y)))
             assert np.linalg.norm(F) <= tol
         if ending[0] == "states":
             solutions = [report[0] for _, report in solves]
@@ -780,7 +782,7 @@ class TestMilsteinFamily:
 
 
 class TestSemiImplicitTaylor:
-    @pytest.mark.parametrize("order", [0, 4])
+    @pytest.mark.parametrize("order", [0, 4, 2.0, True])
     def test_rejects_order_outside_one_to_three(self, order):
         lift = piecewise_linear_lift(fbm_path(0, m=2))
         with pytest.raises(ValueError, match="order"):
@@ -887,6 +889,8 @@ class TestInvariants:
             boundedness_bound(Problem(linear_drift(1.0), xi=[1.0], T=1.0), fbm_path(0, m=2))
         with pytest.raises(ValueError, match=r"needs 2\*C_b\*h <= 1, got 1.25$"):
             boundedness_bound(Problem(linear_drift(40.0), xi=[1.0], T=1.0), path)  # h = 1/64
+        with pytest.raises(ValueError, match="holds for additive problems only"):
+            boundedness_bound(example3_problem(), fbm_path(0, m=2))
 
     def test_gate_on_all_implicit_schemes(self):
         problem = example3_problem()

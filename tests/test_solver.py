@@ -1,10 +1,11 @@
 import re
 import warnings
+from fractions import Fraction
 from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgesv
 
@@ -81,9 +82,10 @@ ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 ARMIJO = 0.25
 
 
-def effective_tol(r):
-    """solve_step's tolerance for the default tol = 1e-12."""
-    return max(1e-12, ROUNDING_FLOOR * float(np.linalg.norm(r)))
+def effective_tol(r, y=0.0):
+    """solve_step's tolerance for the default tol = 1e-12 at the iterate y:
+    max(1e-12, 16*eps*max(|r|, |y|)), today's bound where |y| <= |r|."""
+    return max(1e-12, ROUNDING_FLOOR * max(float(np.linalg.norm(r)), float(np.linalg.norm(y))))
 
 
 def reference_solve_step(
@@ -216,7 +218,7 @@ def documented_solve_step(drift, h, r, start, jacobians):
     y = start
     F, res = residual(y, 0, None)
     iters, lo, hi = 0, None, None
-    while res > tol:
+    while res > effective_tol(r, y):
         jacobians.append(np.array(jacobian(y), dtype=float))
         try:
             step = np.linalg.solve(eye - h * jacobians[-1], F)
@@ -807,6 +809,86 @@ class TestMonotoneConvergence:
             root = scalar_root(drift, h, r[0])
             bound = true_residual_bound(drift, h, r, rep) / (1.0 - drift.one_sided_lipschitz * h)
             assert abs(y[0] - root) <= bound + 1e-14 + 2.0 * np.spacing(abs(root))
+
+
+def affine_drift(s):
+    """b(y) = s - y: contractive (C_b = -1, Jacobian -I), with the root
+    (r + h*s)/(1 + h), about h*s/(1 + h) where |r| << |s|."""
+    s = np.array(s, dtype=float).reshape(-1)
+    eye = np.eye(s.size)
+    return DriftField(s.size, lambda y: s - y, -1.0, lambda y: -eye)
+
+
+def assert_solves_to_root(drift, h, r, root):
+    """solve_step converges on (drift, h, r) within the tolerance at its
+    solution, and to ``root`` (exact Fractions, one per component) within the
+    inverse-Lipschitz bound."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    rep = solve_step(drift, h, r)
+    assert rep.residual <= effective_tol(r, rep.solution)
+    gap = np.linalg.norm([float(Fraction(y) - y_exact) for y, y_exact in zip(rep.solution, root)])
+    # 1 - C_b*h exactly, as its rounding is large against it where C_b*h is near 1
+    m = 1 - Fraction(drift.one_sided_lipschitz) * Fraction(h)
+    assert gap <= true_residual_bound(drift, h, r, rep) / float(m)
+
+
+def linear_root(c, h, r):
+    return [Fraction(x) / (1 - Fraction(c) * Fraction(h)) for x in np.atleast_1d(r)]
+
+
+def affine_root(s, h, r):
+    s, r = np.atleast_1d(s), np.atleast_1d(r)
+    return [(Fraction(x) + Fraction(h) * Fraction(o)) / (1 + Fraction(h)) for x, o in zip(r, s)]
+
+
+class TestRootsLargerThanR:
+    """Well-posed steps whose root is much larger than r: the residual
+    rounds at about eps*|y|, above the floor 16*eps*|r|, so the tolerance
+    follows max(|r|, |y|) at the iterate."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("c", [0.99999, 0.9999999])
+    def test_linear_drift_near_the_step_limit(self, c, dim):
+        # C_b*h = c at h = 1: the root r/(1 - c) is 1e5 to 1e7 times r
+        drift = linear_drift(c, dim)
+        for r in np.random.default_rng(3).uniform(-3.0, 3.0, (60, dim)):
+            assert_solves_to_root(drift, 1.0, r, linear_root(c, 1.0, r))
+
+    @pytest.mark.parametrize("h", [0.01, 1.0])
+    @pytest.mark.parametrize("s", [1e3, 1e5, 1e7])
+    def test_contractive_affine_drift(self, s, h):
+        drift = affine_drift(s)
+        for r in np.random.default_rng(4).uniform(-3.0, 3.0, 50):
+            assert_solves_to_root(drift, h, r, affine_root(s, h, r))
+
+    @pytest.mark.parametrize(
+        "s, r", [(1e6, 0.1), ((1e6, -1e6), (0.1, 0.3))], ids=["d=1", "d=2"]
+    )
+    def test_affine_root_near_half_a_million(self, s, r):
+        assert_solves_to_root(affine_drift(s), 1.0, r, affine_root(s, 1.0, r))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 2),
+        ch=st.floats(0.99, 1.0, exclude_min=True, exclude_max=True),
+        h=st.floats(1e-2, 1.0),
+        r=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+    )
+    def test_linear_drift_with_ch_near_one(self, dim, ch, h, r):
+        c = ch / h
+        assume(c * h < 1.0)
+        assert_solves_to_root(linear_drift(c, dim), h, r[:dim], linear_root(c, h, r[:dim]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.lists(st.floats(-1e7, 1e7), min_size=2, max_size=2),
+        h=st.floats(1e-4, 1.0),
+        r=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        dim=st.integers(1, 2),
+    )
+    def test_affine_offsets_up_to_1e7(self, s, h, r, dim):
+        s, r = s[:dim], r[:dim]
+        assert_solves_to_root(affine_drift(s), h, r, affine_root(s, h, r))
 
 
 class TestNonFiniteResidual:
