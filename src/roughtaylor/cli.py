@@ -22,13 +22,18 @@ from .grids import _check_target, _write_csv, make_grid
 from .schemes import dump_trajectory_csv
 
 
+# The most values a count or range may give.  A study runs every seed and
+# every step exponent it is given, so a count above this is a typo, and its
+# tuple alone would take tens of megabytes, or all memory (10^12 seeds).
+_MAX_VALUES = 10**6
+
+
 def _span(lo: int, stop: int, flag: str, text: str) -> tuple[int, ...]:
     """The integers lo..stop-1, or ValueError naming ``flag`` if they are
-    more than a tuple can hold."""
-    try:
-        return tuple(range(lo, stop))
-    except OverflowError:
-        raise ValueError(f"{flag} {text!r} gives more than {sys.maxsize} values") from None
+    more than _MAX_VALUES, before any tuple is built."""
+    if stop - lo > _MAX_VALUES:
+        raise ValueError(f"{flag} {text!r} gives more than {_MAX_VALUES} values")
+    return tuple(range(lo, stop))
 
 
 def _parse_list(text: str, flag: str, kind=int) -> tuple:

@@ -146,10 +146,10 @@ def cubic_radial_drift(dim: int = 2) -> DriftField:
         return y - y.dot(y) * y
 
     def jac(y):
-        # (1 - |y|^2) I - 2 y y^T by entries; c * (p == q) is c * I[p, q], signed zeros and NaN too
+        # (1 - |y|^2) I - 2 y y^T, row-major; c * (p == q) is c * I[p, q], signed zeros and NaN too
         c, v = 1.0 - float(y.dot(y)), y.tolist()
-        rows = [[c * (p == q) - 2.0 * (a * w) for q, w in enumerate(v)] for p, a in enumerate(v)]
-        return np.array(rows)
+        flat = [c * (p == q) - 2.0 * (a * w) for p, a in enumerate(v) for q, w in enumerate(v)]
+        return np.array(flat).reshape(dim, dim)
 
     return DriftField(dim, b, 1.0, jacobian=jac)
 
@@ -168,14 +168,11 @@ def constant_diffusion(matrix) -> DiffusionField:
 
 
 def geometric_diffusion() -> DiffusionField:
-    """Scalar sigma(y) = y (d = m = 1)."""
-    return DiffusionField(
-        1,
-        1,
-        lambda y: y.reshape(1, 1),
-        lambda y: np.ones((1, 1, 1)),
-        lambda y: np.zeros((1, 1, 1, 1)),
-    )
+    """Scalar sigma(y) = y (d = m = 1); both derivatives are shared read-only
+    constants."""
+    D, D2 = np.ones((1, 1, 1)), np.zeros((1, 1, 1, 1))
+    D.flags.writeable = D2.flags.writeable = False
+    return DiffusionField(1, 1, lambda y: y.reshape(1, 1), lambda y: D, lambda y: D2)
 
 
 _RADIUS_FLOOR = 1e-12
@@ -188,35 +185,59 @@ def _radius(y):
     return r
 
 
+def _numpy_at_inf(f):
+    """``f``, math.cos or math.sin, on a Python float, and NumPy's NaN at
+    x = +-inf, where f raises.  At finite x, libm gave NumPy's float64 f bit
+    for bit wherever tested (tests/test_fields.py holds the evaluators to it)."""
+
+    def at(x: float) -> float:
+        try:
+            return f(x)
+        except ValueError:
+            return x - x
+
+    return at
+
+
+_cos, _sin = _numpy_at_inf(math.cos), _numpy_at_inf(math.sin)
+
+
 def cosine_diffusion() -> DiffusionField:
     """Two-dimensional, two-component diffusion
     sigma_1(y) = (cos y2, -0.9 - 10 cos y1), sigma_2(y) = (cos |y|, 0)
     with analytic derivatives.  The |y| derivative is rejected near the
-    origin where it is undefined; trajectories of interest stay far from 0."""
+    origin where it is undefined; trajectories of interest stay far from 0.
+    Each evaluator unpacks y into Python floats and builds its array from
+    them, by the same IEEE operations NumPy would do on float64 scalars."""
 
     def value(y):
         y1, y2 = y.tolist()
         r = math.sqrt(y.dot(y))
-        return np.array([[np.cos(y2), np.cos(r)], [-0.9 - 10.0 * np.cos(y1), 0.0]])
+        return np.array([_cos(y2), _cos(r), -0.9 - 10.0 * _cos(y1), 0.0]).reshape(2, 2)
 
     def first(y):
         r = _radius(y)
         y1, y2 = y.tolist()
-        s = -np.sin(r)
-        row0 = [[0.0, -np.sin(y2)], [s * y1 / r, s * y2 / r]]
-        return np.array([row0, [[10.0 * np.sin(y1), 0.0], [0.0, 0.0]]])
+        s = -_sin(r)
+        flat = [0.0, -_sin(y2), s * y1 / r, s * y2 / r, 10.0 * _sin(y1), 0.0, 0.0, 0.0]
+        return np.array(flat).reshape(2, 2, 2)
 
     def second(y):
         r = _radius(y)
-        D2 = np.zeros((2, 2, 2, 2))
-        D2[0, 0, 1, 1] = -np.cos(y[1])
-        D2[1, 0, 0, 0] = 10.0 * np.cos(y[0])
-        outer = np.outer(y, y)
+        v = y1, y2 = y.tolist()
+        r2 = r**2
         try:
             r3 = r**3
         except OverflowError:  # r above about 5.6e102; r**2 stays finite
             r3 = math.inf
-        D2[0, 1] = -np.cos(r) * outer / r**2 - np.sin(r) * (np.eye(2) * r**2 - outer) / r3
-        return D2
+        c, s = -_cos(r), _sin(r)
+        # d_p d_q cos|y| = -cos(r) y_p y_q / r^2 - sin(r) (I_pq r^2 - y_p y_q) / r^3, row-major
+        radial = [
+            c * (a * b) / r2 - s * ((p == q) * r2 - a * b) / r3
+            for p, a in enumerate(v)
+            for q, b in enumerate(v)
+        ]
+        flat = [0.0, 0.0, 0.0, -_cos(y2), *radial, 10.0 * _cos(y1), *[0.0] * 7]
+        return np.array(flat).reshape(2, 2, 2, 2)
 
     return DiffusionField(2, 2, value, first, second)

@@ -19,12 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import SamplePath
-from .fields import (
-    DiffusionField,
-    DriftField,
-    first_order_composition,
-    second_order_composition,
-)
+from .fields import DiffusionField, DriftField
+from .fields import first_order_composition, second_order_composition  # noqa: F401  (perfbench/spans.py wraps them)
 from .grids import Grid, _write_node_csv
 from .lift import RoughLift
 from .solver import ConvergenceError, _implicit_step, _norm, _on_floats
@@ -143,13 +139,21 @@ def _taylor_term(problem: Problem, dx: np.ndarray, X2=None, X3=None):
     plus the first- and second-order compositions contracted against X2[j]
     and X3[j] when those are given.  For additive problems sigma is the
     identity, so it is the increment with no matrix product.  For d = 1 it
-    is a Python float, as the state is, and sigma sees one scratch array."""
+    is a Python float, as the state is, and sigma sees one scratch array.
+
+    The compositions are not formed; each level is a few small matrix
+    products, equal to the compositions' contraction to rounding.  With
+    S, D, D2 = sigma, dsigma, d2sigma at y_j (layouts in ``fields``), level 2
+    is sum_{k,p} D[a, k, p] W[k, p] with W = X2[j]^T S^T.  Level 3 adds
+    sum_{l,q} D[p, l, q] P[k, l, q] to W, with P[k, l, q] = sum_i X3[j][i, l, k]
+    S[q, i], and adds sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q]."""
     scalar = problem.dim == 1
     if problem.additive:
         if scalar:
             dx = dx[:, 0].tolist()
         return lambda j, y: dx[j]
     sig, buf = problem.diffusion, np.empty(1)
+    d, m = problem.dim, problem.noise_dim
 
     def term(j, y):
         if scalar:
@@ -158,11 +162,13 @@ def _taylor_term(problem: Problem, dx: np.ndarray, X2=None, X3=None):
         S = sig.func(y)
         out = S.dot(dx[j])
         if X2 is not None:
-            D = sig.dfunc(y)
-            out = out + np.einsum("ija,ij->a", first_order_composition(S, D), X2[j])
-        if X3 is not None:
-            F = second_order_composition(S, D, sig.d2func(y))
-            out = out + np.einsum("ijka,ijk->a", F, X3[j])
+            D = sig.dfunc(y).reshape(d, m * d)
+            W = X2[j].T.dot(S.T)
+            if X3 is not None:
+                P = X3[j].transpose(2, 1, 0) @ S.T
+                W = W + P.reshape(m, m * d).dot(D.T)
+                out = out + sig.d2func(y).reshape(d, m * d * d).dot((S @ P).ravel())
+            out = out + D.dot(W.ravel())
         return out.item() if scalar else out
 
     return term

@@ -235,6 +235,20 @@ def test_count_or_range_too_long_refused(flag, value, capsys, no_sampling):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [("--seeds", "6"), ("--seeds", "10..15"), ("--steps", "1..6")],
+)
+def test_count_or_range_above_the_cap_refused(flag, value, capsys, monkeypatch, no_sampling):
+    # a small cap stands in for the real one, so no huge count runs here: a count
+    # or range above the cap is refused by name, one at the cap is parsed
+    monkeypatch.setattr(cli, "_MAX_VALUES", 5)
+    command = "run --problem example1 --scheme implicit_euler --steps 4..5 --ref 8"
+    assert main([*command.split(), flag, value]) == 2
+    assert f"error: {flag} '{value}' gives more than 5 values" in capsys.readouterr().err
+    assert _parse_seeds("5") == _parse_seeds("0..4") == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
     "command, message",
     [
         ("run --problem example1 --scheme implicit_euler --steps 4 --ref 6 --out /dev/null/x",

@@ -481,17 +481,17 @@ PROBE_ERRORS_HEX = {
     },
     "planar": {
         "euler": (
-            "0x1.3b0d1f2fb16bcp-5", "0x1.8d1bd18907fc8p-7", "0x1.b57cc28ff03dcp-9",
+            "0x1.3b0d1f2fb16a6p-5", "0x1.8d1bd18907fc8p-7", "0x1.b57cc28ff04b2p-9",
             "0x1.c8b11b23e7a46p-11", "0x1.d1f385362b6c9p-13", "0x1.d67bb82270ae3p-15",
             "0x1.d8b8b449ea837p-17",
         ),
         "milstein": (
-            "0x1.69f08f30822c6p-6", "0x1.f1f5f45c2b396p-9", "0x1.876785dcfa2ddp-11",
+            "0x1.69f08f30822d2p-6", "0x1.f1f5f45c2b396p-9", "0x1.876785dcf9f7ep-11",
             "0x1.5a2836ed86ffcp-13", "0x1.46ec5310d2364p-15", "0x1.3e5e5ff47523ap-17",
             "0x1.3a64830ebd555p-19",
         ),
         "milstein3": (
-            "0x1.24cb6e74a4d61p-6", "0x1.bf3f46c13eec1p-9", "0x1.7855bdcccf142p-11",
+            "0x1.24cb6e74a4d61p-6", "0x1.bf3f46c13eec1p-9", "0x1.7855bdcccee70p-11",
             "0x1.5671ed4290209p-13", "0x1.46377976f44d7p-15", "0x1.3e54013afca87p-17",
             "0x1.3a7422abb47b1p-19",
         ),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import (
@@ -779,6 +780,52 @@ class TestMilsteinFamily:
         lift = piecewise_linear_lift(fbm_path(0, m=2), include_level3=False)
         with pytest.raises(ValueError, match="level-3"):
             semi_implicit_taylor(problem, lift, 3)
+
+
+def composition_term(S, D, D2, dx, X2, X3):
+    """The noise term by the composition tensors of ``fields``: sigma dx plus
+    each composition contracted against its level with ``einsum``."""
+    out = S @ dx + np.einsum("ija,ij->a", first_order_composition(S, D), X2)
+    if X3 is not None:
+        out = out + np.einsum("ijka,ijk->a", second_order_composition(S, D, D2), X3)
+    return out
+
+
+@st.composite
+def taylor_term_case(draw):
+    """Random sigma, derivatives and lift tensors of one step, d, m in {1, 2, 3}."""
+    d, m, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    # zero or 1e-3 <= |x| <= 10: no product of four entries underflows
+    entries = st.just(0.0) | st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3)
+    S, D, D2, dx, X2, X3 = (
+        draw(arrays(np.float64, shape, elements=entries))
+        for shape in [(d, m), (d, m, d), (d, m, d, d), (m,), (m, m), (m, m, m)]
+    )
+    return S, D, D2, dx, X2, X3 if order == 3 else None
+
+
+class TestTaylorTermProducts:
+    """``schemes._taylor_term`` contracts the level-2 and level-3 terms as
+    matrix products; on tensors with no symmetry, where an index-order slip
+    shows, it equals the composition tensors' einsum to rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=taylor_term_case())
+    def test_products_equal_compositions(self, case):
+        S, D, D2, dx, X2, X3 = case
+        d, m = S.shape
+        sigma = DiffusionField(d, m, lambda y: S, lambda y: D, lambda y: D2)
+        problem = Problem(zero_drift(d), xi=np.zeros(d), T=1.0, diffusion=sigma)
+        levels = (X2[None],) if X3 is None else (X2[None], X3[None])
+        term = schemes._taylor_term(problem, dx[None], *levels)
+        got = np.atleast_1d(term(0, 0.0 if d == 1 else np.zeros(d)))
+        want = composition_term(S, D, D2, dx, X2, X3)
+        # each side sums at most n products of at most 4 factors, so it lies within
+        # gamma_(n+4) of the exact sum of |products|: the same einsum on |entries|
+        n = m + m * m * d + 2 * m**3 * d * d
+        gamma = (n + 4) * np.finfo(float).eps / (1.0 - (n + 4) * np.finfo(float).eps)
+        bound = composition_term(*(np.abs(a) if a is not None else None for a in case))
+        assert np.all(np.abs(got - want) <= 2.0 * gamma * bound), (got, want)
 
 
 class TestSemiImplicitTaylor:

@@ -15,10 +15,8 @@ from roughtaylor.fields import (
     DriftField,
     cubic_radial_drift,
     double_well_drift,
-    first_order_composition,
     geometric_diffusion,
     linear_drift,
-    second_order_composition,
     zero_drift,
 )
 from roughtaylor.grids import make_grid
@@ -395,9 +393,9 @@ def test_oracle_orders_cover_every_scheme():
 
 def oracle_trajectory(scheme, problem, path):
     """Reference oracle for the trajectory loop: each step on arrays, its
-    noise term contracted from the piecewise-linear lift as the schemes do,
-    and the implicit step solved by reference_solve_step from the
-    DocumentedStart.  Returns the states."""
+    noise term contracted from the piecewise-linear lift by the products
+    the schemes use, and the implicit step solved by reference_solve_step
+    from the DocumentedStart.  Returns the states."""
     explicit = ORACLE_ORDERS[scheme] is None
     order = ORACLE_ORDERS[scheme] or 1
     h = path.grid.h
@@ -410,14 +408,20 @@ def oracle_trajectory(scheme, problem, path):
         if problem.additive:
             term = v
         else:
+            # sum_{i,k,p} S[p, i] D[a, k, p] X2[i, k] = sum_{k,p} D[a, k, p] (X2^T S^T)[k, p], and
+            # level 3 as sum_{k,p} D[a, k, p] V[k, p] + sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q]
+            # with P[k, j, q] = sum_i X3[i, j, k] S[q, i] and V[k, p] = sum_{j,q} D[p, j, q] P[k, j, q]
             S = sig.func(y)
-            term = S @ v
+            d, m = S.shape
+            term = S.dot(v)
             if order >= 2:
-                D = sig.dfunc(y)
-                term = term + np.einsum("ija,ij->a", first_order_composition(S, D), lift.level2[j])
-            if order >= 3:
-                F = second_order_composition(S, D, sig.d2func(y))
-                term = term + np.einsum("ijka,ijk->a", F, lift.level3[j])
+                D = sig.dfunc(y).reshape(d, m * d)
+                W = lift.level2[j].T.dot(S.T)
+                if order >= 3:
+                    P = lift.level3[j].transpose(2, 1, 0) @ S.T
+                    W = W + P.reshape(m, m * d).dot(D.T)
+                    term = term + sig.d2func(y).reshape(d, m * d * d).dot((S @ P).ravel())
+                term = term + D.dot(W.ravel())
         if explicit:
             y = y + h * problem.drift(y) + term
         else:
