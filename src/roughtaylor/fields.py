@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 
+# DriftField.__call__ compares every output's dtype with this dtype, not with
+# the type np.float64, which NumPy would convert to a dtype at each comparison
+_FLOAT64 = np.dtype(np.float64)
+
+
 @dataclass(frozen=True)
 class DriftField:
     """Drift b: R^d -> R^d with declared one-sided Lipschitz constant.
@@ -53,7 +58,7 @@ class DriftField:
 
     def __call__(self, y) -> np.ndarray:
         out = self.func(np.asarray(y, dtype=float))
-        if type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (self.dim,):
+        if type(out) is np.ndarray and out.dtype == _FLOAT64 and out.ndim == 1 and out.size == self.dim:
             return out
         out = np.asarray(out, dtype=float)
         if out.size != self.dim:
@@ -99,15 +104,28 @@ def second_order_composition(S: np.ndarray, D: np.ndarray, D2: np.ndarray) -> np
 
 def _on_floats_form(func, float_func):
     """Give ``func`` the float form ``float_func``: the IEEE operations that
-    ``func`` does on a shape-(1,) array, on a Python float (solver._on_floats)."""
+    ``func`` does on a shape-(d,) array, on Python floats (solver._on_floats).
+    For d = 1 it maps a float to a float; for d = 2 a pair of floats to a
+    pair, or a Jacobian's four entries in row-major order."""
     func._floats = float_func
     return func
+
+
+def _sum_of_squares(v) -> float:
+    """|v|^2 of a sequence of floats, summed left to right: ndarray.dot may
+    fuse multiply-adds, so its sum depends on the BLAS kernel."""
+    s = 0.0
+    for a in v:
+        s += a * a
+    return s
 
 
 def zero_drift(dim: int = 1) -> DriftField:
     b, jac = (lambda y: np.zeros(dim)), (lambda y: np.zeros((dim, dim)))
     if dim == 1:
         b, jac = _on_floats_form(b, lambda y: 0.0), _on_floats_form(jac, lambda y: 0.0)
+    elif dim == 2:
+        b, jac = _on_floats_form(b, lambda y: (0.0, 0.0)), _on_floats_form(jac, lambda y: (0.0,) * 4)
     return DriftField(dim, b, 0.0, jacobian=jac)
 
 
@@ -136,21 +154,41 @@ def linear_drift(coeff: float, dim: int = 1) -> DriftField:
     b, jac = (lambda y: coeff * y), (lambda y: J)
     if dim == 1:
         b, jac = _on_floats_form(b, b), _on_floats_form(jac, lambda y: coeff)
+    elif dim == 2:
+        flat = tuple(J.ravel().tolist())
+        b = _on_floats_form(b, lambda y: (coeff * y[0], coeff * y[1]))
+        jac = _on_floats_form(jac, lambda y: flat)
     return DriftField(dim, b, coeff, jacobian=jac)
 
 
 def cubic_radial_drift(dim: int = 2) -> DriftField:
-    """b(y) = y - |y|^2 y; one-sided Lipschitz constant 1 in any dimension."""
+    """b(y) = y - |y|^2 y; one-sided Lipschitz constant 1 in any dimension.
+    |y|^2 is summed left to right, on arrays and floats alike."""
 
     def b(y):
-        return y - y.dot(y) * y
+        return y - _sum_of_squares(y.tolist()) * y
 
     def jac(y):
         # (1 - |y|^2) I - 2 y y^T, row-major; c * (p == q) is c * I[p, q], signed zeros and NaN too
-        c, v = 1.0 - float(y.dot(y)), y.tolist()
+        v = y.tolist()
+        c = 1.0 - _sum_of_squares(v)
         flat = [c * (p == q) - 2.0 * (a * w) for p, a in enumerate(v) for q, w in enumerate(v)]
         return np.array(flat).reshape(dim, dim)
 
+    if dim == 2:
+
+        def b_floats(y):
+            y1, y2 = y
+            s = y1 * y1 + y2 * y2
+            return y1 - s * y1, y2 - s * y2
+
+        def jac_floats(y):
+            y1, y2 = y
+            c = 1.0 - (y1 * y1 + y2 * y2)
+            z = c * 0.0  # c * I[p, q] off the diagonal
+            return c - 2.0 * (y1 * y1), z - 2.0 * (y1 * y2), z - 2.0 * (y2 * y1), c - 2.0 * (y2 * y2)
+
+        b, jac = _on_floats_form(b, b_floats), _on_floats_form(jac, jac_floats)
     return DriftField(dim, b, 1.0, jacobian=jac)
 
 

@@ -13,6 +13,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from math import isfinite, sqrt  # by name: the per-step kernels call them
 
 import numpy as np
 
@@ -31,6 +32,7 @@ MAX_NEWTON = 100
 _FD_STEP = 1e-7
 _ROUNDING = 16.0 * sys.float_info.epsilon  # residual rounding floor per unit |r| or |y|
 _ARMIJO = 0.25  # sufficient decrease of the residual norm per unit step
+_TINY = sys.float_info.min  # OpenBLAS's dgetf2 moves and scales a pivot only from here up
 
 
 class StepSizeError(ValueError):
@@ -59,7 +61,7 @@ def _norm(v) -> float:
     """Euclidean norm of a Python float or a 1-d float array, computed the way
     np.linalg.norm computes a 1-d norm (the square root of the dot product),
     so the two agree bitwise without its call overhead."""
-    return math.sqrt(v * v if type(v) is float else v.dot(v))
+    return sqrt(v * v if type(v) is float else v.dot(v))
 
 
 def _gesv():
@@ -82,6 +84,42 @@ def _gesv():
     return solve
 
 
+def _solve2(A, F):
+    """A^{-1} F for a 2x2 A, four floats in row-major order, and two floats
+    F, by the operations of OpenBLAS's dgesv in its order, each rounded on
+    its own; or None exactly where that dgesv reports a zero pivot (info > 0).
+
+    The pivot is the first entry of largest magnitude in the first column
+    (idamax), the multiplier a21 * (1/a11) (dscal, which writes 0.0 for a
+    zero scale), then u22 = a22 - l*a12, forward substitution and back
+    substitution by division.  OpenBLAS's dgetf2 swaps and scales the first
+    column only where |pivot| is at least the smallest normal double: a
+    subnormal or NaN pivot stays where it is, unscaled, while the second
+    column and F are still swapped, so the last division can be by zero,
+    which gives the IEEE quotient here as in dgesv."""
+    a11, a12, a21, a22 = A
+    f1, f2 = F
+    swap = abs(a21) > abs(a11)
+    pivot = a21 if swap else a11
+    if pivot == 0.0:
+        return None
+    if abs(pivot) >= _TINY:
+        if swap:
+            a11, a12, a21, a22, f1, f2 = a21, a22, a11, a12, f2, f1
+        scale = 1.0 / a11
+        l = a21 * scale if scale else 0.0
+    else:  # the first column stays as it is
+        if swap:
+            a12, a22, f1, f2 = a22, a12, f2, f1
+        l = a21
+    u22 = a22 - l * a12
+    if u22 == 0.0:
+        return None
+    x2 = (f2 - l * f1) / u22
+    x1 = f1 - a12 * x2
+    return (x1 / a11 if a11 else x1 * math.copysign(math.inf, a11)), x2
+
+
 def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
     # column-wise central differences on fresh arrays, step scaled by the state magnitude
     eps = _FD_STEP * max(1.0, _norm(y))
@@ -95,22 +133,37 @@ def _jacobian_shape_error(J: np.ndarray, d: int) -> ValueError:
     return ValueError(f"drift Jacobian has shape {J.shape}, not {(d, d)}, for d = {d}")
 
 
-def _on_floats(func, size_error=_size_error):
-    """A d = 1 drift's ``func`` or Jacobian on Python floats: its float form if
-    it has one, else ``func`` on one shape-(1,) scratch array holding y, its
-    output read as one float64 value, else ``size_error(output, 1)`` raised."""
+def _on_floats(func, d=1, jacobian=False):
+    """A d = 1 or d = 2 drift's ``func``, or its Jacobian, on Python floats:
+    its float form if it has one, else ``func`` on one shape-(d,) scratch
+    array holding y.  For d = 1 the output is read as one float64 value, for
+    d = 2 as a list of them in row-major order; an output of the wrong size
+    (for a d = 2 Jacobian, any shape but (2, 2)) raises the error that names
+    it and d."""
     floats = getattr(func, "_floats", None)
     if floats is not None:
         return floats
-    buf = np.empty(1)
+    buf = np.empty(d)
+    error = _jacobian_shape_error if jacobian else _size_error
 
-    def on_floats(y):
-        buf[0] = y
-        out = np.asarray(func(buf), dtype=float)
-        try:
-            return out.item()
-        except ValueError:  # not exactly one value
-            raise size_error(out, 1) from None
+    if d == 1:
+
+        def on_floats(y):
+            buf[0] = y
+            out = np.asarray(func(buf), dtype=float)
+            try:
+                return out.item()
+            except ValueError:  # not exactly one value
+                raise error(out, 1) from None
+
+    else:
+
+        def on_floats(y):
+            buf[0], buf[1] = y
+            out = np.asarray(func(buf), dtype=float)
+            if out.shape != (2, 2) if jacobian else out.size != 2:
+                raise error(out, 2)
+            return out.ravel().tolist()
 
     return on_floats
 
@@ -125,48 +178,128 @@ def _check_step(drift: DriftField, h: float) -> None:
         )
 
 
+def _scalar_kernels(b, jac, h):
+    """The d = 1 arithmetic of ``_implicit_step`` on Python floats: the same
+    IEEE operations in the same order as on 1-element arrays, without their
+    overhead."""
+
+    def norm(v):
+        return sqrt(v * v)
+
+    def residual_norm(y, r):
+        F = y - h * b(y) - r
+        return F, sqrt(F * F)
+
+    def newton(y, F):
+        a = 1.0 - h * jac(y)
+        if a == 0.0:  # dgesv's singular (info != 0) exit for a 1x1 system
+            return None, None, None
+        step = F / a  # bitwise the one division dgesv performs on a 1x1 system
+        return a, step, y - step
+
+    def newton_point(a, r, last):
+        r_last, y_last, F_last = last
+        return y_last + ((r - r_last) - F_last) / a
+
+    return residual_norm, newton, newton_point, None, abs, norm
+
+
+def _planar_kernels(b, jac, h):
+    """The d = 2 arithmetic of ``_implicit_step`` on Python floats: vectors
+    are pairs, Newton matrices four floats in row-major order, solved by
+    ``_solve2``; the norm is sqrt(v1*v1 + v2*v2)."""
+
+    def norm(v):
+        v1, v2 = v
+        return sqrt(v1 * v1 + v2 * v2)
+
+    def residual_norm(y, r):
+        b1, b2 = b(y)
+        F1 = y[0] - h * b1 - r[0]
+        F2 = y[1] - h * b2 - r[1]
+        return (F1, F2), sqrt(F1 * F1 + F2 * F2)
+
+    def newton(y, F):
+        j11, j12, j21, j22 = jac(y)
+        A = 1.0 - h * j11, 0.0 - h * j12, 0.0 - h * j21, 1.0 - h * j22
+        step = _solve2(A, F)
+        if step is None:
+            return None, None, None
+        return A, step, (y[0] - step[0], y[1] - step[1])
+
+    def newton_point(A, r, last):
+        r_last, y_last, F_last = last
+        s1, s2 = _solve2(A, ((r[0] - r_last[0]) - F_last[0], (r[1] - r_last[1]) - F_last[1]))
+        return y_last[0] + s1, y_last[1] + s2
+
+    def along(y, step, t):
+        s1, s2 = t * step[0], t * step[1]
+        return (s1, s2), (y[0] - s1, y[1] - s2)
+
+    return residual_norm, newton, newton_point, along, norm, norm
+
+
+def _array_kernels(drift, jacobian, h):
+    """The d >= 3 arithmetic of ``_implicit_step`` on shape-(d,) arrays, the
+    Newton systems solved by LAPACK dgesv."""
+    d, eye, gesv = drift.dim, np.eye(drift.dim), _gesv()
+
+    def residual_norm(y, r):
+        F = y - h * drift(y) - r
+        return F, _norm(F)
+
+    def newton(y, F):
+        Jb = np.asarray(jacobian(y), dtype=float)
+        if Jb.shape != (d, d):
+            raise _jacobian_shape_error(Jb, d)
+        A = eye - h * Jb
+        step = gesv(A, F)
+        return (None, None, None) if step is None else (A, step, y - step)
+
+    def newton_point(A, r, last):
+        r_last, y_last, F_last = last
+        return y_last + gesv(A, (r - r_last) - F_last)
+
+    def along(y, step, t):
+        step = t * step
+        return step, y - step
+
+    return residual_norm, newton, newton_point, along, _norm, _norm
+
+
 def _implicit_step(drift: DriftField, h: float):
     """The stepper of one (drift, h): checks the gate and sets up the drift's
     evaluators once, and returns the function r -> (solution, iterations,
     residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
     the solution are Python floats, else shape-(d,) float arrays.
 
-    Every Newton matrix is A = eye - h*jac(y): 1.0 less a float Jacobian for
-    d = 1, the identity less the checked (d, d) Jacobian for d > 1.  Only
-    ``solve`` writes the state: the last A formed and the right-hand side
-    r_{j-1}, solution y_j and accepted residual F_j of the last solve.  A
-    solve starts at the Newton point g = y_j + A^{-1}(r_j - r_{j-1} - F_j),
-    with no drift or Jacobian call (for a linear drift the root to rounding),
-    or at r_j on its first solve, while no A is formed (so a zero drift always
-    starts at r_j) and where A is singular.  Where the residual at g is not
-    finite, the solve starts again from r_j, so a g where the drift is not
-    finite costs one drift call and is not itself a failure."""
+    One loop serves every d; the arithmetic it does on vectors is bound
+    here, by the dimension, as a few small kernels: the residual with its
+    norm, the Newton matrix with its step, the Newton point, a scaled step
+    and the norms.  For d = 1 and d = 2 they run on Python floats (d = 2
+    reads r as two floats and returns the solution as an array), for d >= 3
+    on arrays with LAPACK dgesv.
+
+    Every Newton matrix is A = I - h*J at the iterate.  Only ``solve``
+    writes the state: the last A formed (None where it was singular) and
+    the right-hand side r_{j-1}, solution y_j and accepted residual F_j of
+    the last solve.  A solve starts at the Newton point
+    g = y_j + A^{-1}(r_j - r_{j-1} - F_j), with no drift or Jacobian call
+    (for a linear drift the root to rounding), or at r_j on its first
+    solve, while no A is formed (so a zero drift always starts at r_j) and
+    where the last A was singular.  Where the residual at g is not finite,
+    the solve starts again from r_j, so a g where the drift is not finite
+    costs one drift call and is not itself a failure."""
     _check_step(drift, h)
-    cb, d = drift.one_sided_lipschitz, drift.dim
+    cb, d, h = drift.one_sided_lipschitz, drift.dim, float(h)
     jacobian = drift.jacobian or functools.partial(_fd_jacobian, drift)
     scalar = d == 1
-    if scalar:
-        # scalar problems iterate on Python floats: the same IEEE operations
-        # in the same order as on 1-element arrays, without their overhead
-        h = float(h)
-        b, jac = _on_floats(drift.func), _on_floats(jacobian, _jacobian_shape_error)
-        eye, size = 1.0, abs
-
-        def linear_solve(a, F):
-            # F / a is bitwise what dgesv returns for a 1x1 system,
-            # and a zero divisor is its singular (info != 0) exit
-            return None if a == 0.0 else F / a
-
+    if d > 2:
+        kernels = _array_kernels(drift, jacobian, h)
     else:
-        # A^{-1} F by LAPACK dgesv, or None if A is singular
-        b, eye, size, linear_solve = drift, np.eye(d), _norm, _gesv()
-
-        def jac(y):
-            Jb = np.asarray(jacobian(y), dtype=float)
-            if Jb.shape != (d, d):
-                raise _jacobian_shape_error(Jb, d)
-            return Jb
-
+        b, jac = _on_floats(drift.func, d), _on_floats(jacobian, d, jacobian=True)
+        kernels = (_scalar_kernels if scalar else _planar_kernels)(b, jac, h)
+    residual_norm, newton, newton_point, along, size, norm = kernels
     m = min(1.0, 1.0 - cb * h)  # strong monotonicity constant, capped at 1
     A = last = None  # the last Newton matrix formed; (r, y, F) of the last solve
 
@@ -174,35 +307,27 @@ def _implicit_step(drift: DriftField, h: float):
         # F = y - h*b(y) - r and |F| as residual `iters`; a spent budget reports `res`
         if iters > MAX_NEWTON:
             raise ConvergenceError("implicit step did not converge", res, iters - 1)
-        F = y - h * b(y) - r
-        norm = _norm(F)
-        if not math.isfinite(norm):
-            raise ConvergenceError("implicit step residual is not finite", norm, iters)
-        return F, norm
+        F, norm_F = residual_norm(y, r)
+        if not isfinite(norm_F):
+            raise ConvergenceError("implicit step residual is not finite", norm_F, iters)
+        return F, norm_F
 
     def solve(r):
         nonlocal A, last
-        y = r
-        if last is not None and A is not None:  # the Newton point from the last solution
-            r_last, y_last, F_last = last
-            step = linear_solve(A, (r - r_last) - F_last)
-            y = r if step is None else y_last + step
-        F = y - h * b(y) - r
-        res = _norm(F)
-        if not math.isfinite(res):  # start again from r, or raise there
+        y = r if last is None or A is None else newton_point(A, r, last)
+        F, res = residual_norm(y, r)
+        if not isfinite(res):  # start again from r, or raise there
             y = r
             F, res = residual(y, r, 0, None)
-        floor = _ROUNDING * _norm(r)
+        floor = _ROUNDING * norm(r)
         tol = floor if floor > DEFAULT_TOL else DEFAULT_TOL
         iters = 0  # the residual of the start is iteration 0
         lo = hi = None  # d = 1: the bracket, built at the first rejected step
         method = "newton"
         while res > tol and res > _ROUNDING * size(y):
-            A = eye - h * jac(y)
-            step = linear_solve(A, F)
-            if step is None and not scalar:
-                step, method = F, "safeguarded"
-            trial = None if step is None else y - step
+            A, step, trial = newton(y, F)
+            if step is None and not scalar:  # along the residual, a descent direction too
+                (step, trial), method = along(y, F, 1.0), "safeguarded"
             tried = trial is not None and (lo is None or lo < trial < hi)
             if tried:  # the full step, kept if it cuts the residual to 3/4
                 iters += 1
@@ -214,8 +339,7 @@ def _implicit_step(drift: DriftField, h: float):
             if not scalar:  # Armijo halving, continued from the rejected full step
                 shrink = 1.0
                 while res_trial > tol and res_trial > (1.0 - _ARMIJO * shrink) * res:
-                    step, shrink = 0.5 * step, 0.5 * shrink
-                    trial = y - step
+                    (step, trial), shrink = along(y, step, 0.5), 0.5 * shrink
                     iters += 1
                     F_trial, res_trial = residual(trial, r, iters, res)
                 y, F, res = trial, F_trial, res_trial
@@ -231,7 +355,14 @@ def _implicit_step(drift: DriftField, h: float):
         last = r, y, F
         return y, iters, res, method
 
-    return solve
+    if d != 2:
+        return solve
+
+    def solve_planar(r):
+        y, iters, res, method = solve(r.tolist())
+        return np.array(y), iters, res, method
+
+    return solve_planar
 
 
 def solve_step(drift: DriftField, h: float, r) -> SolveReport:
@@ -239,7 +370,7 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
 
     Safeguarded Newton iteration from the initial guess r (Jacobian analytic
     when the drift supplies one, otherwise central finite differences; the
-    linear system is solved by LAPACK ``dgesv``).  Each iteration tries the
+    linear system is solved as LAPACK ``dgesv`` solves it).  Each iteration tries the
     full Newton step, kept if it cuts the residual norm |y - h*b(y) - r| to
     3/4 or to the tolerance; after a rejection, Armijo halving (d > 1) or
     the bracket midpoint (d = 1).  The halving continues from the rejected
@@ -262,7 +393,13 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     For d = 1 the iteration runs on Python floats: the norm is sqrt(F*F) and
     the Newton system is solved as F / (1 - h*Jb), the one correctly rounded
     division dgesv performs on a 1x1 system, so the report is bitwise the
-    array arithmetic's.  The solution is a shape-(d,) array in either case.
+    array arithmetic's.  For d = 2 it runs on pairs of Python floats: the
+    norm is sqrt(F1*F1 + F2*F2), and the 2x2 system is solved by OpenBLAS
+    dgesv's operations in its order, each rounded on its own (``_solve2``):
+    bitwise what dgesv gives on a BLAS kernel without fused multiply-adds,
+    and the same on every kernel.  For d >= 3 the iteration runs on arrays
+    and calls dgesv itself.  The solution is a shape-(d,) array in every
+    case.
 
     It is the first solve of a fresh stepper of the kind a trajectory
     builds once per (drift, h), so it starts at r, where a trajectory's

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -222,7 +223,7 @@ class TestCatalogue:
         for _ in range(50):
             y = rng.normal(size=dim) * 10.0 ** rng.uniform(-6, 6)
             assert np.array_equal(linear.jacobian(y), -70.0 * np.eye(dim))
-            want = (1.0 - y @ y) * np.eye(dim) - 2.0 * np.outer(y, y)
+            want = (1.0 - squares(y)) * np.eye(dim) - 2.0 * np.outer(y, y)
             assert np.array_equal(radial.jacobian(y), want)
 
     def test_linear_jacobian_is_shared_read_only(self):
@@ -262,7 +263,13 @@ class TestCatalogue:
 
 
 # The catalogue evaluators as they were first written, one numpy operation
-# per term: the rewritten evaluators must give these bytes.
+# per term: the rewritten evaluators must give these bytes.  The drift's
+# |y|^2 is the sum of squares left to right, as its float form computes it,
+# where y @ y may fuse multiply-adds.
+
+
+def squares(y) -> float:
+    return functools.reduce(lambda s, a: s + a * a, np.asarray(y).tolist(), 0.0)
 
 
 def _oracle_radius(y):
@@ -298,11 +305,11 @@ def oracle_cosine_second(y):
 
 
 def oracle_cubic_radial(y):
-    return y - (y @ y) * y
+    return y - squares(y) * y
 
 
 def oracle_cubic_radial_jacobian(y):
-    return (1.0 - y @ y) * np.eye(y.size) - 2.0 * (y[:, None] * y)
+    return (1.0 - squares(y)) * np.eye(y.size) - 2.0 * (y[:, None] * y)
 
 
 def oracle_double_well_jacobian(y):
@@ -450,10 +457,20 @@ EDGE_FLOATS = [
 ]
 
 
+def planar_catalogue(coeff):
+    """The catalogue's d = 2 drifts, each evaluator of which has a float form."""
+    return {
+        "cubic_radial": cubic_radial_drift(2),
+        "linear": linear_drift(coeff, dim=2),
+        "zero": zero_drift(2),
+    }
+
+
 class TestFloatForms:
-    """Each evaluator of a catalogue d = 1 drift has a float form, which the
-    d = 1 stepper calls in place of it: it has the bits of the evaluator on
-    a shape-(1,) array at every float, and raises at none."""
+    """Each evaluator of a catalogue d = 1 or d = 2 drift has a float form,
+    which the stepper of its dimension calls in place of it: it has the bits
+    of the evaluator on a shape-(d,) array at every float (every pair of
+    floats), and raises at none."""
 
     @staticmethod
     def check(coeff, y):
@@ -477,10 +494,38 @@ class TestFloatForms:
         for coeff in (-70.0, 30.0, 1.0, -0.0, 1e300, -math.inf, math.nan):
             self.check(coeff, y)
 
-    def test_user_fields_and_planar_fields_keep_the_scratch_array(self):
+    @staticmethod
+    def check_planar(coeff, y):
+        with np.errstate(all="ignore"):  # an infinite coefficient times the identity's zeros
+            catalogue = planar_catalogue(coeff)
+        for name, drift in catalogue.items():
+            for evaluator in (drift.func, drift.jacobian):
+                floats = _on_floats(evaluator, 2)
+                assert floats is evaluator._floats, name
+                got = floats(list(y))
+                assert all(type(v) is float for v in got), name
+                with np.errstate(all="ignore"):
+                    want = np.asarray(evaluator(np.array(y))).ravel().tolist()
+                assert [float_bits(v) for v in got] == [float_bits(v) for v in want], (name, coeff, y)
+
+    @settings(max_examples=500, deadline=None)
+    @given(coeff=st.floats(), y=st.lists(st.floats(), min_size=2, max_size=2))
+    def test_property_planar_float_form_is_array_form_bitwise(self, coeff, y):
+        self.check_planar(coeff, y)
+
+    @pytest.mark.parametrize("y1", EDGE_FLOATS)
+    def test_planar_edge_floats(self, y1):
+        for y2 in EDGE_FLOATS:
+            for coeff in (-70.0, -0.0, 1e300, math.nan):
+                self.check_planar(coeff, (y1, y2))
+
+    def test_user_fields_and_other_dimensions_keep_the_scratch_array(self):
         seen = []
         user = DriftField(1, lambda y: seen.append(y) or -y, -1.0)
         assert _on_floats(user.func)(2.0) == -2.0
         assert seen[0].shape == (1,) and not hasattr(user.func, "_floats")
-        for drift in (linear_drift(-70.0, dim=2), zero_drift(2), cubic_radial_drift(1)):
+        planar = DriftField(2, lambda y: seen.append(y) or -y, -1.0)
+        assert _on_floats(planar.func, 2)((2.0, -3.0)) == [-2.0, 3.0]
+        assert seen[1].shape == (2,) and not hasattr(planar.func, "_floats")
+        for drift in (linear_drift(-70.0, dim=3), zero_drift(3), cubic_radial_drift(3), cubic_radial_drift(1)):
             assert not hasattr(drift.func, "_floats") and not hasattr(drift.jacobian, "_floats")

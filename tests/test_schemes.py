@@ -366,7 +366,8 @@ ALIASING_DIFFUSIONS = {
 
 class TestFieldsSeeingScratchArrays:
     """d = 1 trajectories hand every field evaluation the same scratch
-    array with new values, and d > 1 ones the state itself.  A field that
+    array with new values; d = 2 implicit steps do so for the drift, and
+    d = 2 forward Euler hands it the state itself.  A field that
     returns its argument, a view of it, keeps a reference to it or (for a
     d = 1 drift) overwrites it ends exactly as the same field handed a copy."""
 
@@ -592,14 +593,14 @@ class TestNewtonIterationsPerStep:
 
 
 def plain(drift):
-    """A d = 1 drift as a user field: the same evaluators behind lambdas, which
+    """A drift as a user field: the same evaluators behind lambdas, which
     carry no float form, so the stepper hands them its scratch array."""
     return DriftField(
-        1, lambda y: drift.func(y), drift.one_sided_lipschitz, lambda y: drift.jacobian(y)
+        drift.dim, lambda y: drift.func(y), drift.one_sided_lipschitz, lambda y: drift.jacobian(y)
     )
 
 
-# name: seed -> (problem with a catalogue d = 1 drift, path)
+# name: seed -> (problem with a catalogue d = 1 or d = 2 drift, path)
 FLOAT_PATH_CASES = {
     "example1_H0.1": lambda seed: (example_problem("example1")[0], fbm_path(seed, 1024, hurst=0.1)),
     "example1_H0.75": lambda seed: (
@@ -607,13 +608,23 @@ FLOAT_PATH_CASES = {
     ),
     "example2": lambda seed: (example_problem("example2")[0], fbm_path(seed, 1024, hurst=0.75)),
     "zero_drift": lambda seed: (Problem(zero_drift(1), xi=[0.5], T=1.0), fbm_path(seed, 256)),
+    "cubic_radial_2": lambda seed: (
+        Problem(cubic_radial_drift(2), xi=[10.0, -10.0], T=1.0), fbm_path(seed, 1024, m=2)
+    ),
+    "linear_2": lambda seed: (
+        Problem(linear_drift(-70.0, dim=2), xi=[2.7, -1.0], T=1.0), fbm_path(seed, 256, m=2)
+    ),
+    "zero_drift_2": lambda seed: (
+        Problem(zero_drift(2), xi=[0.5, 0.0], T=1.0), fbm_path(seed, 256, m=2)
+    ),
 }
 
 
 class TestFloatPath:
-    """The catalogue's d = 1 drifts are evaluated on their float forms, a user
-    field through the scratch array; the same evaluators end in the same
-    bits either way, under implicit and forward Euler and in the bound."""
+    """The catalogue's d = 1 and d = 2 drifts are evaluated on their float
+    forms, a user field through the scratch array; the same evaluators end
+    in the same bits either way, under implicit and forward Euler, in the
+    bound and, for the planar multiplicative example3, under Milstein."""
 
     @pytest.mark.parametrize("case", sorted(FLOAT_PATH_CASES))
     @pytest.mark.parametrize("seed", range(2))
@@ -629,10 +640,19 @@ class TestFloatPath:
         bounds = [np.float64(boundedness_bound(p, path)).tobytes() for p in (problem, user)]
         assert bounds[0] == bounds[1]
 
-    @pytest.mark.parametrize("name", ["example1", "example2"])
+    @pytest.mark.parametrize("scheme", ["simplified_milstein", "semi_implicit_milstein3"])
+    def test_planar_multiplicative_float_path_is_scratch_array_path_bitwise(self, scheme):
+        problem = example3_problem()
+        user = Problem(plain(problem.drift), problem.xi, problem.T, problem.diffusion)
+        path = fbm_path(0, 512, m=2, hurst=5.0 / 12.0)
+        assert outcome(lambda: run_scheme(scheme, problem, path).states) == outcome(
+            lambda: run_scheme(scheme, user, path).states
+        )
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_implicit_trajectory_makes_no_array_call(self, name):
-        problem, _, hurst = example_problem(name)
-        path = fbm_path(0, 256, hurst=hurst[0])
+        problem, m, hurst = example_problem(name)
+        path = fbm_path(0, 256, m=m, hurst=hurst[0])
         func, jacobian = problem.drift.func, problem.drift.jacobian
         codes = {f.__code__ for f in (func, jacobian, func._floats, jacobian._floats)}
         arguments = collections.Counter()  # the type of y at each evaluator call
@@ -641,12 +661,15 @@ class TestFloatPath:
             if event == "call" and frame.f_code in codes:
                 arguments[type(frame.f_locals["y"])] += 1
 
+        scheme = "implicit_euler" if problem.additive else "simplified_milstein"
         sys.setprofile(count)
         try:
-            run_scheme("implicit_euler", problem, path)
+            run_scheme(scheme, problem, path)
         finally:
             sys.setprofile(None)
-        assert set(arguments) == {float} and arguments[float] > path.grid.N
+        # a d = 2 solve reads r as a list of two floats, and iterates on pairs
+        floats = {float} if m == 1 else {list, tuple}
+        assert set(arguments) <= floats and arguments.total() > path.grid.N
 
 
 class TestExplicitEuler:
