@@ -104,9 +104,11 @@ def second_order_composition(S: np.ndarray, D: np.ndarray, D2: np.ndarray) -> np
 
 def _on_floats_form(func, float_func):
     """Give ``func`` the float form ``float_func``: the IEEE operations that
-    ``func`` does on a shape-(d,) array, on Python floats (solver._on_floats).
-    For d = 1 it maps a float to a float; for d = 2 a pair of floats to a
-    pair, or a Jacobian's four entries in row-major order."""
+    ``func`` does on a shape-(d,) array, on Python floats (solver._on_floats,
+    schemes._flat_floats).  A drift's maps a float to a float for d = 1 and
+    a pair of floats to a pair, or a Jacobian's four entries in row-major
+    order, for d = 2; a diffusion evaluator's maps y (a float for d = 1, a
+    pair for d = 2) to its entries as a flat tuple in row-major order."""
     func._floats = float_func
     return func
 
@@ -193,31 +195,44 @@ def cubic_radial_drift(dim: int = 2) -> DriftField:
 
 
 def constant_diffusion(matrix) -> DiffusionField:
-    """State-independent sigma; both derivative tensors vanish."""
-    S = np.atleast_2d(np.asarray(matrix, dtype=float))
+    """State-independent sigma; both derivative tensors vanish.  For d <= 2
+    each evaluator has a float form, its entries as a constant flat tuple.
+    sigma is a copy of ``matrix``, so the two forms cannot part."""
+    S = np.array(matrix, dtype=float, ndmin=2)
     d, m = S.shape
-    return DiffusionField(
+    sigma = DiffusionField(
         d,
         m,
         lambda y: S,
         lambda y: np.zeros((d, m, d)),
         lambda y: np.zeros((d, m, d, d)),
     )
+    if d <= 2:
+        entries = S.ravel().tolist(), [0.0] * (d * m * d), [0.0] * (d * m * d * d)
+        for func, flat in zip((sigma.func, sigma.dfunc, sigma.d2func), map(tuple, entries)):
+            _on_floats_form(func, lambda y, flat=flat: flat)
+    return sigma
 
 
 def geometric_diffusion() -> DiffusionField:
     """Scalar sigma(y) = y (d = m = 1); both derivatives are shared read-only
-    constants."""
+    constants.  Each evaluator has a float form."""
     D, D2 = np.ones((1, 1, 1)), np.zeros((1, 1, 1, 1))
     D.flags.writeable = D2.flags.writeable = False
-    return DiffusionField(1, 1, lambda y: y.reshape(1, 1), lambda y: D, lambda y: D2)
+    return DiffusionField(
+        1,
+        1,
+        _on_floats_form(lambda y: y.reshape(1, 1), lambda y: (y,)),
+        _on_floats_form(lambda y: D, lambda y: (1.0,)),
+        _on_floats_form(lambda y: D2, lambda y: (0.0,)),
+    )
 
 
 _RADIUS_FLOOR = 1e-12
 
 
-def _radius(y):
-    r = math.sqrt(y.dot(y))
+def _radius(y1: float, y2: float) -> float:
+    r = math.sqrt(y1 * y1 + y2 * y2)
     if r <= _RADIUS_FLOOR:
         raise ValueError(f"derivatives of |y| are undefined at |y| = {r:.3g} <= {_RADIUS_FLOOR}")
     return r
@@ -245,37 +260,44 @@ def cosine_diffusion() -> DiffusionField:
     sigma_1(y) = (cos y2, -0.9 - 10 cos y1), sigma_2(y) = (cos |y|, 0)
     with analytic derivatives.  The |y| derivative is rejected near the
     origin where it is undefined; trajectories of interest stay far from 0.
-    Each evaluator unpacks y into Python floats and builds its array from
-    them, by the same IEEE operations NumPy would do on float64 scalars."""
+    Each evaluator is written on a pair of Python floats, its float form,
+    which returns the entries as a flat tuple in row-major order; the array
+    evaluator packs that tuple, so the two have the same bits.  |y| is
+    sqrt(y1*y1 + y2*y2), each operation rounded on its own."""
 
     def value(y):
-        y1, y2 = y.tolist()
-        r = math.sqrt(y.dot(y))
-        return np.array([_cos(y2), _cos(r), -0.9 - 10.0 * _cos(y1), 0.0]).reshape(2, 2)
+        y1, y2 = y
+        r = math.sqrt(y1 * y1 + y2 * y2)
+        return _cos(y2), _cos(r), -0.9 - 10.0 * _cos(y1), 0.0
 
     def first(y):
-        r = _radius(y)
-        y1, y2 = y.tolist()
+        y1, y2 = y
+        r = _radius(y1, y2)
         s = -_sin(r)
-        flat = [0.0, -_sin(y2), s * y1 / r, s * y2 / r, 10.0 * _sin(y1), 0.0, 0.0, 0.0]
-        return np.array(flat).reshape(2, 2, 2)
+        return 0.0, -_sin(y2), s * y1 / r, s * y2 / r, 10.0 * _sin(y1), 0.0, 0.0, 0.0
 
     def second(y):
-        r = _radius(y)
-        v = y1, y2 = y.tolist()
+        y1, y2 = y
+        r = _radius(y1, y2)
         r2 = r**2
         try:
             r3 = r**3
         except OverflowError:  # r above about 5.6e102; r**2 stays finite
             r3 = math.inf
         c, s = -_cos(r), _sin(r)
-        # d_p d_q cos|y| = -cos(r) y_p y_q / r^2 - sin(r) (I_pq r^2 - y_p y_q) / r^3, row-major
-        radial = [
-            c * (a * b) / r2 - s * ((p == q) * r2 - a * b) / r3
-            for p, a in enumerate(v)
-            for q, b in enumerate(v)
-        ]
-        flat = [0.0, 0.0, 0.0, -_cos(y2), *radial, 10.0 * _cos(y1), *[0.0] * 7]
-        return np.array(flat).reshape(2, 2, 2, 2)
+        # d_p d_q cos|y| = -cos(r) y_p y_q / r^2 - sin(r) (I_pq r^2 - y_p y_q) / r^3, with
+        # I_pq r^2 as 0.0 * r^2 off the diagonal (NaN at an infinite r)
+        y11, y12, y22, off = y1 * y1, y1 * y2, y2 * y2, 0.0 * r2
+        return (
+            0.0, 0.0, 0.0, -_cos(y2),
+            c * y11 / r2 - s * (r2 - y11) / r3, c * y12 / r2 - s * (off - y12) / r3,
+            c * y12 / r2 - s * (off - y12) / r3, c * y22 / r2 - s * (r2 - y22) / r3,
+            10.0 * _cos(y1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        )
 
-    return DiffusionField(2, 2, value, first, second)
+    def on_arrays(floats, *shape):
+        return _on_floats_form(lambda y: np.array(floats(y.tolist())).reshape(shape), floats)
+
+    return DiffusionField(
+        2, 2, on_arrays(value, 2, 2), on_arrays(first, 2, 2, 2), on_arrays(second, 2, 2, 2, 2)
+    )

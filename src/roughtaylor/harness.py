@@ -24,6 +24,7 @@ from .fields import (
     linear_drift,
     zero_drift,
     geometric_diffusion,
+    _sum_of_squares,
 )
 from .grids import Grid, _check_target, _write_csv, make_grid
 from .lift import RoughLift, chen_compose, piecewise_linear_lift
@@ -493,6 +494,13 @@ _PROBE_STEPS = tuple(2.0**-k for k in range(6, 13))
 _PROBE_SUB_STEPS = 256
 
 
+def _plain_norm(v: np.ndarray) -> float:
+    """|v| with its squares summed left to right, each operation rounded on
+    its own: np.linalg.norm's dot product may fuse multiply-adds, so its
+    bits would depend on the BLAS kernel."""
+    return math.sqrt(_sum_of_squares(v.tolist()))
+
+
 def local_error_probe(problem: Problem, scheme: str) -> ProbeResult:
     """One-step errors of a scheme against a fine-step reference, both
     started from ``problem.xi``, on the smooth sinusoidal driver.
@@ -517,9 +525,9 @@ def local_error_probe(problem: Problem, scheme: str) -> ProbeResult:
         x, X2, X3 = reduce(chen_compose, sub_steps)
         one_lift = RoughLift(make_grid(h, 1), x[None], X2[None], X3[None])
         y1 = semi_implicit_taylor(prob_h, one_lift, _PROBE_SCHEMES[scheme]).states[-1]
-        errors.append(float(np.linalg.norm(ref - y1)))
+        errors.append(_plain_norm(ref - y1))
     # the reference sums _PROBE_SUB_STEPS updates: errors within their rounding are not fitted
-    floor = _PROBE_SUB_STEPS * np.finfo(float).eps * max(1.0, np.linalg.norm(problem.xi))
+    floor = _PROBE_SUB_STEPS * np.finfo(float).eps * max(1.0, _plain_norm(problem.xi))
     usable = [(h, e) for h, e in zip(_PROBE_STEPS, errors) if e > floor]
     if len(usable) >= 2:
         hs, es = zip(*usable)

@@ -120,9 +120,11 @@ def _guard(y, step: int) -> None:
 
 def _trajectory(problem: Problem, grid: Grid, step) -> Trajectory:
     """y_0 = xi and y_{j+1} = step(j, y_j) for j < N.  Every d = 1 state is a
-    Python float (the same IEEE operations as on 1-element arrays, without
-    their overhead), every other state a shape-(d,) array."""
-    y = problem.xi.item() if problem.dim == 1 else problem.xi.copy()
+    Python float and every d = 2 state a pair of them (the same IEEE
+    operations as on arrays, without their overhead), every other state a
+    shape-(d,) array; the states become one array at the end."""
+    d = problem.dim
+    y = problem.xi.item() if d == 1 else tuple(problem.xi.tolist()) if d == 2 else problem.xi.copy()
     states = [y]
     for j in range(grid.N):
         try:
@@ -131,47 +133,185 @@ def _trajectory(problem: Problem, grid: Grid, step) -> Trajectory:
             raise SchemeStepError(j, err) from err
         _guard(y, j)
         states.append(y)
-    return Trajectory(grid, np.array(states).reshape(grid.N + 1, problem.dim))
+    return Trajectory(grid, np.array(states).reshape(grid.N + 1, d))
+
+
+def _flat_floats(func, shape: tuple):
+    """A diffusion evaluator of the given output shape on Python floats: its
+    float form if it has one, else ``func`` on one shape-(d,) scratch array
+    holding y (a float for d = 1, a pair for d = 2), its output read as a
+    flat list; an output of the wrong size raises the error that names it."""
+    floats = getattr(func, "_floats", None)
+    if floats is not None:
+        return floats
+    buf, size = np.empty(shape[0]), math.prod(shape)
+
+    def flat(y):
+        buf[:] = y
+        out = np.asarray(func(buf), dtype=float)
+        if out.size != size:
+            raise ValueError(
+                f"diffusion evaluator returned {out.size} values, not {size} of shape {shape}"
+            )
+        return out.ravel().tolist()
+
+    return flat
+
+
+def _array_term(sigma: DiffusionField, dx, X2, X3):
+    """The noise term on arrays: with S, D, D2 = sigma, dsigma, d2sigma at
+    y_j (layouts in ``fields``), S dx[j]; level 2 adds
+    sum_{k,p} D[a, k, p] W[k, p] with W = X2[j]^T S^T.  Level 3 adds
+    sum_{l,q} D[p, l, q] P[k, l, q] to W, with P[k, l, q] = sum_i X3[j][i, l, k]
+    S[q, i], and adds sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q], before the
+    level-2 sum."""
+    d, m = sigma.dim, sigma.noise_dim
+
+    def term(j, y):
+        S = sigma.func(y)
+        out = S.dot(dx[j])
+        if X2 is not None:
+            D = sigma.dfunc(y).reshape(d, m * d)
+            W = X2[j].T.dot(S.T)
+            if X3 is not None:
+                P = X3[j].transpose(2, 1, 0) @ S.T
+                W = W + P.reshape(m, m * d).dot(D.T)
+                out = out + sigma.d2func(y).reshape(d, m * d * d).dot((S @ P).ravel())
+            out = out + D.dot(W.ravel())
+        return out
+
+    return term
+
+
+def _scalar_term(sigma: DiffusionField, dx, X2, X3):
+    """``_array_term`` for d = m = 1 on Python floats: each product of a
+    1 x 1 matrix is one multiplication, and P and S P, which ``@`` forms as
+    stacks, are 0.0 plus it, +0.0 where it is zero, as that loop writes a
+    zero result."""
+    value = _flat_floats(sigma.func, (1, 1))
+    dx = dx[:, 0].tolist()
+    if X2 is None:
+        return lambda j, y: value(y)[0] * dx[j]
+    first, X2 = _flat_floats(sigma.dfunc, (1, 1, 1)), X2[:, 0, 0].tolist()
+    if X3 is None:
+
+        def term(j, y):
+            (s,), (a,) = value(y), first(y)
+            return s * dx[j] + a * (X2[j] * s)
+
+        return term
+    second, X3 = _flat_floats(sigma.d2func, (1, 1, 1, 1)), X3[:, 0, 0, 0].tolist()
+
+    def term(j, y):
+        (s,), (a,), (c,) = value(y), first(y), second(y)
+        p = 0.0 + X3[j] * s
+        return (s * dx[j] + c * (0.0 + s * p)) + a * (X2[j] * s + p * a)
+
+    return term
+
+
+def _planar_term(sigma: DiffusionField, dx, X2, X3):
+    """``_array_term`` for d = m = 2 on Python floats, written out: S, D and
+    D2 are flat tuples in row-major order, the term a pair.  Each product
+    sums in the order of OpenBLAS's kernels that round every operation on
+    its own: a sum over two indices as the two products' sum, the 4-term
+    sum of V = P D^T left to right, and a matrix-vector row of 4 or 8 terms
+    as its even-indexed terms left to right plus its odd-indexed ones.  Each
+    component of the term is 0.0 plus its sum, +0.0 where that is zero, as
+    BLAS writes a zero result; the sign of an intermediate zero changes no
+    other value."""
+    value, dx = _flat_floats(sigma.func, (2, 2)), dx.tolist()
+    if X2 is None:
+
+        def term(j, y):
+            s11, s12, s21, s22 = value(y)
+            v1, v2 = dx[j]
+            return 0.0 + (s11 * v1 + s12 * v2), 0.0 + (s21 * v1 + s22 * v2)
+
+        return term
+    first, X2 = _flat_floats(sigma.dfunc, (2, 2, 2)), X2.reshape(len(X2), 4).tolist()
+    if X3 is None:
+
+        def term(j, y):
+            s11, s12, s21, s22 = value(y)
+            a1, a2, a3, a4, b1, b2, b3, b4 = first(y)
+            v1, v2 = dx[j]
+            x11, x12, x21, x22 = X2[j]
+            # W[k, p] = X2[0, k] S[p, 0] + X2[1, k] S[p, 1], row-major as w1..w4
+            w1, w2 = x11 * s11 + x21 * s12, x11 * s21 + x21 * s22
+            w3, w4 = x12 * s11 + x22 * s12, x12 * s21 + x22 * s22
+            return (
+                0.0 + ((s11 * v1 + s12 * v2) + ((a1 * w1 + a3 * w3) + (a2 * w2 + a4 * w4))),
+                0.0 + ((s21 * v1 + s22 * v2) + ((b1 * w1 + b3 * w3) + (b2 * w2 + b4 * w4))),
+            )
+
+        return term
+    second, X3 = _flat_floats(sigma.d2func, (2, 2, 2, 2)), X3.reshape(len(X3), 8).tolist()
+
+    def term(j, y):
+        s11, s12, s21, s22 = value(y)
+        a1, a2, a3, a4, b1, b2, b3, b4 = first(y)
+        c1, c2, c3, c4, c5, c6, c7, c8, e1, e2, e3, e4, e5, e6, e7, e8 = second(y)
+        v1, v2 = dx[j]
+        x11, x12, x21, x22 = X2[j]
+        t111, t112, t121, t122, t211, t212, t221, t222 = X3[j]
+        # P[k, l, q] = X3[0, l, k] S[q, 0] + X3[1, l, k] S[q, 1], as p<k><l><q>
+        p111, p112 = t111 * s11 + t211 * s12, t111 * s21 + t211 * s22
+        p121, p122 = t121 * s11 + t221 * s12, t121 * s21 + t221 * s22
+        p211, p212 = t112 * s11 + t212 * s12, t112 * s21 + t212 * s22
+        p221, p222 = t122 * s11 + t222 * s12, t122 * s21 + t222 * s22
+        # W + V, V[k, p] = sum_{l,q} P[k, l, q] D[p, l, q]
+        w1 = (x11 * s11 + x21 * s12) + (((p111 * a1 + p112 * a2) + p121 * a3) + p122 * a4)
+        w2 = (x11 * s21 + x21 * s22) + (((p111 * b1 + p112 * b2) + p121 * b3) + p122 * b4)
+        w3 = (x12 * s11 + x22 * s12) + (((p211 * a1 + p212 * a2) + p221 * a3) + p222 * a4)
+        w4 = (x12 * s21 + x22 * s22) + (((p211 * b1 + p212 * b2) + p221 * b3) + p222 * b4)
+        # (S P)[k, a, q] = S[a, 0] P[k, 0, q] + S[a, 1] P[k, 1, q], as q<k><a><q>
+        q111, q112 = s11 * p111 + s12 * p121, s11 * p112 + s12 * p122
+        q121, q122 = s21 * p111 + s22 * p121, s21 * p112 + s22 * p122
+        q211, q212 = s11 * p211 + s12 * p221, s11 * p212 + s12 * p222
+        q221, q222 = s21 * p211 + s22 * p221, s21 * p212 + s22 * p222
+        # D2 (S P) and D vec(W), each row as its even-indexed terms plus its odd-indexed ones
+        even1 = ((c1 * q111 + c3 * q121) + c5 * q211) + c7 * q221
+        odd1 = ((c2 * q112 + c4 * q122) + c6 * q212) + c8 * q222
+        even2 = ((e1 * q111 + e3 * q121) + e5 * q211) + e7 * q221
+        odd2 = ((e2 * q112 + e4 * q122) + e6 * q212) + e8 * q222
+        return (
+            0.0 + (((s11 * v1 + s12 * v2) + (even1 + odd1)) + ((a1 * w1 + a3 * w3) + (a2 * w2 + a4 * w4))),
+            0.0 + (((s21 * v1 + s22 * v2) + (even2 + odd2)) + ((b1 * w1 + b3 * w3) + (b2 * w2 + b4 * w4))),
+        )
+
+    return term
 
 
 def _taylor_term(problem: Problem, dx: np.ndarray, X2=None, X3=None):
     """The noise term of step j as a function of (j, y_j): sigma(y_j) dx[j],
     plus the first- and second-order compositions contracted against X2[j]
-    and X3[j] when those are given.  For additive problems sigma is the
-    identity, so it is the increment with no matrix product.  For d = 1 it
-    is a Python float, as the state is, and sigma sees one scratch array.
+    and X3[j] when those are given, in the state's type.  For additive
+    problems sigma is the identity, so it is the increment with no matrix
+    product.
 
     The compositions are not formed; each level is a few small matrix
-    products, equal to the compositions' contraction to rounding.  With
-    S, D, D2 = sigma, dsigma, d2sigma at y_j (layouts in ``fields``), level 2
-    is sum_{k,p} D[a, k, p] W[k, p] with W = X2[j]^T S^T.  Level 3 adds
-    sum_{l,q} D[p, l, q] P[k, l, q] to W, with P[k, l, q] = sum_i X3[j][i, l, k]
-    S[q, i], and adds sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q]."""
-    scalar = problem.dim == 1
-    if problem.additive:
-        if scalar:
-            dx = dx[:, 0].tolist()
-        return lambda j, y: dx[j]
-    sig, buf = problem.diffusion, np.empty(1)
+    products (``_array_term``), equal to the compositions' contraction to
+    rounding.  Their arithmetic is bound here by the dimension: for
+    d = m = 1 and d = m = 2 it runs on Python floats (``_scalar_term``,
+    ``_planar_term``), sigma and its derivatives through their float forms
+    or one scratch array each, the lift read once with ``tolist()``; so the
+    term makes no BLAS call and its bits do not depend on the BLAS kernel.
+    Every other problem contracts on arrays, a d <= 2 one (whose noise
+    dimension is not d) on an array of its state."""
     d, m = problem.dim, problem.noise_dim
-
-    def term(j, y):
-        if scalar:
-            buf[0] = y
-            y = buf
-        S = sig.func(y)
-        out = S.dot(dx[j])
-        if X2 is not None:
-            D = sig.dfunc(y).reshape(d, m * d)
-            W = X2[j].T.dot(S.T)
-            if X3 is not None:
-                P = X3[j].transpose(2, 1, 0) @ S.T
-                W = W + P.reshape(m, m * d).dot(D.T)
-                out = out + sig.d2func(y).reshape(d, m * d * d).dot((S @ P).ravel())
-            out = out + D.dot(W.ravel())
-        return out.item() if scalar else out
-
-    return term
+    if problem.additive:
+        if d <= 2:
+            dx = dx[:, 0].tolist() if d == 1 else dx.tolist()
+        return lambda j, y: dx[j]
+    if d == m <= 2:
+        return (_scalar_term if d == 1 else _planar_term)(problem.diffusion, dx, X2, X3)
+    term = _array_term(problem.diffusion, dx, X2, X3)
+    if d > 2:
+        return term
+    if d == 1:
+        return lambda j, y: term(j, np.array([y])).item()
+    return lambda j, y: tuple(term(j, np.array(y)).tolist())
 
 
 def semi_implicit_taylor(problem: Problem, lift: RoughLift, order: int) -> Trajectory:
@@ -194,7 +334,14 @@ def semi_implicit_taylor(problem: Problem, lift: RoughLift, order: int) -> Traje
     _check_driver(problem, lift.grid, lift.m)
     solve = _implicit_step(problem.drift, lift.grid.h)
     term = _taylor_term(problem, lift.increments, *(lift.level2, lift.level3)[: order - 1])
-    return _trajectory(problem, lift.grid, lambda j, y: solve(y + term(j, y))[0])
+    if problem.dim != 2:
+        return _trajectory(problem, lift.grid, lambda j, y: solve(y + term(j, y))[0])
+
+    def step(j, y):
+        t1, t2 = term(j, y)
+        return solve((y[0] + t1, y[1] + t2))[0]
+
+    return _trajectory(problem, lift.grid, step)
 
 
 def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
@@ -202,10 +349,17 @@ def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
     noise increment x_{j+1} - x_j for additive problems and
     sigma(y_j) (x_{j+1} - x_j) for multiplicative ones."""
     _check_driver(problem, path.grid, path.m)
-    h = path.grid.h
-    b = _on_floats(problem.drift.func) if problem.dim == 1 else problem.drift
+    h, d = path.grid.h, problem.dim
+    b = _on_floats(problem.drift.func, d) if d <= 2 else problem.drift
     term = _taylor_term(problem, np.diff(path.values, axis=0))
-    return _trajectory(problem, path.grid, lambda j, y: y + h * b(y) + term(j, y))
+    if d != 2:
+        return _trajectory(problem, path.grid, lambda j, y: y + h * b(y) + term(j, y))
+
+    def step(j, y):
+        (b1, b2), (t1, t2) = b(y), term(j, y)
+        return y[0] + h * b1 + t1, y[1] + h * b2 + t2
+
+    return _trajectory(problem, path.grid, step)
 
 
 def boundedness_bound(problem: Problem, path: SamplePath) -> float:

@@ -13,7 +13,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from math import isfinite, sqrt  # by name: the per-step kernels call them
+from math import inf, isfinite, sqrt  # by name: the per-step kernels call them
 
 import numpy as np
 
@@ -58,22 +58,50 @@ class SolveReport:
 
 
 def _norm(v) -> float:
-    """Euclidean norm of a Python float or a 1-d float array, computed the way
-    np.linalg.norm computes a 1-d norm (the square root of the dot product),
-    so the two agree bitwise without its call overhead."""
-    return sqrt(v * v if type(v) is float else v.dot(v))
+    """Euclidean norm of a Python float, a pair of them or a 1-d float array:
+    sqrt(v*v), sqrt(v1*v1 + v2*v2), or computed the way np.linalg.norm
+    computes a 1-d norm (the square root of the dot product), so the two
+    agree bitwise without its call overhead."""
+    if type(v) is float:
+        return sqrt(v * v)
+    if type(v) is tuple:
+        v1, v2 = v
+        return sqrt(v1 * v1 + v2 * v2)
+    return sqrt(v.dot(v))
 
 
-def _gesv():
+def _rescaled_norm(v) -> float:
+    """|v| of a sequence of floats whose squares overflow: max|v_i| times
+    |v / max|v_i||, whose squares are at most 1 each; inf if v is not finite.
+    The tolerance floor takes it where the plain norm is inf, so wherever
+    that norm is finite the floor keeps its bits."""
+    big = max(map(abs, v))
+    if not big < inf:
+        return inf
+    s = 0.0
+    for a in v:
+        a /= big
+        s += a * a
+    return big * sqrt(s)
+
+
+def _lapack_context() -> contextvars.Context:
+    """A context whose NumPy errstate raises on the invalid flag alone,
+    whatever the caller's errstate."""
+    ctx = contextvars.copy_context()
+    ctx.run(np.errstate(all="ignore", invalid="raise").__enter__)
+    return ctx
+
+
+def _gesv(ctx=None):
     """(A, F) -> the solution of A s = F by the dgesv gufunc behind
     np.linalg.solve, without that wrapper's fivefold cost per call, or None
     where the gufunc sets the invalid flag: exactly where dgesv fails (info > 0).
-    Its own context raises on that flag alone, so no call warns or sees the
-    caller's errstate."""
+    It runs in ``ctx``, by default a fresh ``_lapack_context()``, so no call
+    warns or sees the caller's errstate."""
     from numpy.linalg._umath_linalg import solve1
 
-    ctx = contextvars.copy_context()
-    ctx.run(np.errstate(all="ignore", invalid="raise").__enter__)
+    ctx = _lapack_context() if ctx is None else ctx
 
     def solve(A, F):
         try:
@@ -181,10 +209,10 @@ def _check_step(drift: DriftField, h: float) -> None:
 def _scalar_kernels(b, jac, h):
     """The d = 1 arithmetic of ``_implicit_step`` on Python floats: the same
     IEEE operations in the same order as on 1-element arrays, without their
-    overhead."""
-
-    def norm(v):
-        return sqrt(v * v)
+    overhead.  Both norms of the tolerance are |v|, which is sqrt(v*v)
+    wherever v*v neither overflows nor leaves the normal range (radix 2
+    rounds the square root of a rounded square back to |v|), and below that
+    range the floor is under DEFAULT_TOL either way."""
 
     def residual_norm(y, r):
         F = y - h * b(y) - r
@@ -201,7 +229,7 @@ def _scalar_kernels(b, jac, h):
         r_last, y_last, F_last = last
         return y_last + ((r - r_last) - F_last) / a
 
-    return residual_norm, newton, newton_point, None, abs, norm
+    return residual_norm, newton, newton_point, None, abs, abs
 
 
 def _planar_kernels(b, jac, h):
@@ -211,7 +239,8 @@ def _planar_kernels(b, jac, h):
 
     def norm(v):
         v1, v2 = v
-        return sqrt(v1 * v1 + v2 * v2)
+        n = sqrt(v1 * v1 + v2 * v2)
+        return n if n != inf else _rescaled_norm(v)
 
     def residual_norm(y, r):
         b1, b2 = b(y)
@@ -241,8 +270,15 @@ def _planar_kernels(b, jac, h):
 
 def _array_kernels(drift, jacobian, h):
     """The d >= 3 arithmetic of ``_implicit_step`` on shape-(d,) arrays, the
-    Newton systems solved by LAPACK dgesv."""
-    d, eye, gesv = drift.dim, np.eye(drift.dim), _gesv()
+    Newton systems solved by LAPACK dgesv.  The norm of the tolerance is
+    _norm, taken in dgesv's context, where an overflowing square does not
+    warn, and rescaled where it overflows."""
+    d, eye, context = drift.dim, np.eye(drift.dim), _lapack_context()
+    gesv = _gesv(context)
+
+    def norm(v):
+        n = sqrt(context.run(v.dot, v))
+        return n if n != inf else _rescaled_norm(v.tolist())
 
     def residual_norm(y, r):
         F = y - h * drift(y) - r
@@ -264,21 +300,21 @@ def _array_kernels(drift, jacobian, h):
         step = t * step
         return step, y - step
 
-    return residual_norm, newton, newton_point, along, _norm, _norm
+    return residual_norm, newton, newton_point, along, norm, norm
 
 
 def _implicit_step(drift: DriftField, h: float):
     """The stepper of one (drift, h): checks the gate and sets up the drift's
     evaluators once, and returns the function r -> (solution, iterations,
     residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
-    the solution are Python floats, else shape-(d,) float arrays.
+    the solution are Python floats, for d = 2 pairs of them, else shape-(d,)
+    float arrays: the types of a trajectory's states.
 
     One loop serves every d; the arithmetic it does on vectors is bound
     here, by the dimension, as a few small kernels: the residual with its
     norm, the Newton matrix with its step, the Newton point, a scaled step
-    and the norms.  For d = 1 and d = 2 they run on Python floats (d = 2
-    reads r as two floats and returns the solution as an array), for d >= 3
-    on arrays with LAPACK dgesv.
+    and the norms of the tolerance.  For d = 1 and d = 2 they run on Python
+    floats, for d >= 3 on arrays with LAPACK dgesv.
 
     Every Newton matrix is A = I - h*J at the iterate.  Only ``solve``
     writes the state: the last A formed (None where it was singular) and
@@ -355,14 +391,7 @@ def _implicit_step(drift: DriftField, h: float):
         last = r, y, F
         return y, iters, res, method
 
-    if d != 2:
-        return solve
-
-    def solve_planar(r):
-        y, iters, res, method = solve(r.tolist())
-        return np.array(y), iters, res, method
-
-    return solve_planar
+    return solve
 
 
 def solve_step(drift: DriftField, h: float, r) -> SolveReport:
@@ -383,7 +412,9 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     point outside it is not tried; a zero Newton divisor bisects too.
 
     The tolerance is max(DEFAULT_TOL, 16*eps*max(|r|, |y|)) at the iterate
-    y, as below that the residual is the rounding of y - h*b(y) - r.  Every
+    y, as below that the residual is the rounding of y - h*b(y) - r; where
+    the squares in |r| or |y| overflow, the norm is taken from v / max|v_i|
+    (``_rescaled_norm``), so the floor stays finite for every finite r.  Every
     residual after the first counts as an iteration, and at most MAX_NEWTON
     are taken.  The
     solution is the iterate whose residual was found within tolerance,
@@ -398,8 +429,9 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     dgesv's operations in its order, each rounded on its own (``_solve2``):
     bitwise what dgesv gives on a BLAS kernel without fused multiply-adds,
     and the same on every kernel.  For d >= 3 the iteration runs on arrays
-    and calls dgesv itself.  The solution is a shape-(d,) array in every
-    case.
+    and calls dgesv itself.  The stepper takes and returns the types of a
+    trajectory's states (a float, a pair of floats, an array); the solution
+    reported here is a shape-(d,) array in every case.
 
     It is the first solve of a fresh stepper of the kind a trajectory
     builds once per (drift, h), so it starts at r, where a trajectory's
@@ -415,5 +447,5 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     """
     solve = _implicit_step(drift, h)
     r = np.array(r, dtype=float).reshape(drift.dim)
-    y, *report = solve(r if r.size > 1 else r.item())
+    y, *report = solve(r.item() if r.size == 1 else tuple(r.tolist()) if r.size == 2 else r)
     return SolveReport(np.reshape(y, r.shape), *report)

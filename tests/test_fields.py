@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -273,14 +274,15 @@ def squares(y) -> float:
 
 
 def _oracle_radius(y):
-    r = float(np.sqrt(y @ y))
+    # |y|^2 summed left to right: y @ y may fuse its multiply-add
+    r = float(np.sqrt(squares(y)))
     if r <= _RADIUS_FLOOR:
         raise ValueError(f"derivatives of |y| are undefined at |y| = {r:.3g} <= {_RADIUS_FLOOR}")
     return r
 
 
 def oracle_cosine_value(y):
-    r = float(np.sqrt(y @ y))
+    r = float(np.sqrt(squares(y)))
     return np.array([[np.cos(y[1]), np.cos(r)], [-0.9 - 10.0 * np.cos(y[0]), 0.0]])
 
 
@@ -470,7 +472,9 @@ class TestFloatForms:
     """Each evaluator of a catalogue d = 1 or d = 2 drift has a float form,
     which the stepper of its dimension calls in place of it: it has the bits
     of the evaluator on a shape-(d,) array at every float (every pair of
-    floats), and raises at none."""
+    floats), and raises at none.  So has each evaluator of a catalogue
+    d <= 2 diffusion, which the noise term calls, as a flat tuple; it raises
+    where the array evaluator raises."""
 
     @staticmethod
     def check(coeff, y):
@@ -518,6 +522,42 @@ class TestFloatForms:
         for y2 in EDGE_FLOATS:
             for coeff in (-70.0, -0.0, 1e300, math.nan):
                 self.check_planar(coeff, (y1, y2))
+
+    @staticmethod
+    def check_diffusions(sigmas, y):
+        """Each evaluator's float form gives, at the float or pair y, the
+        entries of the evaluator on np.array(y) in row-major order, bit for
+        bit, as a tuple of floats, or raises the same error."""
+        for sigma in sigmas:
+            for evaluator in (sigma.func, sigma.dfunc, sigma.d2func):
+                try:
+                    got = evaluator._floats(y)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=re.escape(str(err))):
+                        evaluator(np.array(y, ndmin=1))
+                    continue
+                assert type(got) is tuple and all(type(v) is float for v in got)
+                want = np.asarray(evaluator(np.array(y, ndmin=1))).ravel().tolist()
+                assert [float_bits(v) for v in got] == [float_bits(v) for v in want], (y, sigma)
+
+    @settings(max_examples=500, deadline=None)
+    @given(y=POINTS | st.lists(st.floats(), min_size=2, max_size=2).map(np.array))
+    @example(y=np.array([1e155, 3.0]))
+    @example(y=np.array([np.nextafter(_RADIUS_FLOOR, 1.0), -0.0]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_planar_diffusion_float_forms_are_array_forms_bitwise(self, y):
+        sigmas = [
+            cosine_diffusion(),
+            constant_diffusion([[1.0, -2.0], [0.5, 3.0]]),
+            constant_diffusion([[1.0, 0.0, 2.0], [0.0, 1.0, 0.5]]),
+        ]
+        self.check_diffusions(sigmas, tuple(y.tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.floats())
+    def test_scalar_diffusion_float_forms_are_array_forms_bitwise(self, y):
+        sigmas = [geometric_diffusion(), constant_diffusion([[0.7]]), constant_diffusion([[0.7, -1.5]])]
+        self.check_diffusions(sigmas, y)
 
     def test_user_fields_and_other_dimensions_keep_the_scratch_array(self):
         seen = []

@@ -1,4 +1,5 @@
 import collections
+import os
 import sys
 from unittest import mock
 
@@ -12,6 +13,7 @@ from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import (
     DiffusionField,
     DriftField,
+    _on_floats_form,
     constant_diffusion,
     cosine_diffusion,
     cubic_radial_drift,
@@ -592,11 +594,15 @@ class TestNewtonIterationsPerStep:
         assert iterations / len(solves) <= ceiling
 
 
-def plain(drift):
-    """A drift as a user field: the same evaluators behind lambdas, which
-    carry no float form, so the stepper hands them its scratch array."""
+def plain(field):
+    """A drift or a diffusion as a user field: the same evaluators behind
+    lambdas, which carry no float form, so the stepper and the noise term
+    hand them their scratch arrays."""
+    if isinstance(field, DiffusionField):
+        evaluators = field.func, field.dfunc, field.d2func
+        return DiffusionField(field.dim, field.noise_dim, *(lambda y, f=f: f(y) for f in evaluators))
     return DriftField(
-        drift.dim, lambda y: drift.func(y), drift.one_sided_lipschitz, lambda y: drift.jacobian(y)
+        field.dim, lambda y: field.func(y), field.one_sided_lipschitz, lambda y: field.jacobian(y)
     )
 
 
@@ -621,10 +627,11 @@ FLOAT_PATH_CASES = {
 
 
 class TestFloatPath:
-    """The catalogue's d = 1 and d = 2 drifts are evaluated on their float
-    forms, a user field through the scratch array; the same evaluators end
-    in the same bits either way, under implicit and forward Euler, in the
-    bound and, for the planar multiplicative example3, under Milstein."""
+    """The catalogue's d = 1 and d = 2 drifts and diffusions are evaluated
+    on their float forms, a user field through a scratch array; the same
+    evaluators end in the same bits either way, under implicit and forward
+    Euler, in the bound and, for the planar multiplicative example3, at
+    every order and under forward Euler."""
 
     @pytest.mark.parametrize("case", sorted(FLOAT_PATH_CASES))
     @pytest.mark.parametrize("seed", range(2))
@@ -640,36 +647,66 @@ class TestFloatPath:
         bounds = [np.float64(boundedness_bound(p, path)).tobytes() for p in (problem, user)]
         assert bounds[0] == bounds[1]
 
-    @pytest.mark.parametrize("scheme", ["simplified_milstein", "semi_implicit_milstein3"])
+    @pytest.mark.parametrize(
+        "scheme", ["semi_implicit_euler", "simplified_milstein", "semi_implicit_milstein3", "explicit_euler"]
+    )
     def test_planar_multiplicative_float_path_is_scratch_array_path_bitwise(self, scheme):
         problem = example3_problem()
-        user = Problem(plain(problem.drift), problem.xi, problem.T, problem.diffusion)
         path = fbm_path(0, 512, m=2, hurst=5.0 / 12.0)
-        assert outcome(lambda: run_scheme(scheme, problem, path).states) == outcome(
-            lambda: run_scheme(scheme, user, path).states
-        )
+        want = outcome(lambda: run_scheme(scheme, problem, path).states)
+        users = [
+            Problem(plain(problem.drift), problem.xi, problem.T, problem.diffusion),
+            Problem(problem.drift, problem.xi, problem.T, plain(problem.diffusion)),
+        ]
+        for user in users:
+            assert outcome(lambda: run_scheme(scheme, user, path).states) == want
 
-    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "scalar_geometric"])
     def test_implicit_trajectory_makes_no_array_call(self, name):
-        problem, m, hurst = example_problem(name)
+        if name == "scalar_geometric":
+            problem = Problem(double_well_drift(), xi=[-0.5], T=1.0, diffusion=geometric_diffusion())
+            m, hurst = 1, (0.5,)
+        else:
+            problem, m, hurst = example_problem(name)
         path = fbm_path(0, 256, m=m, hurst=hurst[0])
-        func, jacobian = problem.drift.func, problem.drift.jacobian
-        codes = {f.__code__ for f in (func, jacobian, func._floats, jacobian._floats)}
-        arguments = collections.Counter()  # the type of y at each evaluator call
+        fields = [problem.drift.func, problem.drift.jacobian]
+        if not problem.additive:
+            sigma = problem.diffusion
+            fields += [sigma.func, sigma.dfunc, sigma.d2func]
+        codes = {g.__code__ for f in fields for g in (f, f._floats)}
+        schemes_run = (
+            ["implicit_euler"] if problem.additive
+            else ["simplified_milstein", "semi_implicit_milstein3", "explicit_euler"]
+        )
+        for scheme in schemes_run:
+            arguments = collections.Counter()  # the type of y at each evaluator call
 
-        def count(frame, event, arg):
-            if event == "call" and frame.f_code in codes:
-                arguments[type(frame.f_locals["y"])] += 1
+            def count(frame, event, arg):
+                if event == "call" and frame.f_code in codes:
+                    arguments[type(frame.f_locals["y"])] += 1
 
-        scheme = "implicit_euler" if problem.additive else "simplified_milstein"
-        sys.setprofile(count)
-        try:
-            run_scheme(scheme, problem, path)
-        finally:
-            sys.setprofile(None)
-        # a d = 2 solve reads r as a list of two floats, and iterates on pairs
-        floats = {float} if m == 1 else {list, tuple}
-        assert set(arguments) <= floats and arguments.total() > path.grid.N
+            sys.setprofile(count)
+            try:
+                ending = outcome(lambda: run_scheme(scheme, problem, path).states)
+            finally:
+                sys.setprofile(None)
+            steps = ending[1] + 1 if ending[0] == "blowup" else path.grid.N  # forward Euler blows up
+            # d = 2 states, right-hand sides and iterates are pairs of floats
+            assert set(arguments) == {float if problem.dim == 1 else tuple}, scheme
+            assert arguments.total() >= steps, scheme
+
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_wrong_size_user_diffusion_names_the_sizes(self, dim, level):
+        # sigma, dsigma and d2sigma of a d = m user field, one of them a value too long
+        size = dim ** (level + 2)
+        evaluators = [lambda y, s=(dim,) * k: np.zeros(s) for k in (2, 3, 4)]
+        evaluators[level] = lambda y: np.zeros(size + 1)
+        sigma = DiffusionField(dim, dim, *evaluators)
+        problem = Problem(zero_drift(dim), xi=np.ones(dim), T=1.0, diffusion=sigma)
+        with pytest.raises(ValueError, match=rf"returned {size + 1} values, not {size} of shape"):
+            run_scheme("semi_implicit_milstein3", problem, fbm_path(0, 8, m=dim))
 
 
 class TestExplicitEuler:
@@ -808,7 +845,9 @@ class TestMilsteinFamily:
 def composition_term(S, D, D2, dx, X2, X3):
     """The noise term by the composition tensors of ``fields``: sigma dx plus
     each composition contracted against its level with ``einsum``."""
-    out = S @ dx + np.einsum("ija,ij->a", first_order_composition(S, D), X2)
+    out = S @ dx
+    if X2 is not None:
+        out = out + np.einsum("ija,ij->a", first_order_composition(S, D), X2)
     if X3 is not None:
         out = out + np.einsum("ijka,ijk->a", second_order_composition(S, D, D2), X3)
     return out
@@ -816,39 +855,85 @@ def composition_term(S, D, D2, dx, X2, X3):
 
 @st.composite
 def taylor_term_case(draw):
-    """Random sigma, derivatives and lift tensors of one step, d, m in {1, 2, 3}."""
-    d, m, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    """Random sigma, derivatives and lift tensors of one step, d, m in {1, 2, 3}
+    and order in {1, 2, 3}: (S, D, D2, dx, X2, X3), X2 None at order 1 and
+    X3 None below order 3."""
+    d, m, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     # zero or 1e-3 <= |x| <= 10: no product of four entries underflows
     entries = st.just(0.0) | st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3)
     S, D, D2, dx, X2, X3 = (
         draw(arrays(np.float64, shape, elements=entries))
         for shape in [(d, m), (d, m, d), (d, m, d, d), (m,), (m, m), (m, m, m)]
     )
-    return S, D, D2, dx, X2, X3 if order == 3 else None
+    return S, D, D2, dx, X2 if order >= 2 else None, X3 if order == 3 else None
+
+
+def constant_sigmas(S, D, D2):
+    """sigma = S with the derivatives D and D2 as a user field, whose
+    evaluators the term reads through its scratch array, and the same field
+    with float forms (flat tuples), which a d <= 2 term reads in place of it."""
+    arrays_only = DiffusionField(*S.shape, lambda y: S, lambda y: D, lambda y: D2)
+    with_floats = DiffusionField(*S.shape, lambda y: S, lambda y: D, lambda y: D2)
+    for func, value in zip((with_floats.func, with_floats.dfunc, with_floats.d2func), (S, D, D2)):
+        _on_floats_form(func, lambda y, flat=tuple(value.ravel().tolist()): flat)
+    return {"scratch_array": arrays_only, "float_form": with_floats}
+
+
+# OpenBLAS kernels that round each operation of a small matrix product on its own
+PLAIN_ROUNDING_BLAS = os.environ.get("OPENBLAS_CORETYPE") in ("Sandybridge", "Prescott")
 
 
 class TestTaylorTermProducts:
     """``schemes._taylor_term`` contracts the level-2 and level-3 terms as
     matrix products; on tensors with no symmetry, where an index-order slip
-    shows, it equals the composition tensors' einsum to rounding."""
+    shows, it equals the composition tensors' einsum to rounding, at every
+    order, on floats for d = m <= 2 (a float for d = 1, a pair for d = 2)
+    whether sigma has float forms or not, and on arrays elsewhere.  Where the
+    BLAS rounds each operation on its own (OPENBLAS_CORETYPE=Sandybridge, as
+    CI runs this class), the float kernels give the array products' bytes."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=taylor_term_case())
-    def test_products_equal_compositions(self, case):
+    @staticmethod
+    def check(case):
         S, D, D2, dx, X2, X3 = case
         d, m = S.shape
-        sigma = DiffusionField(d, m, lambda y: S, lambda y: D, lambda y: D2)
-        problem = Problem(zero_drift(d), xi=np.zeros(d), T=1.0, diffusion=sigma)
-        levels = (X2[None],) if X3 is None else (X2[None], X3[None])
-        term = schemes._taylor_term(problem, dx[None], *levels)
-        got = np.atleast_1d(term(0, 0.0 if d == 1 else np.zeros(d)))
+        levels = [a[None] for a in (X2, X3) if a is not None]
         want = composition_term(S, D, D2, dx, X2, X3)
         # each side sums at most n products of at most 4 factors, so it lies within
         # gamma_(n+4) of the exact sum of |products|: the same einsum on |entries|
         n = m + m * m * d + 2 * m**3 * d * d
         gamma = (n + 4) * np.finfo(float).eps / (1.0 - (n + 4) * np.finfo(float).eps)
         bound = composition_term(*(np.abs(a) if a is not None else None for a in case))
-        assert np.all(np.abs(got - want) <= 2.0 * gamma * bound), (got, want)
+        state = {1: 0.0, 2: (0.0, 0.0)}.get(d, np.zeros(d))
+        for name, sigma in constant_sigmas(S, D, D2).items():
+            problem = Problem(zero_drift(d), xi=np.zeros(d), T=1.0, diffusion=sigma)
+            got = schemes._taylor_term(problem, dx[None], *levels)(0, state)
+            assert type(got) is {1: float, 2: tuple}.get(d, np.ndarray), name
+            got = np.atleast_1d(got)
+            assert np.all(np.abs(got - want) <= 2.0 * gamma * bound), (name, got, want)
+            if PLAIN_ROUNDING_BLAS:
+                products = schemes._array_term(sigma, dx[None], *(levels + [None, None])[:2])
+                assert got.tobytes() == products(0, np.zeros(d)).tobytes(), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=taylor_term_case())
+    # zero terms whose products are -0.0: a 2 x 2 product and a stacked @ write +0.0
+    @example(case=(-np.ones((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)), np.zeros(2), None, None))
+    @example(case=(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.zeros((1, 1, 1, 1)), -np.ones(1), -np.ones((1, 1)), -np.ones((1, 1, 1))))
+    @example(case=(-np.ones((1, 1)), np.zeros((1, 1, 1)), -np.ones((1, 1, 1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1, 1))))
+    def test_products_equal_compositions(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_float_kernels_on_entries_over_six_decades(self, d):
+        # entries whose products round in most of their sums, so that an order slip shows
+        rng = np.random.default_rng(d)
+        shapes = [(d, d), (d, d, d), (d, d, d, d), (d,), (d, d), (d, d, d)]
+        for _ in range(200):
+            S, D, D2, dx, X2, X3 = (
+                rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape) for shape in shapes
+            )
+            for order in (1, 2, 3):
+                self.check((S, D, D2, dx, X2 if order >= 2 else None, X3 if order == 3 else None))
 
 
 class TestSemiImplicitTaylor:

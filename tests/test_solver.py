@@ -451,11 +451,65 @@ def test_oracle_orders_cover_every_scheme():
     assert sorted(ORACLE_ORDERS) == sorted(set(ADDITIVE_SCHEMES + MULTIPLICATIVE_SCHEMES))
 
 
+def written_sum(products) -> float:
+    """A sum over one index of a matrix product, left to right."""
+    total = products[0]
+    for p in products[1:]:
+        total = total + p
+    return total
+
+
+def written_row(row, v) -> float:
+    """One entry of a matrix-vector product as OpenBLAS sums it where it
+    rounds every operation on its own: the even-indexed products left to
+    right, plus the odd-indexed ones."""
+    products = [a * b for a, b in zip(row, v)]
+    if len(products) == 1:
+        return products[0]
+    return written_sum(products[0::2]) + written_sum(products[1::2])
+
+
+def written_term(S, D, D2, v, X2, X3):
+    """The noise term the schemes contract from sigma, dsigma and d2sigma at
+    y (shapes (d, m), (d, m, d), (d, m, d, d)) and one step's lift, written
+    out on Python floats, where S.dot(v) may fuse multiply-adds:
+    sum_{i,k,p} S[p, i] D[a, k, p] X2[i, k] = sum_{k,p} D[a, k, p] W[k, p] with
+    W[k, p] = sum_i X2[i, k] S[p, i], and level 3 as
+    sum_{k,p} D[a, k, p] V[k, p] + sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q]
+    with P[k, l, q] = sum_i X3[i, l, k] S[q, i] and
+    V[k, p] = sum_{l,q} D[p, l, q] P[k, l, q].  Each sum over one index is
+    left to right, each matrix-vector row written_row."""
+    d, m = S.shape
+    S, D, v = S.tolist(), D.reshape(d, m * d).tolist(), v.tolist()
+    term = [written_row(S[a], v) for a in range(d)]
+    if X2 is None:
+        return np.array(term)
+    X2 = X2.tolist()
+    W = [[written_sum([X2[i][k] * S[p][i] for i in range(m)]) for p in range(d)] for k in range(m)]
+    if X3 is not None:
+        X3 = X3.tolist()
+        P = [
+            [[written_sum([X3[i][l][k] * S[q][i] for i in range(m)]) for q in range(d)] for l in range(m)]
+            for k in range(m)
+        ]
+        flat_P = [[P[k][l][q] for l in range(m) for q in range(d)] for k in range(m)]
+        V = [[written_sum([a * b for a, b in zip(flat_P[k], D[p])]) for p in range(d)] for k in range(m)]
+        W = [[W[k][p] + V[k][p] for p in range(d)] for k in range(m)]
+        SP = [
+            written_sum([S[a][l] * P[k][l][q] for l in range(m)])
+            for k in range(m) for a in range(d) for q in range(d)
+        ]
+        rows = D2.reshape(d, m * d * d).tolist()
+        term = [t + written_row(rows[a], SP) for a, t in enumerate(term)]
+    flat_W = [w for row in W for w in row]
+    return np.array([t + written_row(D[a], flat_W) for a, t in enumerate(term)])
+
+
 def oracle_trajectory(scheme, problem, path):
     """Reference oracle for the trajectory loop: each step on arrays, its
     noise term contracted from the piecewise-linear lift by the products
-    the schemes use, and the implicit step solved by reference_solve_step
-    from the DocumentedStart.  Returns the states."""
+    the schemes use (written_term), and the implicit step solved by
+    reference_solve_step from the DocumentedStart.  Returns the states."""
     explicit = ORACLE_ORDERS[scheme] is None
     order = ORACLE_ORDERS[scheme] or 1
     h = path.grid.h
@@ -468,20 +522,10 @@ def oracle_trajectory(scheme, problem, path):
         if problem.additive:
             term = v
         else:
-            # sum_{i,k,p} S[p, i] D[a, k, p] X2[i, k] = sum_{k,p} D[a, k, p] (X2^T S^T)[k, p], and
-            # level 3 as sum_{k,p} D[a, k, p] V[k, p] + sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q]
-            # with P[k, j, q] = sum_i X3[i, j, k] S[q, i] and V[k, p] = sum_{j,q} D[p, j, q] P[k, j, q]
-            S = sig.func(y)
-            d, m = S.shape
-            term = S.dot(v)
-            if order >= 2:
-                D = sig.dfunc(y).reshape(d, m * d)
-                W = lift.level2[j].T.dot(S.T)
-                if order >= 3:
-                    P = lift.level3[j].transpose(2, 1, 0) @ S.T
-                    W = W + P.reshape(m, m * d).dot(D.T)
-                    term = term + sig.d2func(y).reshape(d, m * d * d).dot((S @ P).ravel())
-                term = term + D.dot(W.ravel())
+            term = written_term(
+                sig.func(y), sig.dfunc(y), sig.d2func(y), v,
+                lift.level2[j] if order >= 2 else None, lift.level3[j] if order >= 3 else None,
+            )
         if explicit:
             y = y + h * problem.drift(y) + term
         else:
@@ -718,8 +762,9 @@ class TestTwoByTwoKernel:
         if got is None or want is None:
             assert (got is None) == (want is None) or fused_u22_near_zero(A, F)
         elif np.all(np.isfinite(got)) and np.all(np.isfinite(want)):
+            # the bound can be NaN (0 * inf) where the gap of x2 overflows; equal solutions pass
             bound = fused_solution_gap(A, F, got, want.tolist())
-            assert np.all(np.abs(np.subtract(got, want)) <= bound)
+            assert np.all((np.subtract(got, want) == 0.0) | (np.abs(np.subtract(got, want)) <= bound))
 
     def test_solves_in_its_own_arithmetic(self):
         # no NumPy value enters or leaves it: Python floats in, floats out
@@ -1066,6 +1111,42 @@ class TestRootsLargerThanR:
     def test_affine_offsets_up_to_1e7(self, s, h, r, dim):
         s, r = s[:dim], r[:dim]
         assert_solves_to_root(affine_drift(s), h, r, affine_root(s, h, r))
+
+
+def constant_drift(s, dim):
+    """b(y) = s in every component: C_b = 0 and a zero Jacobian, so the root
+    of y - h*s = r is r + h*s."""
+    return DriftField(dim, lambda y: np.full(y.size, s), 0.0, lambda y: np.zeros((y.size, y.size)))
+
+
+class TestFloorWhereSquaresOverflow:
+    """Where |r|^2 overflows the tolerance floor 16*eps*|r| is taken from a
+    rescaled norm, so it stays finite: a step whose start has a finite
+    residual is solved, not returned at its start as converged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        s=st.floats(-1e150, 1e150),
+        h=st.floats(1e-3, 1.0),
+        r=st.lists(st.floats(-1e165, 1e165), min_size=3, max_size=3),
+    )
+    # the floor overflowed to inf here, and the start y = r was returned after 0 iterations
+    @example(dim=1, s=-1e150, h=1.0, r=[1e160] * 3)
+    @example(dim=2, s=-1e150, h=1.0, r=[1e160] * 3)
+    @example(dim=3, s=-1e150, h=1.0, r=[1e160] * 3)
+    def test_constant_drift_solved_at_large_r(self, dim, s, h, r):
+        r = np.array(r[:dim])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # and an overflowing square does not warn
+            rep = solve_step(constant_drift(s, dim), h, r)
+        y = rep.solution
+        size = max(math.hypot(*r), math.hypot(*y))
+        tol = max(1e-12, ROUNDING_FLOOR * size * (1.0 + 4.0 * UNIT_ROUNDOFF))
+        assert rep.residual <= tol
+        # |y - y*| is the exact residual: the computed one plus the rounding of its three terms
+        gap = math.hypot(*(float(Fraction(a) - Fraction(b) - Fraction(h) * Fraction(s)) for a, b in zip(y, r)))
+        assert gap <= tol + 8.0 * UNIT_ROUNDOFF * (2.0 * size + math.sqrt(dim) * abs(h * s))
 
 
 class TestNonFiniteResidual:
