@@ -4,11 +4,14 @@ Every implicit scheme is the semi-implicit Taylor recursion of order 1, 2
 or 3 (``semi_implicit_taylor``): the drift is evaluated at the new state and
 resolved by the nonlinear solver, every noise term is evaluated at the old
 state and enters the solver's right-hand side, whose well-posedness gate
-raises StepSizeError unless C_b*h < 1.  Forward Euler (``explicit_euler``)
-has no solve; it runs through the same trajectory loop with its own step map.
+raises StepSizeError unless C_b*h < 1.  The solver's stepper runs the
+whole recursion of a trajectory in one frame (``solver._implicit_step``).
+Forward Euler (``explicit_euler``) has no solve and runs its own loop; both
+loops go through one trajectory driver (``_trajectory``).
 
 Trajectory blow-up (state norm above 1e12, or non-finite) is a reportable
-runtime event, raised as BlowupError with the offending step index.
+runtime event, raised as BlowupError with the offending step index; a
+failed solve is raised as SchemeStepError with its step index.
 """
 
 from __future__ import annotations
@@ -118,21 +121,20 @@ def _guard(y, step: int) -> None:
         raise BlowupError(step, n)
 
 
-def _trajectory(problem: Problem, grid: Grid, step) -> Trajectory:
-    """y_0 = xi and y_{j+1} = step(j, y_j) for j < N.  Every d = 1 state is a
-    Python float and every d = 2 state a pair of them (the same IEEE
-    operations as on arrays, without their overhead), every other state a
-    shape-(d,) array; the states become one array at the end."""
+def _trajectory(problem: Problem, grid: Grid, run, term) -> Trajectory:
+    """y_0 = xi, then run(states, term, N, BLOWUP_NORM) appends y_1 .. y_N to
+    states, stopping after the first state beyond the bound, which the
+    guard then reports.  Every d = 1 state is a Python float and every d = 2
+    state a pair of them (the same IEEE operations as on arrays, without
+    their overhead), every other state a shape-(d,) array; the states become
+    one array at the end."""
     d = problem.dim
-    y = problem.xi.item() if d == 1 else tuple(problem.xi.tolist()) if d == 2 else problem.xi.copy()
-    states = [y]
-    for j in range(grid.N):
-        try:
-            y = step(j, y)
-        except ConvergenceError as err:
-            raise SchemeStepError(j, err) from err
-        _guard(y, j)
-        states.append(y)
+    states = [problem.xi.item() if d == 1 else tuple(problem.xi.tolist()) if d == 2 else problem.xi.copy()]
+    try:
+        run(states, term, grid.N, BLOWUP_NORM)
+    except ConvergenceError as err:
+        raise SchemeStepError(len(states) - 1, err) from err
+    _guard(states[-1], len(states) - 2)
     return Trajectory(grid, np.array(states).reshape(grid.N + 1, d))
 
 
@@ -321,27 +323,20 @@ def semi_implicit_taylor(problem: Problem, lift: RoughLift, order: int) -> Traje
     contracted against the level-k tensors X^k of the lift.  For additive
     problems sigma is the identity and every order is drift-implicit Euler.
 
-    One stepper solves every step.  Step j + 1 starts its Newton iteration at
-    the Newton point from y_j, built from the last Newton matrix of step j,
-    not at its right-hand side (see ``solver._implicit_step``).  So every
-    state solves its step to the solver's tolerance, and it can differ from
-    a solve started at the right-hand side by as much as that tolerance
-    allows."""
+    One stepper call solves every step.  Step j + 1 starts its Newton
+    iteration at the Newton point from y_j, built from the last Newton
+    matrix of step j, not at its right-hand side (see
+    ``solver._implicit_step``).  So every state solves its step to the
+    solver's tolerance, and it can differ from a solve started at the
+    right-hand side by as much as that tolerance allows."""
     if type(order) is not int or order not in (1, 2, 3):  # not 2.0, not True
         raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
     if order == 3 and not lift.has_level3:
         raise ValueError("third-order scheme needs a lift with level-3 tensors")
     _check_driver(problem, lift.grid, lift.m)
-    solve = _implicit_step(problem.drift, lift.grid.h)
+    run = _implicit_step(problem.drift, lift.grid.h)
     term = _taylor_term(problem, lift.increments, *(lift.level2, lift.level3)[: order - 1])
-    if problem.dim != 2:
-        return _trajectory(problem, lift.grid, lambda j, y: solve(y + term(j, y))[0])
-
-    def step(j, y):
-        t1, t2 = term(j, y)
-        return solve((y[0] + t1, y[1] + t2))[0]
-
-    return _trajectory(problem, lift.grid, step)
+    return _trajectory(problem, lift.grid, run, term)
 
 
 def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
@@ -351,15 +346,20 @@ def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
     _check_driver(problem, path.grid, path.m)
     h, d = path.grid.h, problem.dim
     b = _on_floats(problem.drift.func, d) if d <= 2 else problem.drift
-    term = _taylor_term(problem, np.diff(path.values, axis=0))
-    if d != 2:
-        return _trajectory(problem, path.grid, lambda j, y: y + h * b(y) + term(j, y))
 
-    def step(j, y):
-        (b1, b2), (t1, t2) = b(y), term(j, y)
-        return y[0] + h * b1 + t1, y[1] + h * b2 + t2
+    def run(states, term, n, bound):
+        y = states[-1]
+        for j in range(n):
+            if d == 2:
+                (b1, b2), (t1, t2) = b(y), term(j, y)
+                y = y[0] + h * b1 + t1, y[1] + h * b2 + t2
+            else:
+                y = y + h * b(y) + term(j, y)
+            states.append(y)
+            if not _norm(y) <= bound:
+                break
 
-    return _trajectory(problem, path.grid, step)
+    return _trajectory(problem, path.grid, run, _taylor_term(problem, np.diff(path.values, axis=0)))
 
 
 def boundedness_bound(problem: Problem, path: SamplePath) -> float:

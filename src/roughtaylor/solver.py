@@ -157,6 +157,12 @@ def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
     return J
 
 
+def _row_sum(A, d: int) -> float:
+    """The largest absolute row sum of a Newton matrix: a float, four floats
+    in row-major order or a (d, d) array."""
+    return float(np.abs(np.reshape(A, (d, d))).sum(axis=1).max())
+
+
 def _jacobian_shape_error(J: np.ndarray, d: int) -> ValueError:
     return ValueError(f"drift Jacobian has shape {J.shape}, not {(d, d)}, for d = {d}")
 
@@ -209,10 +215,10 @@ def _check_step(drift: DriftField, h: float) -> None:
 def _scalar_kernels(b, jac, h):
     """The d = 1 arithmetic of ``_implicit_step`` on Python floats: the same
     IEEE operations in the same order as on 1-element arrays, without their
-    overhead.  Both norms of the tolerance are |v|, which is sqrt(v*v)
-    wherever v*v neither overflows nor leaves the normal range (radix 2
-    rounds the square root of a rounded square back to |v|), and below that
-    range the floor is under DEFAULT_TOL either way."""
+    overhead.  The norm is |v|, which is sqrt(v*v) wherever v*v neither
+    overflows nor leaves the normal range (radix 2 rounds the square root of
+    a rounded square back to |v|), and below that range the floor is under
+    DEFAULT_TOL either way."""
 
     def residual_norm(y, r):
         F = y - h * b(y) - r
@@ -225,11 +231,7 @@ def _scalar_kernels(b, jac, h):
         step = F / a  # bitwise the one division dgesv performs on a 1x1 system
         return a, step, y - step
 
-    def newton_point(a, r, last):
-        r_last, y_last, F_last = last
-        return y_last + ((r - r_last) - F_last) / a
-
-    return residual_norm, newton, newton_point, None, abs, abs
+    return residual_norm, newton, None, None, None, abs
 
 
 def _planar_kernels(b, jac, h):
@@ -256,16 +258,18 @@ def _planar_kernels(b, jac, h):
             return None, None, None
         return A, step, (y[0] - step[0], y[1] - step[1])
 
-    def newton_point(A, r, last):
-        r_last, y_last, F_last = last
+    def newton_point(A, y, r, r_last, F_last):
         s1, s2 = _solve2(A, ((r[0] - r_last[0]) - F_last[0], (r[1] - r_last[1]) - F_last[1]))
-        return y_last[0] + s1, y_last[1] + s2
+        return y[0] + s1, y[1] + s2
 
     def along(y, step, t):
         s1, s2 = t * step[0], t * step[1]
         return (s1, s2), (y[0] - s1, y[1] - s2)
 
-    return residual_norm, newton, newton_point, along, norm, norm
+    def add(y, t):
+        return y[0] + t[0], y[1] + t[1]
+
+    return residual_norm, newton, newton_point, along, add, norm
 
 
 def _array_kernels(drift, jacobian, h):
@@ -292,37 +296,41 @@ def _array_kernels(drift, jacobian, h):
         step = gesv(A, F)
         return (None, None, None) if step is None else (A, step, y - step)
 
-    def newton_point(A, r, last):
-        r_last, y_last, F_last = last
-        return y_last + gesv(A, (r - r_last) - F_last)
+    def newton_point(A, y, r, r_last, F_last):
+        return y + gesv(A, (r - r_last) - F_last)
 
     def along(y, step, t):
         step = t * step
         return step, y - step
 
-    return residual_norm, newton, newton_point, along, norm, norm
+    return residual_norm, newton, newton_point, along, np.add, norm
 
 
 def _implicit_step(drift: DriftField, h: float):
     """The stepper of one (drift, h): checks the gate and sets up the drift's
-    evaluators once, and returns the function r -> (solution, iterations,
-    residual, method_used) of ``solve_step``'s iteration.  For d = 1, r and
-    the solution are Python floats, for d = 2 pairs of them, else shape-(d,)
-    float arrays: the types of a trajectory's states.
+    evaluators once, and returns run(states, term, n, bound), which runs a
+    trajectory's implicit recursion in one frame.  From y_0 = states[-1] it
+    appends, for j < n, the root y_{j+1} of y - h*b(y) = y_j + term(j, y_j),
+    and returns (iterations, residual, method_used) of ``solve_step``'s
+    iteration: summed over the solves, of the last one, and "safeguarded"
+    if any solve was.  It stops after appending the first state whose norm
+    is not within ``bound``; a failed solve raises ConvergenceError, the
+    states before it appended.  States and terms are Python floats for
+    d = 1, pairs of them for d = 2, else shape-(d,) arrays.
 
-    One loop serves every d; the arithmetic it does on vectors is bound
-    here, by the dimension, as a few small kernels: the residual with its
-    norm, the Newton matrix with its step, the Newton point, a scaled step
-    and the norms of the tolerance.  For d = 1 and d = 2 they run on Python
-    floats, for d >= 3 on arrays with LAPACK dgesv.
+    One loop serves every d.  For d = 1 it writes the right-hand side, the
+    Newton point and the residual at a step's start on floats itself; the
+    rest of its vector arithmetic is bound here, by the dimension, as a few
+    small kernels: the residual with its norm, the Newton matrix with its
+    step, the Newton point, a scaled step, the sum of a state and a term,
+    and the norm.  For d <= 2 they run on Python floats, for d >= 3 on
+    arrays with LAPACK dgesv.
 
-    Every Newton matrix is A = I - h*J at the iterate.  Only ``solve``
-    writes the state: the last A formed (None where it was singular) and
-    the right-hand side r_{j-1}, solution y_j and accepted residual F_j of
-    the last solve.  A solve starts at the Newton point
-    g = y_j + A^{-1}(r_j - r_{j-1} - F_j), with no drift or Jacobian call
-    (for a linear drift the root to rounding), or at r_j on its first
-    solve, while no A is formed (so a zero drift always starts at r_j) and
+    Every Newton matrix is A = I - h*J at the iterate.  A solve starts at
+    the Newton point g = y_j + A^{-1}(r_j - r_{j-1} - F_j), with A the last
+    Newton matrix formed and F_j the accepted residual of step j - 1, with
+    no drift or Jacobian call (for a linear drift the root to rounding), or
+    at r_j while no A is formed (so a zero drift always starts at r_j) and
     where the last A was singular.  Where the residual at g is not finite,
     the solve starts again from r_j, so a g where the drift is not finite
     costs one drift call and is not itself a failure."""
@@ -335,9 +343,8 @@ def _implicit_step(drift: DriftField, h: float):
     else:
         b, jac = _on_floats(drift.func, d), _on_floats(jacobian, d, jacobian=True)
         kernels = (_scalar_kernels if scalar else _planar_kernels)(b, jac, h)
-    residual_norm, newton, newton_point, along, size, norm = kernels
+    residual_norm, newton, newton_point, along, add, norm = kernels
     m = min(1.0, 1.0 - cb * h)  # strong monotonicity constant, capped at 1
-    A = last = None  # the last Newton matrix formed; (r, y, F) of the last solve
 
     def residual(y, r, iters, res):
         # F = y - h*b(y) - r and |F| as residual `iters`; a spent budget reports `res`
@@ -348,50 +355,65 @@ def _implicit_step(drift: DriftField, h: float):
             raise ConvergenceError("implicit step residual is not finite", norm_F, iters)
         return F, norm_F
 
-    def solve(r):
-        nonlocal A, last
-        y = r if last is None or A is None else newton_point(A, r, last)
-        F, res = residual_norm(y, r)
-        if not isfinite(res):  # start again from r, or raise there
-            y = r
-            F, res = residual(y, r, 0, None)
-        floor = _ROUNDING * norm(r)
-        tol = floor if floor > DEFAULT_TOL else DEFAULT_TOL
-        iters = 0  # the residual of the start is iteration 0
-        lo = hi = None  # d = 1: the bracket, built at the first rejected step
-        method = "newton"
-        while res > tol and res > _ROUNDING * size(y):
-            A, step, trial = newton(y, F)
-            if step is None and not scalar:  # along the residual, a descent direction too
-                (step, trial), method = along(y, F, 1.0), "safeguarded"
-            tried = trial is not None and (lo is None or lo < trial < hi)
-            if tried:  # the full step, kept if it cuts the residual to 3/4
-                iters += 1
-                F_trial, res_trial = residual(trial, r, iters, res)
-                if res_trial <= tol or res_trial <= (1.0 - _ARMIJO) * res:
-                    y, F, res = trial, F_trial, res_trial
-                    continue
-            method = "safeguarded"
-            if not scalar:  # Armijo halving, continued from the rejected full step
-                shrink = 1.0
-                while res_trial > tol and res_trial > (1.0 - _ARMIJO * shrink) * res:
-                    (step, trial), shrink = along(y, step, 0.5), 0.5 * shrink
+    def run(states, term, n, bound):
+        y = states[-1]
+        A = r_last = F_last = None  # the last Newton matrix formed; r and F of the last step
+        iterations, method = 0, "newton"
+        for j in range(n):
+            if scalar:
+                r = y + term(j, y)
+                y = r if A is None else y + ((r - r_last) - F_last) / A
+                F = y - h * b(y) - r
+                res = sqrt(F * F)
+            else:
+                r = add(y, term(j, y))
+                y = r if A is None else newton_point(A, y, r, r_last, F_last)
+                F, res = residual_norm(y, r)
+            if not isfinite(res):  # start again from r, or raise there
+                y = r
+                F, res = residual(y, r, 0, None)
+            tol = _ROUNDING * norm(r)
+            tol = tol if tol > DEFAULT_TOL else DEFAULT_TOL
+            iters = 0  # the residual of the start is iteration 0
+            lo = hi = None  # d = 1: the bracket, built at the first rejected step
+            while res > tol and res > (floor := _ROUNDING * norm(y)):
+                A, step, trial = newton(y, F)
+                if step is None and not scalar:  # along the residual, a descent direction too
+                    (step, trial), method = along(y, F, 1.0), "safeguarded"
+                tried = trial is not None and (lo is None or lo < trial < hi)
+                if tried:  # the full step, kept if it cuts the residual to 3/4
                     iters += 1
                     F_trial, res_trial = residual(trial, r, iters, res)
-                y, F, res = trial, F_trial, res_trial
-                continue
-            if lo is None:
-                width = 2.0 * res / m
-                lo, hi = y - width, y + width
-            for point, value in [(y, F), (trial, F_trial)] if tried else [(y, F)]:
-                lo, hi = (max(lo, point), hi) if value < 0.0 else (lo, min(hi, point))
-            y = 0.5 * (lo + hi)
-            iters += 1
-            F, res = residual(y, r, iters, res)
-        last = r, y, F
-        return y, iters, res, method
+                    if res_trial <= tol or res_trial <= (1.0 - _ARMIJO) * res:
+                        y, F, res = trial, F_trial, res_trial
+                        continue
+                method = "safeguarded"
+                if A is not None and res <= floor * _row_sum(A, d) < inf:  # y within rounding, scaled by A
+                    break
+                if not scalar:  # Armijo halving, continued from the rejected full step
+                    shrink = 1.0
+                    while res_trial > tol and res_trial > (1.0 - _ARMIJO * shrink) * res:
+                        (step, trial), shrink = along(y, step, 0.5), 0.5 * shrink
+                        iters += 1
+                        F_trial, res_trial = residual(trial, r, iters, res)
+                    y, F, res = trial, F_trial, res_trial
+                    continue
+                if lo is None:
+                    width = 2.0 * res / m
+                    lo, hi = y - width, y + width
+                for point, value in [(y, F), (trial, F_trial)] if tried else [(y, F)]:
+                    lo, hi = (max(lo, point), hi) if value < 0.0 else (lo, min(hi, point))
+                y = 0.5 * (lo + hi)
+                iters += 1
+                F, res = residual(y, r, iters, res)
+            iterations += iters
+            states.append(y)
+            if not norm(y) <= bound:
+                break
+            r_last, F_last = r, F
+        return iterations, res, method
 
-    return solve
+    return run
 
 
 def solve_step(drift: DriftField, h: float, r) -> SolveReport:
@@ -414,12 +436,16 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     The tolerance is max(DEFAULT_TOL, 16*eps*max(|r|, |y|)) at the iterate
     y, as below that the residual is the rounding of y - h*b(y) - r; where
     the squares in |r| or |y| overflow, the norm is taken from v / max|v_i|
-    (``_rescaled_norm``), so the floor stays finite for every finite r.  Every
-    residual after the first counts as an iteration, and at most MAX_NEWTON
-    are taken.  The
-    solution is the iterate whose residual was found within tolerance,
-    reported with it; ``method_used`` is "newton" if every full Newton step
-    was kept, else "safeguarded".
+    (``_rescaled_norm``), so the floor stays finite for every finite r.  A
+    rejected full step from y also stops the solve at y where its residual
+    is within 16*eps*|y|*||A||, A the Newton matrix at y (finite, not
+    singular) and ||A|| its largest absolute row sum: one unit in the last
+    place of y moves y - h*b(y) by up to ||A|| of them, so a drift whose
+    evaluation cancels (b(y) = s - y at h = 100) rounds above the first
+    floor.  Every residual after the first counts as an iteration, and at
+    most MAX_NEWTON are taken.  The solution is the iterate whose residual
+    was found within tolerance, reported with it; ``method_used`` is
+    "newton" if every full Newton step was kept, else "safeguarded".
 
     For d = 1 the iteration runs on Python floats: the norm is sqrt(F*F) and
     the Newton system is solved as F / (1 - h*Jb), the one correctly rounded
@@ -429,12 +455,12 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     dgesv's operations in its order, each rounded on its own (``_solve2``):
     bitwise what dgesv gives on a BLAS kernel without fused multiply-adds,
     and the same on every kernel.  For d >= 3 the iteration runs on arrays
-    and calls dgesv itself.  The stepper takes and returns the types of a
-    trajectory's states (a float, a pair of floats, an array); the solution
-    reported here is a shape-(d,) array in every case.
+    and calls dgesv itself.  The solution reported here is a shape-(d,)
+    array in every case.
 
-    It is the first solve of a fresh stepper of the kind a trajectory
-    builds once per (drift, h), so it starts at r, where a trajectory's
+    It is a one-step run of a fresh stepper of the kind a trajectory builds
+    once per (drift, h), from y_0 = r with the term -0.0 (so r_0 is r,
+    bitwise) and no blow-up bound: it starts at r, where a trajectory's
     later steps start at the Newton point from the last solution.
 
     Raises
@@ -445,7 +471,9 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
         If the iteration budget is exhausted, or at the first NaN or
         infinite residual.
     """
-    solve = _implicit_step(drift, h)
+    run = _implicit_step(drift, h)
     r = np.array(r, dtype=float).reshape(drift.dim)
-    y, *report = solve(r.item() if r.size == 1 else tuple(r.tolist()) if r.size == 2 else r)
-    return SolveReport(np.reshape(y, r.shape), *report)
+    states = [r.item() if r.size == 1 else tuple(r.tolist()) if r.size == 2 else r]
+    zero = (-0.0, -0.0) if r.size == 2 else -0.0  # y + -0.0 is y, -0.0 included
+    report = run(states, lambda j, y: zero, 1, inf)
+    return SolveReport(np.reshape(states[-1], r.shape), *report)

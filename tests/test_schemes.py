@@ -55,10 +55,12 @@ from roughtaylor.solver import (
 )
 from test_solver import (
     documented_start_solver,
-    effective_tol,
     half_line_sqrt_drift,
+    oracle_trajectory,
     root_gap_bound,
+    solver_tol,
     sqrt_kink_drift,
+    written_norm,
 )
 
 
@@ -462,7 +464,7 @@ class TestStepperAgainstSolveStep:
             r = y + v
             F = y_next - grid.h * drift(y_next) - r
             here = SolveReport(y_next, 0, float(np.linalg.norm(F)), "newton")
-            assert here.residual <= effective_tol(r)
+            assert here.residual <= solver_tol(drift, grid.h, r, y_next)
             try:
                 there = solve_step(drift, grid.h, r)
             except ConvergenceError:
@@ -471,21 +473,28 @@ class TestStepperAgainstSolveStep:
             assert gap <= root_gap_bound(drift, grid.h, r, here, there)
 
 
-def recording_stepper(solves):
-    """A stand-in for solver._implicit_step whose steppers append the
-    right-hand side and the report of each solve to ``solves``."""
+def recording_stepper(runs):
+    """A stand-in for solver._implicit_step whose runs append to ``runs``
+    the list of states each run appends to, its term and what it returns,
+    (iterations, residual, method_used), or None while it has not returned."""
 
     def implicit_step(drift, h):
-        solve = _implicit_step(drift, h)
+        run = _implicit_step(drift, h)
 
-        def recorded(r):
-            report = solve(r)
-            solves.append((r, report))
-            return report
+        def recorded(states, term, n, bound):
+            runs.append([states, term, None])
+            runs[-1][2] = run(states, term, n, bound)
+            return runs[-1][2]
 
         return recorded
 
     return implicit_step
+
+
+def right_hand_sides(states, term):
+    """r_j = y_j + term(j, y_j) of each step from the states a run appended,
+    as arrays: the sum the run forms, componentwise."""
+    return [np.add(y, term(j, y)) for j, y in enumerate(states[:-1])]
 
 
 def cliff_drift():
@@ -524,20 +533,21 @@ class TestStartAtLastNewtonPoint:
         assume(drift.one_sided_lipschitz * grid.h < 1.0)
         problem = Problem(drift, xi=xi, T=1.0)
         path = sample_fbm(FbmConfig(hurst, drift.dim, grid, seed))
-        solves = []
-        with mock.patch.object(schemes, "_implicit_step", recording_stepper(solves)):
+        runs = []
+        with mock.patch.object(schemes, "_implicit_step", recording_stepper(runs)):
             ending = outcome(
                 lambda: semi_implicit_taylor(problem, piecewise_linear_lift(path), 1).states
             )
         assert ending[0] in ("states", "blowup")
-        for r, (y, *_) in solves:
+        [(states, term, report)] = runs
+        assert len(states) == n + 1 or ending[:2] == ("blowup", len(states) - 2)
+        for r, y in zip(right_hand_sides(states, term), states[1:]):
             r, y = np.atleast_1d(r), np.atleast_1d(y)
             F = y - grid.h * drift(y) - r
-            tol = max(1e-12, 16.0 * np.finfo(float).eps * max(np.linalg.norm(r), np.linalg.norm(y)))
-            assert np.linalg.norm(F) <= tol
+            assert written_norm(F) <= solver_tol(drift, grid.h, r, y)
         if ending[0] == "states":
-            solutions = [report[0] for _, report in solves]
-            states = np.vstack([problem.xi, np.reshape(solutions, (n, drift.dim))])
+            assert report[1] <= solver_tol(drift, grid.h, r, y)  # the last step's residual
+            states = np.reshape(states, (n + 1, drift.dim))
             assert ending == ("states", states.shape, states.tobytes())
 
     @settings(max_examples=40, deadline=None)
@@ -561,17 +571,91 @@ class TestStartAtLastNewtonPoint:
         drift = cliff_drift()
         problem = Problem(drift, xi=[0.0], T=1.0)
         path = sample_fbm(FbmConfig(hurst, 1, make_grid(1.0, n), seed))
-        solves = []
-        with mock.patch.object(schemes, "_implicit_step", recording_stepper(solves)):
+        runs = []
+        with mock.patch.object(schemes, "_implicit_step", recording_stepper(runs)):
             ending = outcome(lambda: run_scheme("implicit_euler", problem, path).states)
         assert ending[0] in ("states", "solver")
+        [(states, _, report)] = runs
         if ending[0] == "solver":
             step = ending[1]
-            assert step == len(solves)
-            y = solves[-1][1][0] if solves else 0.0
+            assert step == len(states) - 1 and report is None
+            y = states[-1]  # xi = 0.0 where the first step fails
             r = y + piecewise_linear_lift(path).increments[step, 0]
             with pytest.raises(ConvergenceError):
                 solve_step(drift, path.grid.h, [r])
+
+
+def diagonal_diffusion(d):
+    """sigma(y) = diag(y) (m = d): each component geometric, with no float
+    form, so a growing drift or a large noise drives a trajectory past the
+    blow-up bound."""
+    D = np.zeros((d, d, d))
+    for a in range(d):
+        D[a, a, a] = 1.0
+    return DiffusionField(d, d, lambda y: np.diag(y), lambda y: D, lambda y: np.zeros((d, d, d, d)))
+
+
+def oracle_problem(d, drift, c, multiplicative):
+    """A problem of the run-against-oracle property: a linear drift c*y or
+    the cubic one of its dimension, additive or through diagonal_diffusion;
+    for d = 2 the cubic multiplicative problem is example3."""
+    if drift == "linear":
+        b = linear_drift(c, d)
+    else:
+        b = double_well_drift() if d == 1 else cubic_radial_drift(d)
+    xi = [0.5, -1.0, 2.0][:d]
+    if not multiplicative:
+        return Problem(b, xi=xi, T=1.0)
+    if d == 2 and drift == "cubic":
+        return example3_problem()
+    return Problem(b, xi=xi, T=1.0, diffusion=diagonal_diffusion(d))
+
+
+def flag(run):
+    """A run's states as bytes, or the kind and step index of its flag."""
+    try:
+        return "states", run().tobytes()
+    except BlowupError as err:
+        return "blowup", err.step
+    except SchemeStepError as err:
+        return "solver", err.step
+
+
+class TestRunAgainstOracle:
+    """One stepper call runs a whole implicit trajectory; where every solve
+    keeps each full Newton step, its states equal oracle_trajectory's (each
+    step on arrays, solved by the reference Newton iteration from the
+    documented start) bitwise, for d = 1, 2 and 3, additive and
+    multiplicative, orders 1 to 3, and a trajectory that is flagged is
+    flagged at the same step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        drift=st.sampled_from(["linear", "cubic"]),
+        ch=st.floats(-5.0, 0.95),
+        scheme=st.sampled_from(sorted(set(ADDITIVE_SCHEMES + MULTIPLICATIVE_SCHEMES) - {"explicit_euler"})),
+        scale=st.sampled_from([1.0, 30.0]),
+        hurst=st.floats(0.3, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+        log2_n=st.integers(2, 7),
+    )
+    # the last state, of norm 2.2e12, is flagged too
+    @example(
+        d=1, drift="linear", ch=0.375, scheme="semi_implicit_euler", scale=30.0, hurst=0.375,
+        seed=1, log2_n=4,
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_states_and_flags_equal_oracle(self, d, drift, ch, scheme, scale, hurst, seed, log2_n):
+        grid = make_grid(1.0, 2**log2_n)
+        problem = oracle_problem(d, drift, ch / grid.h, scheme != "implicit_euler")
+        path = sample_fbm(FbmConfig(hurst, problem.noise_dim, grid, seed))
+        if drift == "linear":  # Newton's first step is the root: the oracle keeps it at any scale
+            path = SamplePath(grid, scale * path.values)
+        kept = []
+        want = flag(lambda: oracle_trajectory(scheme, problem, path, kept))
+        assume(all(kept))
+        assert flag(lambda: run_scheme(scheme, problem, path).states) == want
 
 
 class TestNewtonIterationsPerStep:
@@ -587,11 +671,13 @@ class TestNewtonIterationsPerStep:
             problem, "implicit_euler", hurst=hurst, step_exponents=(5, 6, 7, 8, 9, 10),
             ref_exponent=12, seeds=(0, 1),
         )
-        solves = []
-        with mock.patch.object(schemes, "_implicit_step", recording_stepper(solves)):
+        runs = []
+        with mock.patch.object(schemes, "_implicit_step", recording_stepper(runs)):
             run_study(config)
-        iterations = sum(report[1] for _, report in solves)
-        assert iterations / len(solves) <= ceiling
+        iterations = sum(report[0] for _, _, report in runs)
+        steps = sum(len(states) - 1 for states, _, _ in runs)
+        assert steps == 2 * (2**12 + sum(2**k for k in (5, 6, 7, 8, 9, 10)))
+        assert iterations / steps <= ceiling
 
 
 def plain(field):

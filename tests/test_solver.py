@@ -30,7 +30,7 @@ from roughtaylor.harness import (
     run_scheme,
 )
 from roughtaylor.lift import piecewise_linear_lift
-from roughtaylor.schemes import Problem, SchemeStepError
+from roughtaylor.schemes import BLOWUP_NORM, BlowupError, Problem, SchemeStepError
 from roughtaylor.solver import (
     ConvergenceError,
     SolveReport,
@@ -127,19 +127,43 @@ def effective_tol(r, y=0.0):
     return max(1e-12, ROUNDING_FLOOR * max(written_norm(r), written_norm(y)))
 
 
+def newton_floor(A, y) -> float:
+    """solve_step's second stop at the iterate y: 16*eps*|y| times the
+    largest absolute row sum of the Newton matrix A at y; 0 where A is
+    singular or that product is not finite."""
+    A, y = np.atleast_2d(np.asarray(A, dtype=float)), np.atleast_1d(y)
+    try:
+        written_solve(A, np.ones(y.size))
+    except np.linalg.LinAlgError:
+        return 0.0
+    floor = ROUNDING_FLOOR * written_norm(y) * float(np.abs(A).sum(axis=1).max())
+    return floor if floor < math.inf else 0.0
+
+
+def solver_tol(drift, h, r, y) -> float:
+    """The residual bound solve_step's solution y meets: effective_tol(r, y),
+    or the newton_floor of I - h*J(y), J the drift's Jacobian or central
+    differences."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    J = drift.jacobian(y) if drift.jacobian is not None else reference_fd_jacobian(drift, y)
+    return max(effective_tol(r, y), newton_floor(np.eye(y.size) - h * np.asarray(J, dtype=float), y))
+
+
 def reference_solve_step(
     drift, h, r, tol=1e-12, max_newton=50, max_fallback=1000, residuals=None,
     start=None, jacobians=None,
 ):
     """Oracle: the solver as it was before it was safeguarded and before its
-    per-step overhead was cut.  Newton with an absolute tolerance, a stall
-    counter and a damped fixed-point fallback, with np.linalg.solve and
-    np.linalg.norm (written out for d = 2: written_solve, written_norm), a
-    fresh identity per call and the residual of the
-    returned iterate evaluated a second time.  Newton starts at ``start``,
-    r if none is given.  ``residuals``, if given, collects the residual norm
-    of the initial guess and of every Newton iterate, and ``jacobians``
-    every drift Jacobian evaluated."""
+    per-step overhead was cut.  Newton with a stall counter and a damped
+    fixed-point fallback, with np.linalg.solve and np.linalg.norm (written
+    out for d = 2: written_solve, written_norm), a fresh identity per call
+    and the residual of the returned iterate evaluated a second time.  It
+    stops where the solver does: within max(tol, 16*eps*max(|r|, |y|)) at
+    the iterate y, or at y within the newton_floor of its Newton matrix
+    where the Newton step from y fails the Armijo test.  Newton starts at
+    ``start``, r if none is given.  ``residuals``, if given, collects the
+    residual norm of the initial guess and of every Newton iterate, and
+    ``jacobians`` every drift Jacobian evaluated."""
     if residuals is None:
         residuals = []
     if jacobians is None:
@@ -154,9 +178,9 @@ def reference_solve_step(
     def residual_of(y):
         return y - h * drift(y) - r
 
-    def finish(y, iters, method):
+    def finish(y, iters, method, floor=0.0):
         res = written_norm(residual_of(y))
-        if res > tol:
+        if res > max(tol, effective_tol(r, y), floor):
             raise ConvergenceError("implicit step did not converge", res, iters)
         return SolveReport(y, iters, res, method)
 
@@ -168,36 +192,40 @@ def reference_solve_step(
     stall = 0
     eye = np.eye(drift.dim)
     while iters < max_newton:
-        if res <= tol:
+        if res <= max(tol, effective_tol(r, y)):
             return finish(y, iters, "newton")
         if drift.jacobian is not None:
             Jb = np.asarray(drift.jacobian(y), dtype=float)
         else:
             Jb = reference_fd_jacobian(drift, y)
         jacobians.append(Jb)
+        floor = newton_floor(eye - h * Jb, y)
         try:
             step = written_solve(eye - h * Jb, F)
         except np.linalg.LinAlgError:
             break
-        y = y - step
+        y, y_last = y - step, y
         prev = res
         F = residual_of(y)
         res = written_norm(F)
         residuals.append(res)
         iters += 1
+        if res > effective_tol(r) and res > (1.0 - ARMIJO) * prev and prev <= floor:
+            # the solver rejects this step, and stops at its start within newton_floor
+            return finish(y_last, iters, "safeguarded", floor)
         if res >= prev:
             stall += 1
             if stall >= 5:
                 break
         else:
             stall = 0
-    if res <= tol:
+    if res <= max(tol, effective_tol(r, y)):
         return finish(y, iters, "newton")
     for _ in range(max_fallback):
         y = 0.5 * (y + r + h * drift(y))
         iters += 1
         res = written_norm(residual_of(y))
-        if res <= tol:
+        if res <= max(tol, effective_tol(r, y)):
             return finish(y, iters, "contraction")
     raise ConvergenceError("implicit step did not converge", res, iters)
 
@@ -261,13 +289,15 @@ def documented_solve_step(drift, h, r, start, jacobians):
     iters, lo, hi = 0, None, None
     while res > effective_tol(r, y):
         jacobians.append(np.array(jacobian(y), dtype=float))
+        floor = newton_floor(eye - h * jacobians[-1], y)
         try:
             step = written_solve(eye - h * jacobians[-1], F)
         except np.linalg.LinAlgError:
             step = None
         if drift.dim > 1:
             # full Newton step, halved until the Armijo test passes;
-            # along the residual where the Newton matrix is singular
+            # along the residual where the Newton matrix is singular; a
+            # rejected full step from y within newton_floor stops at y
             step = F if step is None else step
             shrink = 1.0
             while True:
@@ -275,11 +305,14 @@ def documented_solve_step(drift, h, r, start, jacobians):
                 F_trial, res_trial = residual(y - step, iters, res)
                 if res_trial <= tol or res_trial <= (1.0 - ARMIJO * shrink) * res:
                     break
+                if shrink == 1.0 and res <= floor:
+                    return y
                 step, shrink = 0.5 * step, 0.5 * shrink
             y, F, res = y - step, F_trial, res_trial
             continue
         # d = 1: the Newton point if it lies in the bracket and passes the
-        # Armijo test, else the midpoint of the bracket narrowed by it
+        # Armijo test, else (or stop at y within newton_floor) the midpoint
+        # of the bracket narrowed by it
         tried = step is not None and (lo is None or lo < y - step < hi)
         if tried:
             iters += 1
@@ -287,6 +320,8 @@ def documented_solve_step(drift, h, r, start, jacobians):
             if res_trial <= tol or res_trial <= (1.0 - ARMIJO) * res:
                 y, F, res = y - step, F_trial, res_trial
                 continue
+        if res <= floor:
+            break
         if lo is None:
             width = 2.0 * res / m
             lo, hi = y - width, y + width
@@ -395,7 +430,7 @@ class TestAgainstReferenceSolver:
             assert got.residual == want.residual
             assert got.method_used == "newton"
             return
-        assert got.residual <= tol
+        assert got.residual <= solver_tol(drift, h, r, got.solution)
         if want is not None:
             gap = np.linalg.norm(got.solution - want.solution)
             assert gap <= root_gap_bound(drift, h, r, got, want)
@@ -505,11 +540,15 @@ def written_term(S, D, D2, v, X2, X3):
     return np.array([t + written_row(D[a], flat_W) for a, t in enumerate(term)])
 
 
-def oracle_trajectory(scheme, problem, path):
+def oracle_trajectory(scheme, problem, path, kept=None):
     """Reference oracle for the trajectory loop: each step on arrays, its
     noise term contracted from the piecewise-linear lift by the products
     the schemes use (written_term), and the implicit step solved by
-    reference_solve_step from the DocumentedStart.  Returns the states."""
+    reference_solve_step from the DocumentedStart.  Returns the states; a
+    state of norm above BLOWUP_NORM (or NaN) raises BlowupError and a failed
+    solve SchemeStepError, each with its step index.  ``kept``, if given,
+    collects for each solve whether it kept every full Newton step, where
+    the solver's iteration is bitwise the reference's."""
     explicit = ORACLE_ORDERS[scheme] is None
     order = ORACLE_ORDERS[scheme] or 1
     h = path.grid.h
@@ -529,11 +568,24 @@ def oracle_trajectory(scheme, problem, path):
         if explicit:
             y = y + h * problem.drift(y) + term
         else:
-            r = y + term
-            y = reference_solve_step(
-                problem.drift, h, r, start=start(r), jacobians=start.jacobians
-            ).solution
+            r, residuals = y + term, []
+            try:
+                report = reference_solve_step(
+                    problem.drift, h, r, start=start(r), jacobians=start.jacobians,
+                    residuals=residuals,
+                )
+            except ConvergenceError as err:
+                raise SchemeStepError(j, err) from err
+            y = report.solution
             start.solved(r, y)
+            if kept is not None:
+                kept.append(
+                    report.method_used == "newton"
+                    and full_newton_steps_kept(residuals, effective_tol(r))
+                )
+        n = written_norm(y)
+        if not n <= BLOWUP_NORM:
+            raise BlowupError(j, n)
         states.append(y)
     return np.array(states)
 
@@ -1021,7 +1073,7 @@ class TestMonotoneConvergence:
             warnings.simplefilter("ignore", RuntimeWarning)
             rep = solve_step(drift, h, r)
         y = rep.solution
-        assert rep.residual <= effective_tol(r)
+        assert rep.residual <= solver_tol(drift, h, r, y)
         assert written_norm(y - h * drift(y) - r) == rep.residual
         if drift.dim == 1:
             root = scalar_root(drift, h, r[0])
@@ -1045,11 +1097,12 @@ def assert_solves_to_root(drift, h, r, root):
     decides nothing."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     rep = solve_step(drift, h, r)
-    assert rep.residual <= effective_tol(r, rep.solution)
+    assert rep.residual <= solver_tol(drift, h, r, rep.solution)
     gap_squared = sum((Fraction(y) - y_exact) ** 2 for y, y_exact in zip(rep.solution, root))
     # 1 - C_b*h exactly, as its rounding is large against it where C_b*h is near 1
     m = 1 - Fraction(drift.one_sided_lipschitz) * Fraction(h)
     assert gap_squared <= (Fraction(true_residual_bound(drift, h, r, rep)) / m) ** 2
+    return rep
 
 
 def linear_root(c, h, r):
@@ -1080,6 +1133,16 @@ class TestRootsLargerThanR:
         drift = affine_drift(s)
         for r in np.random.default_rng(4).uniform(-3.0, 3.0, 50):
             assert_solves_to_root(drift, h, r, affine_root(s, h, r))
+
+    @pytest.mark.parametrize("s", [1e3, 1e5, 1e7])
+    def test_affine_drift_rounds_at_its_newton_matrix(self, s):
+        # h = 100: y - h*b(y) rounds at about eps*h*|s|, above 16*eps*|y| but
+        # within 16*eps*|y|*(1 + h); 80 of these 150 steps spent the budget
+        # of 100 iterations while the stop looked at |r| and |y| alone
+        drift, h = affine_drift(s), 100.0
+        for r in np.random.default_rng(0).uniform(-3.0, 3.0, 50):
+            rep = assert_solves_to_root(drift, h, r, affine_root(s, h, r))
+            assert rep.iterations <= 3
 
     @pytest.mark.parametrize(
         "s, r", [(1e6, 0.1), ((1e6, -1e6), (0.1, 0.3))], ids=["d=1", "d=2"]
