@@ -116,6 +116,7 @@ def _check_driver(problem: Problem, grid: Grid, m: int) -> None:
 
 
 def _guard(y, step: int) -> None:
+    """The only code that raises BlowupError: at |y| not within BLOWUP_NORM."""
     n = _norm(y)
     if not math.isfinite(n) or n > BLOWUP_NORM:
         raise BlowupError(step, n)
@@ -123,8 +124,10 @@ def _guard(y, step: int) -> None:
 
 def _trajectory(problem: Problem, grid: Grid, run, term) -> Trajectory:
     """y_0 = xi, then run(states, term, N, BLOWUP_NORM) appends y_1 .. y_N to
-    states, stopping after the first state beyond the bound, which the
-    guard then reports.  Every d = 1 state is a Python float and every d = 2
+    states.  A run stops after the first state y with ``not |y| <= bound``,
+    exactly the state _guard raises at (by _norm, or in a solve by the
+    stepper's norm, which gives _norm's verdict against the bound); only
+    _guard raises BlowupError.  Every d = 1 state is a Python float and every d = 2
     state a pair of them (the same IEEE operations as on arrays, without
     their overhead), every other state a shape-(d,) array; the states become
     one array at the end."""
@@ -346,15 +349,18 @@ def explicit_euler(problem: Problem, path: SamplePath) -> Trajectory:
     _check_driver(problem, path.grid, path.m)
     h, d = path.grid.h, problem.dim
     b = _on_floats(problem.drift.func, d) if d <= 2 else problem.drift
+    if d == 2:
+        def step(j, y, term):
+            (b1, b2), (t1, t2) = b(y), term(j, y)
+            return y[0] + h * b1 + t1, y[1] + h * b2 + t2
+    else:
+        def step(j, y, term):
+            return y + h * b(y) + term(j, y)
 
     def run(states, term, n, bound):
         y = states[-1]
         for j in range(n):
-            if d == 2:
-                (b1, b2), (t1, t2) = b(y), term(j, y)
-                y = y[0] + h * b1 + t1, y[1] + h * b2 + t2
-            else:
-                y = y + h * b(y) + term(j, y)
+            y = step(j, y, term)
             states.append(y)
             if not _norm(y) <= bound:
                 break

@@ -157,12 +157,6 @@ def _fd_jacobian(b, y: np.ndarray) -> np.ndarray:
     return J
 
 
-def _row_sum(A, d: int) -> float:
-    """The largest absolute row sum of a Newton matrix: a float, four floats
-    in row-major order or a (d, d) array."""
-    return float(np.abs(np.reshape(A, (d, d))).sum(axis=1).max())
-
-
 def _jacobian_shape_error(J: np.ndarray, d: int) -> ValueError:
     return ValueError(f"drift Jacobian has shape {J.shape}, not {(d, d)}, for d = {d}")
 
@@ -388,7 +382,8 @@ def _implicit_step(drift: DriftField, h: float):
                         y, F, res = trial, F_trial, res_trial
                         continue
                 method = "safeguarded"
-                if A is not None and res <= floor * _row_sum(A, d) < inf:  # y within rounding, scaled by A
+                # y within rounding scaled by ||A||, the largest absolute row sum of A
+                if A is not None and res <= floor * np.abs(np.reshape(A, (d, d))).sum(axis=1).max() < inf:
                     break
                 if not scalar:  # Armijo halving, continued from the rejected full step
                     shrink = 1.0

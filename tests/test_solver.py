@@ -430,7 +430,7 @@ class TestAgainstReferenceSolver:
             assert got.residual == want.residual
             assert got.method_used == "newton"
             return
-        assert got.residual <= solver_tol(drift, h, r, got.solution)
+        assert got.residual <= tol
         if want is not None:
             gap = np.linalg.norm(got.solution - want.solution)
             assert gap <= root_gap_bound(drift, h, r, got, want)
@@ -1073,7 +1073,7 @@ class TestMonotoneConvergence:
             warnings.simplefilter("ignore", RuntimeWarning)
             rep = solve_step(drift, h, r)
         y = rep.solution
-        assert rep.residual <= solver_tol(drift, h, r, y)
+        assert rep.residual <= effective_tol(r)
         assert written_norm(y - h * drift(y) - r) == rep.residual
         if drift.dim == 1:
             root = scalar_root(drift, h, r[0])
@@ -1089,15 +1089,17 @@ def affine_drift(s):
     return DriftField(s.size, lambda y: s - y, -1.0, lambda y: -eye)
 
 
-def assert_solves_to_root(drift, h, r, root):
+def assert_solves_to_root(drift, h, r, root, matrix_floor=False):
     """solve_step converges on (drift, h, r) within the tolerance at its
-    solution, and to ``root`` (exact Fractions, one per component) within the
-    inverse-Lipschitz bound, compared in exact arithmetic: for a linear drift
-    |y - y*| = |F|/m holds with equality, so a rounded gap or quotient
-    decides nothing."""
+    solution (or, with ``matrix_floor``, within solver_tol, which admits the
+    Newton-matrix floor), and to ``root`` (exact Fractions, one per
+    component) within the inverse-Lipschitz bound, compared in exact
+    arithmetic: for a linear drift |y - y*| = |F|/m holds with equality, so
+    a rounded gap or quotient decides nothing."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     rep = solve_step(drift, h, r)
-    assert rep.residual <= solver_tol(drift, h, r, rep.solution)
+    tol = solver_tol if matrix_floor else lambda drift, h, r, y: effective_tol(r, y)
+    assert rep.residual <= tol(drift, h, r, rep.solution)
     gap_squared = sum((Fraction(y) - y_exact) ** 2 for y, y_exact in zip(rep.solution, root))
     # 1 - C_b*h exactly, as its rounding is large against it where C_b*h is near 1
     m = 1 - Fraction(drift.one_sided_lipschitz) * Fraction(h)
@@ -1141,7 +1143,7 @@ class TestRootsLargerThanR:
         # of 100 iterations while the stop looked at |r| and |y| alone
         drift, h = affine_drift(s), 100.0
         for r in np.random.default_rng(0).uniform(-3.0, 3.0, 50):
-            rep = assert_solves_to_root(drift, h, r, affine_root(s, h, r))
+            rep = assert_solves_to_root(drift, h, r, affine_root(s, h, r), matrix_floor=True)
             assert rep.iterations <= 3
 
     @pytest.mark.parametrize(
