@@ -13,11 +13,12 @@ among them an output path no file can be written to.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import harness
-from .fbm import FbmConfig, dump_path_csv, sample_fbm
+from .fbm import FbmConfig, _check_grid_size, dump_path_csv, sample_fbm
 from .grids import _check_target, _write_csv, make_grid
 from .schemes import dump_trajectory_csv
 
@@ -117,6 +118,7 @@ def _cmd_probe_local(args) -> int:
 
 def _cmd_sample_fbm(args) -> int:
     grid = make_grid(args.T, args.n)
+    _check_grid_size(math.log2(grid.N))  # before FbmConfig's T/N, which overflows past 2^1024 steps
     hurst = _parse_list(args.hurst, "--hurst", float)
     config = FbmConfig(hurst, len(hurst), grid, args.seed)
     _check_target(args.out)

@@ -251,14 +251,16 @@ def _check_grid_size(log2_n: float) -> None:
     reference grid of 2**k steps before it builds 2**k, and the message is
     built from floats.  Up to 2**40 steps, where 2**log2_n rounds back to N,
     it gives N in full; above, N and the factor's size as powers of two, so
-    no size overflows it."""
+    no size overflows it.  An int log2_n, which may be past float range, is
+    written out in full."""
     if not log2_n > _LOG2_LIMIT:
         return
     if log2_n <= 40.0:
         n = round(2.0**log2_n)
         size = f"N={n} steps", f"{4.0 * n * (n + _BAND) / 2**20:.0f} MiB"
     else:
-        size = f"N=2^{log2_n:.10g} steps", f"2^{2.0 * log2_n - 18.0:.10g} MiB"
+        spec = "d" if isinstance(log2_n, int) else ".10g"
+        size = f"N=2^{log2_n:{spec}} steps", f"2^{2 * log2_n - 18:{spec}} MiB"
     raise ValueError(
         f"grid has {size[0]}, above the sampler's limit of {DENSE_GRID_LIMIT}; "
         f"its banded factor would take {size[1]}"

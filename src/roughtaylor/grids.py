@@ -42,13 +42,21 @@ def make_grid(T: float, N: int) -> Grid:
     return Grid(float(T), int(N))
 
 
+# The longest file or directory name common file systems take, in bytes
+# (NAME_MAX on Linux and macOS).
+_NAME_MAX = 255
+
+
 def _check_target(target, directory: bool = False) -> None:
     """Raise the OSError, naming the path, that writing the file ``target``
     (or, with ``directory``, files into the directory ``target``) would
     meet: something of the other kind at ``target``, a nearest existing
-    ancestor that is not a directory, or one that is not writable.  Creates
-    nothing, so a command can check its output before any work."""
+    ancestor that is not a directory, or one that is not writable, or a
+    name longer than _NAME_MAX bytes.  Creates nothing, so a command can
+    check its output before any work."""
     path = Path(target)
+    if any(len(os.fsencode(part)) > _NAME_MAX for part in path.parts):
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(path))
     if path.exists():
         if path.is_dir() != directory:
             code = errno.ENOTDIR if directory else errno.EISDIR

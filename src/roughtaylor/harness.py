@@ -3,7 +3,9 @@
 Built-in example problems, convergence studies against a same-scheme
 fine-step reference, pathwise error / experimental-order-of-convergence
 tables with CSV emission, the stiffness stability demonstration, and a
-deterministic local-order probe on a smooth driver.
+deterministic local-order probe on a smooth driver.  A study validates
+everything before its first draw, runs each seed on its own, aggregates
+the seeds in config order and writes its CSVs.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def _validate_config(
     config: StudyConfig, problem: Problem | None
 ) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """Check a study's config; return its sorted step and reference exponents
-    and its seeds, as ints."""
+    and its seeds, as ints (of any size: no check takes one to a float)."""
     if config.problem == "custom" and problem is None:
         raise ValueError("problem='custom' requires an explicit Problem")
     if config.problem in EXAMPLES and problem is not None:
@@ -222,13 +224,13 @@ def _validate_config(
         )
     if not config.step_exponents:
         raise ValueError("need at least one step exponent")
-    if any(not float(k).is_integer() or k < 0 for k in config.step_exponents):
+    if any(not (k >= 0 and k % 1 == 0) for k in config.step_exponents):
         raise ValueError(
             f"step exponents must be non-negative integers, got {tuple(config.step_exponents)}"
         )
     if len(set(config.step_exponents)) != len(config.step_exponents):
         raise ValueError(f"step exponents must be distinct, got {tuple(config.step_exponents)}")
-    if not float(config.ref_exponent).is_integer():
+    if config.ref_exponent % 1 != 0:
         raise ValueError(f"reference exponent must be an integer, got {config.ref_exponent!r}")
     if config.ref_exponent <= max(config.step_exponents):
         raise ValueError(
@@ -262,15 +264,12 @@ def _certify_bound(problem: Problem, path: SamplePath, trajectory: Trajectory) -
 
 
 def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResult:
-    """Run the convergence study.
-
-    For each seed one driver is sampled on the reference grid; the reference
-    trajectory uses the same scheme at the reference step size and the driver
-    is restricted to every coarser grid.  The pathwise error of a coarse run
-    is the max over its nodes of the Euclidean distance to the reference.
-    Divergence or a failed implicit solve is recorded as a flagged row, never
-    raised.  Identical configs produce byte-identical CSV output.
-    """
+    """Run the convergence study: check everything, then run each seed on its
+    own (``_run_seed``), aggregate the seeds in ``config.seeds`` order and
+    write the CSVs.  A coarse run's pathwise error is the max over its nodes
+    of the Euclidean distance to the same-scheme reference on the seed's
+    driver; a divergence or failed implicit solve is a flagged row, never
+    raised.  Identical configs give byte-identical CSVs."""
     exponents, ref_exponent, seeds = _validate_config(config, problem)
     if config.problem == "custom":
         default_hurst = (0.5,) * problem.noise_dim
@@ -281,72 +280,73 @@ def run_study(config: StudyConfig, problem: Problem | None = None) -> StudyResul
         # each level's step T/2^k, as ldexp so that no exponent overflows
         for k in (*exponents, ref_exponent):
             _check_step(problem.drift, math.ldexp(problem.T, -k))
-
     _check_grid_size(ref_exponent)  # before 2**ref_exponent is built
     ref_grid = make_grid(problem.T, 2**ref_exponent)
-    certify = problem.additive and config.scheme == "implicit_euler"
-    bound_checks = 0
-
-    def run_level(path: SamplePath, prefix: str) -> tuple[Trajectory | None, str | None]:
-        """(trajectory, None) on success, certified when the bound applies;
-        (None, flag) on divergence or a failed solve."""
-        nonlocal bound_checks
-        try:
-            trajectory = run_scheme(config.scheme, problem, path)
-        except BlowupError as err:
-            return None, f"{prefix}blowup:step={err.step}"
-        except SchemeStepError as err:
-            return None, f"{prefix}solver:step={err.step}"
-        if certify and _certify_bound(problem, path, trajectory):
-            bound_checks += 1
-        return trajectory, None
-
-    # every driver, and the output directory, is checked before the first path is sampled
     drivers = [FbmConfig(hurst, problem.noise_dim, ref_grid, seed) for seed in seeds]
-    if config.out_dir is not None:
+    if config.out_dir is not None:  # the largest seed's file has the longest name
         _check_target(config.out_dir, directory=True)
-    seed_tables: dict[int, ErrorTable] = {}
-    for seed, driver in zip(seeds, drivers):
-        path_ref = sample_fbm(driver)
-        ref_traj, ref_flag = run_level(path_ref, "reference-")
+        _check_target(Path(config.out_dir, f"{config.problem}_{config.scheme}_seed{max(seeds)}.csv"))
+    # every check is done: the first draw is the first seed's
+    certify = problem.additive and config.scheme == "implicit_euler"
+    tables, counts = zip(*(_run_seed(problem, config.scheme, exponents, d, certify) for d in drivers))
+    seed_tables = dict(zip(seeds, tables))
+    aggregate, mean_avg = _aggregate(tables)
+    files = () if config.out_dir is None else _write_study_files(config, seed_tables, aggregate)
+    return StudyResult(config, seed_tables, aggregate, mean_avg, sum(counts), files)
 
-        rows: list[ErrorRow] = []
-        for k in exponents:
-            h = problem.T / 2**k
-            factor = 2 ** (ref_exponent - k)
-            coarse = restrict(path_ref, factor)
-            traj, flag = (None, ref_flag) if ref_flag is not None else run_level(coarse, "")
-            if flag is not None:
-                rows.append(ErrorRow(h, float("nan"), None, flag))
-                continue
-            gap = ref_traj.states[::factor] - traj.states
-            error = float(np.max(np.linalg.norm(gap, axis=1)))
-            # the EOC needs the row above to be unflagged
-            prev = rows[-1] if rows else None
-            value = None
-            if prev is not None and prev.flag is None and error > 0.0 and prev.error > 0.0:
-                value = float(eoc([prev.error, error], [prev.h, h])[0])
-            rows.append(ErrorRow(h, error, value))
-        seed_tables[seed] = ErrorTable(tuple(rows))
 
-    aggregate = []
-    for idx, k in enumerate(exponents):
+def _run_seed(problem, scheme, exponents, driver, certify) -> tuple[ErrorTable, int]:
+    """One seed of a study, which depends on ``driver`` alone: its ErrorTable
+    over ``exponents`` (ascending) and how many of its runs were certified
+    (``_certify_bound``, if ``certify``).  The reference runs first; if it
+    fails, its flag marks every row."""
+    path_ref = sample_fbm(driver)
+    rows, certified, ref, ref_flag = [], 0, None, None
+    for k in (None, *exponents):  # None: the reference
+        factor = 1 if k is None else driver.grid.N // 2**k
+        path = path_ref if k is None else restrict(path_ref, factor)
+        traj, flag = None, ref_flag
+        if flag is None:
+            try:
+                traj = run_scheme(scheme, problem, path)
+            except BlowupError as err:
+                flag = f"blowup:step={err.step}"
+            except SchemeStepError as err:
+                flag = f"solver:step={err.step}"
+            else:
+                certified += certify and _certify_bound(problem, path, traj)
+        if k is None:
+            ref, ref_flag = traj, flag and f"reference-{flag}"
+            continue
         h = problem.T / 2**k
-        errs = [t.rows[idx].error for t in seed_tables.values() if t.rows[idx].flag is None]
-        eocs = [t.rows[idx].eoc for t in seed_tables.values() if t.rows[idx].eoc is not None]
-        flagged = sum(1 for t in seed_tables.values() if t.rows[idx].flag is not None)
+        if flag is not None:
+            rows.append(ErrorRow(h, float("nan"), None, flag))
+            continue
+        gap = ref.states[::factor] - traj.states
+        error = float(np.max(np.linalg.norm(gap, axis=1)))
+        # the EOC needs the row above to be unflagged
+        prev = rows[-1] if rows else None
+        value = None
+        if prev is not None and prev.flag is None and error > 0.0 and prev.error > 0.0:
+            value = float(eoc([prev.error, error], [prev.h, h])[0])
+        rows.append(ErrorRow(h, error, value))
+    return ErrorTable(tuple(rows)), certified
+
+
+def _aggregate(tables) -> tuple[tuple[AggregateRow, ...], float]:
+    """A study's aggregate rows and mean average EOC from its seed tables, in
+    ``config.seeds`` order (each mean sums in it); pure, h from the rows."""
+    aggregate = []
+    for level in zip(*(t.rows for t in tables)):
+        errs = [r.error for r in level if r.flag is None]
+        eocs = [r.eoc for r in level if r.eoc is not None]
         mean_err = float(np.mean(errs)) if errs else float("nan")
         std_err = float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0 if errs else float("nan")
         mean_eoc = float(np.mean(eocs)) if eocs else float("nan")
-        aggregate.append(AggregateRow(h, mean_err, mean_eoc, std_err, flagged))
-
-    per_seed_avgs = [t.average_eoc for t in seed_tables.values() if not math.isnan(t.average_eoc)]
-    mean_avg = float(np.mean(per_seed_avgs)) if per_seed_avgs else float("nan")
-
-    files: tuple[Path, ...] = ()
-    if config.out_dir is not None:
-        files = _write_study_files(config, seed_tables, tuple(aggregate))
-    return StudyResult(config, seed_tables, tuple(aggregate), mean_avg, bound_checks, files)
+        flagged = len(level) - len(errs)
+        aggregate.append(AggregateRow(level[0].h, mean_err, mean_eoc, std_err, flagged))
+    averages = [t.average_eoc for t in tables if not math.isnan(t.average_eoc)]
+    return tuple(aggregate), float(np.mean(averages)) if averages else float("nan")
 
 
 def _write_study_files(config, seed_tables, aggregate) -> tuple[Path, ...]:

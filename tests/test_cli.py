@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 from roughtaylor import cli, fbm, harness
 from roughtaylor.cli import _parse_seeds, build_parser, main
 
+# 2^1024, 309 digits: no float holds it, and no file system takes it as a name
+_PAST_FLOAT = str(2**1024)
+
 
 @pytest.fixture
 def no_sampling(monkeypatch):
@@ -126,6 +129,11 @@ def test_run_rejects_unknown_scheme(capsys):
         ("--seeds", "two", "--seeds expects integers, got 'two'"),
         ("--steps", "5..6..7", "--steps expects integers, got '5..6..7'"),
         ("--hurst", "0.5,", "--hurst expects numbers, got '0.5,'"),
+        # compared as an int, never taken to a float
+        pytest.param(
+            "--steps", f"5,{_PAST_FLOAT}", "reference exponent 8 must exceed every step exponent",
+            id="--steps-past-float-range",
+        ),
     ],
 )
 def test_run_rejects_duplicates(flag, value, message, capsys):
@@ -164,6 +172,10 @@ def test_run_refuses_ill_posed_step_before_any_draw(tmp_path, monkeypatch, capsy
         ("sample-fbm --hurst 0.5 --n 4097 --seed 0 --out x.csv", 4097),
         # the sampler compares the cap by log2 of the step count
         ("stability --h 1e-300 --out stab", "2^996.5784285"),
+        # before FbmConfig takes T/N, which no float holds
+        pytest.param(
+            f"sample-fbm --hurst 0.5 --n {_PAST_FLOAT} --seed 0 --out x.csv", "2^1024", id="--n-past-float-range"
+        ),
     ],
 )
 def test_grid_cap_refused_before_any_factor(command, n, tmp_path, monkeypatch, capsys):
@@ -181,6 +193,11 @@ def test_grid_cap_refused_before_any_factor(command, n, tmp_path, monkeypatch, c
         ("run --problem example1 --scheme implicit_euler --steps 5 --ref 1030", "N=2^1030 steps"),
         ("run --problem example1 --scheme implicit_euler --steps 5 --ref 100000", "N=2^100000 steps"),
         ("run --problem example1 --scheme implicit_euler --steps 5 --ref 1000000000", "N=2^1000000000"),
+        pytest.param(
+            f"run --problem example1 --scheme implicit_euler --steps 5 --ref {_PAST_FLOAT}",
+            f"N=2^{_PAST_FLOAT} steps",
+            id="--ref-past-float-range",
+        ),
     ],
 )
 def test_huge_grid_refused_by_size_alone(command, size, tmp_path, monkeypatch, capsys, no_sampling):
@@ -258,6 +275,13 @@ def test_count_or_range_above_the_cap_refused(flag, value, capsys, monkeypatch, 
         ("stability --h 0.0625 --out file/stab", "cannot write file: Not a directory"),
         ("probe-local --scheme euler --out folder", "cannot write folder: Is a directory"),
         ("sample-fbm --hurst 0.5 --n 16 --seed 0 --out folder", "cannot write folder: Is a directory"),
+        # the largest seed names the study file with the longest name
+        pytest.param(
+            f"run --problem example1 --scheme implicit_euler --steps 4 --ref 6 --seeds 0,{_PAST_FLOAT} "
+            "--out out",
+            f"cannot write out/example1_implicit_euler_seed{_PAST_FLOAT}.csv: File name too long",
+            id="seed-file-name-too-long",
+        ),
     ],
 )
 def test_impossible_output_refused_before_any_work(
@@ -387,7 +411,7 @@ def test_run_reruns_one_explicit_seed(tmp_path, capsys):
 # refused, and a count or range of seeds or steps has at most 5 values or
 # more than 2^63.
 _HUGE = "99999999999999999999999"  # 23 digits: above 2^63, within float range
-_INTS = ["0", "3", "-1", _HUGE, "-" + _HUGE]
+_INTS = ["0", "3", "-1", _HUGE, "-" + _HUGE, _PAST_FLOAT, "-" + _PAST_FLOAT]
 _FLOATS = [
     "0", "-0.0", "-1", "inf", "-inf", "nan", "5e-324", "2.2250738585072014e-308",
     "1e-308", "1e308", "-1e308", "0.25", "0.5", "0.03125", _HUGE,
@@ -441,7 +465,9 @@ _RUN = _command(
     {
         "--scheme": st.sampled_from([*harness.ADDITIVE_SCHEMES, *harness.MULTIPLICATIVE_SCHEMES, "euler", None]),
         "--steps": _int_list(),
-        "--ref": st.sampled_from(["-1", "0", "1", "8", "13", "1030", _HUGE, "-" + _HUGE]),
+        "--ref": st.sampled_from(
+            ["-1", "0", "1", "8", "13", "1030", _HUGE, "-" + _HUGE, _PAST_FLOAT, "-" + _PAST_FLOAT]
+        ),
         "--seeds": _int_list(),
         "--hurst": _float_list(),
         "--out": st.just("out"),
@@ -477,7 +503,9 @@ _ARGV = st.one_of(
         ),
         {
             "--hurst": _float_list(),
-            "--n": st.sampled_from(["0", "1", "4097", "-1", _HUGE, "-" + _HUGE]),
+            "--n": st.sampled_from(
+                ["0", "1", "4097", "-1", _HUGE, "-" + _HUGE, _PAST_FLOAT, "-" + _PAST_FLOAT]
+            ),
             "--seed": st.sampled_from(_INTS),
             "--T": st.sampled_from(_FLOATS),
             "--out": st.none(),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughtaylor import harness
 from roughtaylor.fbm import FbmConfig, SamplePath, restrict, sample_fbm
@@ -95,6 +97,26 @@ BAD_STEPS = {
     (5.5,): r"step exponents must be non-negative integers, got \(5\.5,\)",
     (float("inf"),): r"step exponents must be non-negative integers, got \(inf,\)",
 }
+
+
+# b(y) = -50 y, with no Jacobian, is NaN beyond |y| = CLIFF: on the study of
+# cliff_study, seed 0's reference and seed 1's coarsest level fail a solve
+CLIFF = 0.25
+
+
+def cliff_study(out_dir=None):
+    drift = DriftField(1, lambda y: np.where(np.abs(y) <= CLIFF, -50.0 * y, np.nan), -50.0)
+    problem = Problem(drift, xi=[0.0], T=1.0)
+    config = StudyConfig(
+        "custom",
+        "implicit_euler",
+        hurst=(0.5,),
+        step_exponents=(2, 4, 6),
+        ref_exponent=8,
+        seeds=(0, 1),
+        out_dir=out_dir,
+    )
+    return config, problem
 
 
 @pytest.fixture
@@ -303,23 +325,11 @@ class TestRunStudy:
         assert all(row.flag is None for row in table.rows)
 
     def test_failed_solves_become_flagged_rows(self, tmp_path):
-        # b(y) = -50 y, with no Jacobian, is NaN beyond |y| = 0.25.  Step 0
-        # starts at r_0 = dx_0 and fails once that passes the cliff; every
-        # later step starts at its root r_j / (1 + 50h), the Newton point of
-        # a linear drift, and retries from r_j, further out, where the
-        # residual there is NaN: it fails once the root passes the cliff
-        cliff = 0.25
-        drift = DriftField(1, lambda y: np.where(np.abs(y) <= cliff, -50.0 * y, np.nan), -50.0)
-        problem = Problem(drift, xi=[0.0], T=1.0)
-        cfg = StudyConfig(
-            "custom",
-            "implicit_euler",
-            hurst=(0.5,),
-            step_exponents=(2, 4, 6),
-            ref_exponent=8,
-            seeds=(0, 1),
-            out_dir=tmp_path,
-        )
+        # Step 0 starts at r_0 = dx_0 and fails once that passes the cliff;
+        # every later step starts at its root r_j / (1 + 50h), the Newton
+        # point of a linear drift, and retries from r_j, further out, where
+        # the residual there is NaN: it fails once the root passes the cliff
+        cfg, problem = cliff_study(tmp_path)
         result = run_study(cfg, problem=problem)
 
         def first_failure(seed, k):
@@ -329,7 +339,7 @@ class TestRunStudy:
             y = 0.0
             for j, dx in enumerate(np.diff(path.values[:, 0])):
                 start = y + dx if j == 0 else (y + dx) / (1.0 + 50.0 * 2.0**-k)
-                if abs(start) > cliff:
+                if abs(start) > CLIFF:
                     return j
                 y = (y + dx) / (1.0 + 50.0 * 2.0**-k)
             return None
@@ -419,6 +429,60 @@ class TestRunStudy:
         result = run_study(cfg)
         # reference + two coarse runs per seed
         assert result.bound_checks == 6
+
+
+# four seeds, whose means round differently when summed in reverse
+UNFLAGGED = StudyConfig(
+    "example1", "implicit_euler", hurst=(0.75,), step_exponents=(4, 5, 6), ref_exponent=8, seeds=(3, 0, 1, 2)
+)
+
+
+class TestPerSeedKernel:
+    """run_study checks everything, runs each seed through _run_seed, which
+    depends on that seed's driver alone, and aggregates the seed tables in
+    config.seeds order with the pure _aggregate.  Tables are compared by
+    repr, where a flagged row's NaN error equals itself."""
+
+    @staticmethod
+    def run_seed(name, scheme, seed):
+        problem, m, hurst = example_problem(name)
+        driver = FbmConfig(hurst, m, make_grid(problem.T, 2**6), seed)
+        table, certified = harness._run_seed(problem, scheme, (2, 3, 4), driver, problem.additive)
+        return repr(table), certified
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        study=st.sampled_from([("example1", "implicit_euler"), ("example3", "simplified_milstein")]),
+        seeds=st.lists(st.integers(0, 2**64), min_size=2, max_size=2, unique=True),
+    )
+    def test_a_seed_depends_on_its_seed_alone(self, study, seeds):
+        a, b = seeds
+        alone = self.run_seed(*study, a)
+        for order in [(a, b), (b, a), (a,)]:
+            config = StudyConfig(*study, step_exponents=(2, 3, 4), ref_exponent=6, seeds=order)
+            result = run_study(config)
+            assert repr(result.seed_tables[a]) == alone[0]
+            assert result.bound_checks == sum(self.run_seed(*study, seed)[1] for seed in order)
+        assert alone[1] == (4 if study[0] == "example1" else 0)  # reference + three levels
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_aggregate_of_seed_tables_is_the_study_aggregate(self, flagged):
+        config, problem = cliff_study() if flagged else (UNFLAGGED, example_problem("example1")[0])
+        result = run_study(config, problem=problem if flagged else None)
+        grid = make_grid(problem.T, 2**config.ref_exponent)
+        tables = [
+            harness._run_seed(
+                problem, config.scheme, config.step_exponents, FbmConfig(config.hurst, 1, grid, seed), True
+            )[0]
+            for seed in config.seeds
+        ]
+        assert repr(tables) == repr(list(result.seed_tables.values()))
+        aggregate, mean_average_eoc = harness._aggregate(tables)
+        assert repr(aggregate) == repr(result.aggregate)
+        assert repr(mean_average_eoc) == repr(result.mean_average_eoc)
+        assert any(row.flagged for row in aggregate) == flagged
+        if not flagged:  # so the study's aggregate is the one in config.seeds order
+            assert repr(harness._aggregate(tables[::-1])) != repr(aggregate)
 
 
 class TestStabilityDemo:

@@ -765,14 +765,17 @@ def fused_solution_gap(A, F, x, other):
     of the multiply-adds u22 = a22 - l*a12, y2 = f2 - l*f1 and
     n1 = f1 - a12*x2.  Each of those differs by at most fused_gap; the
     quotients x2 = y2/u22 and x1 = n1/a11 carry that through (with the other
-    side's solution as observed) and round once more each."""
+    side's solution as observed) and round once more each: relative to the
+    result, and below the smallest normal double by up to one subnormal
+    spacing, absolute."""
     a11, a12, a22, l, f1, f2 = lu2(A, F)
     u22 = a22 - l * a12
     gap_u22, gap_y2 = fused_gap(a22, l * a12), fused_gap(f2, l * f1)
     (x1, x2), (o1, o2) = x, other
-    gap_x2 = (gap_y2 + 2.0 * abs(o2) * gap_u22) / abs(u22) + 2.0 * UNIT_ROUNDOFF * (abs(x2) + abs(o2))
+    round_x2 = 2.0 * UNIT_ROUNDOFF * (abs(x2) + abs(o2)) + 2.0 * SUBNORMAL_SPACING
+    gap_x2 = (gap_y2 + 2.0 * abs(o2) * gap_u22) / abs(u22) + round_x2
     gap_n1 = fused_gap(f1, a12 * x2) + 2.0 * abs(a12) * gap_x2
-    gap_x1 = gap_n1 / abs(a11) + 2.0 * UNIT_ROUNDOFF * (abs(x1) + abs(o1))
+    gap_x1 = gap_n1 / abs(a11) + 2.0 * UNIT_ROUNDOFF * (abs(x1) + abs(o1)) + 2.0 * SUBNORMAL_SPACING
     return gap_x1, gap_x2
 
 
@@ -798,6 +801,15 @@ class TestTwoByTwoKernel:
     # singular, though 3 * (1/3) rounds below 1, so a fused u22 is 2^-54
     @example(system=(np.array([[3.0, 3.0], [1.0, 1.0]]), np.array([1.0, 2.0])))
     @example(system=(np.array([[0.0, 1.0], [np.nan, 1.0]]), np.array([1.0, 2.0])))
+    # a subnormal solution: each quotient's rounding is one subnormal spacing, not relative
+    @example(
+        system=(
+            np.array(
+                [[470275679.7648598, -466917343.5128534], [-2409.241119238253, -208978145.87749186]]
+            ),
+            np.array([4.060702110876439e-301, 4.060702110876439e-301]),
+        )
+    )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_equals_dgesv(self, system):
         A, F = system
