@@ -107,8 +107,12 @@ def _on_floats_form(func, float_func):
     ``func`` does on a shape-(d,) array, on Python floats (solver._on_floats,
     schemes._flat_floats).  A drift's maps a float to a float for d = 1 and
     a pair of floats to a pair, or a Jacobian's four entries in row-major
-    order, for d = 2; a diffusion evaluator's maps y (a float for d = 1, a
-    pair for d = 2) to its entries as a flat tuple in row-major order."""
+    order, for d = 2; a d = m = 2 diffusion evaluator's maps a pair to its
+    entries as a flat tuple in row-major order.  Only the fields of the
+    built-in examples carry one (``double_well_drift``, ``linear_drift``
+    with dim=1, ``cubic_radial_drift(2)``, ``cosine_diffusion``): the
+    studies evaluate no other.  Every other d <= 2 field is read through a
+    scratch array, in the same bits, only more slowly."""
     func._floats = float_func
     return func
 
@@ -123,12 +127,7 @@ def _sum_of_squares(v) -> float:
 
 
 def zero_drift(dim: int = 1) -> DriftField:
-    b, jac = (lambda y: np.zeros(dim)), (lambda y: np.zeros((dim, dim)))
-    if dim == 1:
-        b, jac = _on_floats_form(b, lambda y: 0.0), _on_floats_form(jac, lambda y: 0.0)
-    elif dim == 2:
-        b, jac = _on_floats_form(b, lambda y: (0.0, 0.0)), _on_floats_form(jac, lambda y: (0.0,) * 4)
-    return DriftField(dim, b, 0.0, jacobian=jac)
+    return DriftField(dim, lambda y: np.zeros(dim), 0.0, jacobian=lambda y: np.zeros((dim, dim)))
 
 
 def double_well_drift() -> DriftField:
@@ -156,10 +155,6 @@ def linear_drift(coeff: float, dim: int = 1) -> DriftField:
     b, jac = (lambda y: coeff * y), (lambda y: J)
     if dim == 1:
         b, jac = _on_floats_form(b, b), _on_floats_form(jac, lambda y: coeff)
-    elif dim == 2:
-        flat = tuple(J.ravel().tolist())
-        b = _on_floats_form(b, lambda y: (coeff * y[0], coeff * y[1]))
-        jac = _on_floats_form(jac, lambda y: flat)
     return DriftField(dim, b, coeff, jacobian=jac)
 
 
@@ -195,37 +190,21 @@ def cubic_radial_drift(dim: int = 2) -> DriftField:
 
 
 def constant_diffusion(matrix) -> DiffusionField:
-    """State-independent sigma; both derivative tensors vanish.  For d <= 2
-    each evaluator has a float form, its entries as a constant flat tuple.
-    sigma is a copy of ``matrix``, so the two forms cannot part."""
+    """State-independent sigma, a copy of ``matrix``; both derivative
+    tensors vanish."""
     S = np.array(matrix, dtype=float, ndmin=2)
     d, m = S.shape
-    sigma = DiffusionField(
-        d,
-        m,
-        lambda y: S,
-        lambda y: np.zeros((d, m, d)),
-        lambda y: np.zeros((d, m, d, d)),
+    return DiffusionField(
+        d, m, lambda y: S, lambda y: np.zeros((d, m, d)), lambda y: np.zeros((d, m, d, d))
     )
-    if d <= 2:
-        entries = S.ravel().tolist(), [0.0] * (d * m * d), [0.0] * (d * m * d * d)
-        for func, flat in zip((sigma.func, sigma.dfunc, sigma.d2func), map(tuple, entries)):
-            _on_floats_form(func, lambda y, flat=flat: flat)
-    return sigma
 
 
 def geometric_diffusion() -> DiffusionField:
     """Scalar sigma(y) = y (d = m = 1); both derivatives are shared read-only
-    constants.  Each evaluator has a float form."""
+    constants."""
     D, D2 = np.ones((1, 1, 1)), np.zeros((1, 1, 1, 1))
     D.flags.writeable = D2.flags.writeable = False
-    return DiffusionField(
-        1,
-        1,
-        _on_floats_form(lambda y: y.reshape(1, 1), lambda y: (y,)),
-        _on_floats_form(lambda y: D, lambda y: (1.0,)),
-        _on_floats_form(lambda y: D2, lambda y: (0.0,)),
-    )
+    return DiffusionField(1, 1, lambda y: y.reshape(1, 1), lambda y: D, lambda y: D2)
 
 
 _RADIUS_FLOOR = 1e-12

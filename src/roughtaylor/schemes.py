@@ -141,76 +141,61 @@ def _trajectory(problem: Problem, grid: Grid, run, term) -> Trajectory:
     return Trajectory(grid, np.array(states).reshape(grid.N + 1, d))
 
 
-def _flat_floats(func, shape: tuple):
-    """A diffusion evaluator of the given output shape on Python floats: its
-    float form if it has one, else ``func`` on one shape-(d,) scratch array
-    holding y (a float for d = 1, a pair for d = 2), its output read as a
-    flat list; an output of the wrong size raises the error that names it."""
-    floats = getattr(func, "_floats", None)
-    if floats is not None:
-        return floats
-    buf, size = np.empty(shape[0]), math.prod(shape)
+def _checked(func, shape: tuple):
+    """A diffusion evaluator whose output is read as a float array of the
+    given shape; an output of another size raises the error that names it."""
+    size = math.prod(shape)
 
-    def flat(y):
-        buf[:] = y
-        out = np.asarray(func(buf), dtype=float)
+    def checked(y):
+        out = np.asarray(func(y), dtype=float)
         if out.size != size:
             raise ValueError(
                 f"diffusion evaluator returned {out.size} values, not {size} of shape {shape}"
             )
-        return out.ravel().tolist()
+        return out.reshape(shape)
+
+    return checked
+
+
+def _flat_floats(func, shape: tuple):
+    """A d = 2 diffusion evaluator of the given output shape on Python
+    floats: its float form if it has one, else ``_checked(func, shape)`` on
+    one shape-(2,) scratch array holding the pair y, read as a flat list."""
+    floats = getattr(func, "_floats", None)
+    if floats is not None:
+        return floats
+    buf, checked = np.empty(shape[0]), _checked(func, shape)
+
+    def flat(y):
+        buf[:] = y
+        return checked(buf).ravel().tolist()
 
     return flat
 
 
 def _array_term(sigma: DiffusionField, dx, X2, X3):
     """The noise term on arrays: with S, D, D2 = sigma, dsigma, d2sigma at
-    y_j (layouts in ``fields``), S dx[j]; level 2 adds
-    sum_{k,p} D[a, k, p] W[k, p] with W = X2[j]^T S^T.  Level 3 adds
-    sum_{l,q} D[p, l, q] P[k, l, q] to W, with P[k, l, q] = sum_i X3[j][i, l, k]
-    S[q, i], and adds sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q], before the
-    level-2 sum."""
+    y_j (layouts in ``fields``, each read through ``_checked``), S dx[j];
+    level 2 adds sum_{k,p} D[a, k, p] W[k, p] with W = X2[j]^T S^T.  Level 3
+    adds sum_{l,q} D[p, l, q] P[k, l, q] to W, with
+    P[k, l, q] = sum_i X3[j][i, l, k] S[q, i], and adds
+    sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q], before the level-2 sum."""
     d, m = sigma.dim, sigma.noise_dim
+    value = _checked(sigma.func, (d, m))
+    first, second = _checked(sigma.dfunc, (d, m, d)), _checked(sigma.d2func, (d, m, d, d))
 
     def term(j, y):
-        S = sigma.func(y)
+        S = value(y)
         out = S.dot(dx[j])
         if X2 is not None:
-            D = sigma.dfunc(y).reshape(d, m * d)
+            D = first(y).reshape(d, m * d)
             W = X2[j].T.dot(S.T)
             if X3 is not None:
                 P = X3[j].transpose(2, 1, 0) @ S.T
                 W = W + P.reshape(m, m * d).dot(D.T)
-                out = out + sigma.d2func(y).reshape(d, m * d * d).dot((S @ P).ravel())
+                out = out + second(y).reshape(d, m * d * d).dot((S @ P).ravel())
             out = out + D.dot(W.ravel())
         return out
-
-    return term
-
-
-def _scalar_term(sigma: DiffusionField, dx, X2, X3):
-    """``_array_term`` for d = m = 1 on Python floats: each product of a
-    1 x 1 matrix is one multiplication, and P and S P, which ``@`` forms as
-    stacks, are 0.0 plus it, +0.0 where it is zero, as that loop writes a
-    zero result."""
-    value = _flat_floats(sigma.func, (1, 1))
-    dx = dx[:, 0].tolist()
-    if X2 is None:
-        return lambda j, y: value(y)[0] * dx[j]
-    first, X2 = _flat_floats(sigma.dfunc, (1, 1, 1)), X2[:, 0, 0].tolist()
-    if X3 is None:
-
-        def term(j, y):
-            (s,), (a,) = value(y), first(y)
-            return s * dx[j] + a * (X2[j] * s)
-
-        return term
-    second, X3 = _flat_floats(sigma.d2func, (1, 1, 1, 1)), X3[:, 0, 0, 0].tolist()
-
-    def term(j, y):
-        (s,), (a,), (c,) = value(y), first(y), second(y)
-        p = 0.0 + X3[j] * s
-        return (s * dx[j] + c * (0.0 + s * p)) + a * (X2[j] * s + p * a)
 
     return term
 
@@ -297,20 +282,21 @@ def _taylor_term(problem: Problem, dx: np.ndarray, X2=None, X3=None):
 
     The compositions are not formed; each level is a few small matrix
     products (``_array_term``), equal to the compositions' contraction to
-    rounding.  Their arithmetic is bound here by the dimension: for
-    d = m = 1 and d = m = 2 it runs on Python floats (``_scalar_term``,
-    ``_planar_term``), sigma and its derivatives through their float forms
+    rounding.  For d = m = 2 (example3) they run on Python floats
+    (``_planar_term``), sigma and its derivatives through their float forms
     or one scratch array each, the lift read once with ``tolist()``; so the
     term makes no BLAS call and its bits do not depend on the BLAS kernel.
-    Every other problem contracts on arrays, a d <= 2 one (whose noise
-    dimension is not d) on an array of its state."""
+    Every other problem contracts on arrays, a d <= 2 one on an array of its
+    state.  For d = m = 1 each product is a single multiplication, which no
+    BLAS kernel can fuse or reorder, so its bits do not depend on the kernel
+    either."""
     d, m = problem.dim, problem.noise_dim
     if problem.additive:
         if d <= 2:
             dx = dx[:, 0].tolist() if d == 1 else dx.tolist()
         return lambda j, y: dx[j]
-    if d == m <= 2:
-        return (_scalar_term if d == 1 else _planar_term)(problem.diffusion, dx, X2, X3)
+    if d == m == 2:
+        return _planar_term(problem.diffusion, dx, X2, X3)
     term = _array_term(problem.diffusion, dx, X2, X3)
     if d > 2:
         return term

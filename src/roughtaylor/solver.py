@@ -268,9 +268,9 @@ def _planar_kernels(b, jac, h):
 
 def _array_kernels(drift, jacobian, h):
     """The d >= 3 arithmetic of ``_implicit_step`` on shape-(d,) arrays, the
-    Newton systems solved by LAPACK dgesv.  The norm of the tolerance is
-    _norm, taken in dgesv's context, where an overflowing square does not
-    warn, and rescaled where it overflows."""
+    Newton systems solved by LAPACK dgesv.  The residual's norm and the
+    tolerance's are _norm's, taken in dgesv's context, where an overflowing
+    square does not warn; the tolerance's is rescaled where it overflows."""
     d, eye, context = drift.dim, np.eye(drift.dim), _lapack_context()
     gesv = _gesv(context)
 
@@ -280,7 +280,7 @@ def _array_kernels(drift, jacobian, h):
 
     def residual_norm(y, r):
         F = y - h * drift(y) - r
-        return F, _norm(F)
+        return F, sqrt(context.run(F.dot, F))
 
     def newton(y, F):
         Jb = np.asarray(jacobian(y), dtype=float)
@@ -372,6 +372,8 @@ def _implicit_step(drift: DriftField, h: float):
             lo = hi = None  # d = 1: the bracket, built at the first rejected step
             while res > tol and res > (floor := _ROUNDING * norm(y)):
                 A, step, trial = newton(y, F)
+                if step is not None and not isfinite(norm(step)):  # as from a singular A
+                    A = step = trial = None
                 if step is None and not scalar:  # along the residual, a descent direction too
                     (step, trial), method = along(y, F, 1.0), "safeguarded"
                 tried = trial is not None and (lo is None or lo < trial < hi)
@@ -420,13 +422,15 @@ def solve_step(drift: DriftField, h: float, r) -> SolveReport:
     full Newton step, kept if it cuts the residual norm |y - h*b(y) - r| to
     3/4 or to the tolerance; after a rejection, Armijo halving (d > 1) or
     the bracket midpoint (d = 1).  The halving continues from the rejected
-    step until a step of length t cuts by 1 - t/4; a singular Newton matrix
-    steps along the residual, a descent direction too, as G(y) = y - h*b(y)
-    is strongly monotone with constant m = 1 - C_b*h.  The root lies within
-    |F|/m of an iterate with residual F, so the bracket, built at the first
-    rejection as y -+ 2|F|/min(1, m), holds it; each rejection narrows it by
-    the residual's sign at the iterate and at the Newton point.  A Newton
-    point outside it is not tried; a zero Newton divisor bisects too.
+    step until a step of length t cuts by 1 - t/4; a singular Newton matrix,
+    or a Newton step with an entry that is not finite (a subnormal pivot
+    can give one), steps along the residual, a descent direction too, as
+    G(y) = y - h*b(y) is strongly monotone with constant m = 1 - C_b*h.
+    The root lies within |F|/m of an iterate with residual F, so the
+    bracket, built at the first rejection as y -+ 2|F|/min(1, m), holds it;
+    each rejection narrows it by the residual's sign at the iterate and at
+    the Newton point.  A Newton point outside it is not tried; a zero Newton
+    divisor, or a step that is not finite, bisects too.
 
     The tolerance is max(DEFAULT_TOL, 16*eps*max(|r|, |y|)) at the iterate
     y, as below that the residual is the rounding of y - h*b(y) - r; where

@@ -525,7 +525,10 @@ class TestStabilityDemo:
 # order of the probe's Chen fold or of a Taylor step's arithmetic changes.  The
 # planar reference runs 256 implicit steps from the documented start, and its
 # values equal those of test_solver's oracle_trajectory for that reference.
-# Neither a step nor the error norm calls BLAS, so they hold on every kernel
+# The default problem's d = 1 multiplicative steps call BLAS for their 1 x 1
+# noise-term products, but each is a single multiplication, which no kernel can
+# fuse or reorder; the planar steps and the error norm call no BLAS.  So they
+# hold on every kernel
 PROBE_ERRORS_HEX = {
     "default": {
         "euler": (

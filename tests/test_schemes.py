@@ -1,5 +1,7 @@
 import collections
+import math
 import os
+import re
 import sys
 from unittest import mock
 
@@ -713,11 +715,11 @@ FLOAT_PATH_CASES = {
 
 
 class TestFloatPath:
-    """The catalogue's d = 1 and d = 2 drifts and diffusions are evaluated
-    on their float forms, a user field through a scratch array; the same
-    evaluators end in the same bits either way, under implicit and forward
-    Euler, in the bound and, for the planar multiplicative example3, at
-    every order and under forward Euler."""
+    """The built-in examples' fields are evaluated on their float forms,
+    every other d <= 2 field through a scratch array; the same evaluators
+    end in the same bits either way, under implicit and forward Euler, in
+    the bound and, for the planar multiplicative example3, at every order
+    and under forward Euler."""
 
     @pytest.mark.parametrize("case", sorted(FLOAT_PATH_CASES))
     @pytest.mark.parametrize("seed", range(2))
@@ -747,13 +749,9 @@ class TestFloatPath:
         for user in users:
             assert outcome(lambda: run_scheme(scheme, user, path).states) == want
 
-    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "scalar_geometric"])
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_implicit_trajectory_makes_no_array_call(self, name):
-        if name == "scalar_geometric":
-            problem = Problem(double_well_drift(), xi=[-0.5], T=1.0, diffusion=geometric_diffusion())
-            m, hurst = 1, (0.5,)
-        else:
-            problem, m, hurst = example_problem(name)
+        problem, m, hurst = example_problem(name)
         path = fbm_path(0, 256, m=m, hurst=hurst[0])
         fields = [problem.drift.func, problem.drift.jacobian]
         if not problem.additive:
@@ -782,17 +780,22 @@ class TestFloatPath:
             assert arguments.total() >= steps, scheme
 
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize(
+        "dims", [(1, 1), (2, 2), (3, 3), (2, 1), (1, 2)], ids=["1", "2", "3", "2x1", "1x2"]
+    )
     @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_wrong_size_user_diffusion_names_the_sizes(self, dim, level):
-        # sigma, dsigma and d2sigma of a d = m user field, one of them a value too long
-        size = dim ** (level + 2)
-        evaluators = [lambda y, s=(dim,) * k: np.zeros(s) for k in (2, 3, 4)]
+    def test_wrong_size_user_diffusion_names_the_sizes(self, dims, level):
+        # sigma, dsigma and d2sigma of a user field, one of them a value too long
+        d, m = dims
+        shapes = [(d, m), (d, m, d), (d, m, d, d)]
+        evaluators = [lambda y, s=s: np.zeros(s) for s in shapes]
+        size = math.prod(shapes[level])
         evaluators[level] = lambda y: np.zeros(size + 1)
-        sigma = DiffusionField(dim, dim, *evaluators)
-        problem = Problem(zero_drift(dim), xi=np.ones(dim), T=1.0, diffusion=sigma)
-        with pytest.raises(ValueError, match=rf"returned {size + 1} values, not {size} of shape"):
-            run_scheme("semi_implicit_milstein3", problem, fbm_path(0, 8, m=dim))
+        sigma = DiffusionField(d, m, *evaluators)
+        problem = Problem(zero_drift(d), xi=np.ones(d), T=1.0, diffusion=sigma)
+        shape = re.escape(str(shapes[level]))
+        with pytest.raises(ValueError, match=rf"returned {size + 1} values, not {size} of shape {shape}$"):
+            run_scheme("semi_implicit_milstein3", problem, fbm_path(0, 8, m=m))
 
 
 class TestExplicitEuler:

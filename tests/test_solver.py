@@ -1226,6 +1226,31 @@ class TestFloorWhereSquaresOverflow:
         assert gap <= tol + 8.0 * UNIT_ROUNDOFF * (2.0 * size + math.sqrt(dim) * abs(h * s))
 
 
+class TestNonFiniteNewtonStep:
+    """A Newton step with a non-finite entry is taken as one from a singular
+    matrix: along the residual for d > 1, by bisection for d = 1.  The
+    Jacobians are wrong for b(y) = 0.5*y on purpose: singular with a
+    subnormal pivot, [[1/h, 0], [-1e-310/h, 0]] in the leading block, whose
+    dgesv step (and _solve2's) is not finite, and a NaN at d = 1."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_converges_with_no_warning(self, d):
+        h, m = 0.1, 0.95  # C_b = 0.5, so G is strongly monotone with m = 1 - 0.5*h
+        J = np.zeros((d, d))
+        if d == 1:
+            J[0, 0] = np.nan
+        else:
+            J[0, 0], J[1, 0] = 1.0 / h, -1e-310 / h
+        drift = DriftField(d, lambda y: 0.5 * y, 0.5, jacobian=lambda y: J)
+        r = np.arange(1.0, d + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_step(drift, h, r)
+        assert rep.method_used == "safeguarded" and rep.residual <= solver.DEFAULT_TOL
+        root = r / m
+        assert np.linalg.norm(rep.solution - root) <= rep.residual / m + 4e-16 * np.linalg.norm(root)
+
+
 class TestNonFiniteResidual:
     @pytest.mark.parametrize("h", [0.01, 1.0])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
