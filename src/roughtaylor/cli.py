@@ -117,8 +117,9 @@ def _cmd_probe_local(args) -> int:
 
 
 def _cmd_sample_fbm(args) -> int:
+    # the cap first: make_grid refuses 2^1024 steps or more for want of a float N
+    _check_grid_size(math.log2(max(args.n, 1)))
     grid = make_grid(args.T, args.n)
-    _check_grid_size(math.log2(grid.N))  # before FbmConfig's T/N, which overflows past 2^1024 steps
     hurst = _parse_list(args.hurst, "--hurst", float)
     config = FbmConfig(hurst, len(hurst), grid, args.seed)
     _check_target(args.out)

@@ -11,7 +11,8 @@ The increments of fBm on a uniform grid (fractional Gaussian noise) are
 stationary, so their covariance is a symmetric positive definite Toeplitz
 matrix.  The Schur algorithm gives its Cholesky factor R.T one row of R at a
 time in O(N^2) time without forming the N x N matrix.  Only the nonzero half
-of R.T is kept, as row bands ``R.T[a:b, :b]``.  The dense
+of R.T is kept, as row bands ``R.T[a:b, :b]``, read-only views of one buffer
+per factor.  The dense
 ``covariance_matrix`` and ``cholesky`` stay as the public API and as the
 reference the fast factor is tested against: C @ R.T, C the lower-triangular
 matrix of ones, is the Cholesky factor of the path covariance.
@@ -174,10 +175,11 @@ def _schur_bands(c) -> tuple[np.ndarray, ...]:
     generator u after j hyperbolic rotations, applied in the mixed form
     (Bojanczyk, Brent, de Hoog & Sweet 1995), which is backward stable for
     positive definite Toeplitz matrices.  Each row is written straight into
-    its row of a scratch block, and each band is built transposed and handed
-    out F-ordered like the dense factor, so its products round as the dense
-    product did.  Raises ``NotPositiveDefiniteError`` with the same 1-based
-    index as ``cholesky``.
+    its row of a scratch block, through one length-n array of temporaries,
+    so a row allocates nothing.  The bands are carved out of one buffer,
+    each built transposed and handed out F-ordered like the dense factor,
+    so its products round as the dense product did.  Raises
+    ``NotPositiveDefiniteError`` with the same 1-based index as ``cholesky``.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -187,8 +189,20 @@ def _schur_bands(c) -> tuple[np.ndarray, ...]:
     if len(edges) > 2 and n - edges[-2] < 8:
         del edges[-2]  # a tail of fewer than 8 rows joins the band above
     spans = list(zip(edges, edges[1:]))
-    bands = [np.zeros((b, b - a)) for a, b in spans]
+    buf = np.empty(sum(hi * (hi - lo) for lo, hi in spans))
+    bands, start = [], 0
+    for lo, hi in spans:
+        band = buf[start : start + hi * (hi - lo)].reshape(hi, hi - lo)
+        start += band.size
+        # the copy of the block of rows a.. writes them from column a on; the
+        # cells to its left, R[a:a+_SUB, lo:a], lie below the diagonal
+        for a in range(lo + _SUB, hi, _SUB):
+            band[a : a + _SUB, : a - lo] = 0.0
+        bands.append(band)
     scratch = np.zeros((_SUB, n))  # row t is written from column t on: its first t stay 0
+    tmp = np.empty(n)
+    # rho and s go to the ufuncs as 0-d arrays, which skip the scalar conversion
+    rho_, s_ = np.empty(()), np.empty(())
     r = np.divide(c, np.sqrt(c[0]), out=scratch[0])  # R[j, j:]
     v = r.copy()
     v[0] = 0.0
@@ -196,20 +210,23 @@ def _schur_bands(c) -> tuple[np.ndarray, ...]:
         # Rows a..b-1 of R, columns a..n-1, then one block copy per band.
         b = min(a + _SUB, n)
         block = scratch[: b - a, : n - a]
-        for j in range(a, b):
-            if j:
-                # The generator u shifted down by one is R[j-1, j-1:n-1].
-                w = v[j:]
-                rho = w.item(0) / r.item(0)
-                if not abs(rho) < 1.0:
-                    raise NotPositiveDefiniteError(j + 1)
-                s = math.sqrt((1.0 - rho) * (1.0 + rho))
-                r = np.divide(r[:-1] - rho * w, s, out=block[j - a, j - a :])
-                w *= s
-                w -= rho * r
+        for j in range(max(a, 1), b):
+            # The generator u shifted down by one is R[j-1, j-1:n-1].
+            rho = v.item(j) / r.item(0)
+            if not abs(rho) < 1.0:
+                raise NotPositiveDefiniteError(j + 1)
+            rho_[()] = rho
+            s_[()] = math.sqrt((1.0 - rho) * (1.0 + rho))
+            w, t = v[j:], tmp[j:]
+            np.multiply(rho_, w, out=t)
+            np.subtract(r[:-1], t, out=t)
+            r = np.divide(t, s_, out=block[j - a, j - a :])
+            w *= s_
+            w -= np.multiply(rho_, r, out=t)
         for (lo, hi), band in zip(spans, bands):
             if hi > a:
                 band[a:b, max(a - lo, 0) :] = block[:, max(lo - a, 0) : hi - a]
+    buf.setflags(write=False)
     for band in bands:
         band.setflags(write=False)
     return tuple(band.T for band in bands)

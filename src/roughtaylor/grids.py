@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import errno
+import math
+import numbers
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,11 +37,16 @@ class Grid:
 
 
 def make_grid(T: float, N: int) -> Grid:
-    """Build the uniform grid on [0, T] with N steps of size h = T/N."""
+    """Build the uniform grid on [0, T] with N steps of size h = T/N; N may
+    not exceed the largest float, so that h and the nodes exist."""
     if not 0.0 < T < np.inf:
         raise ValueError(f"final time must be positive and finite, got T={T}")
-    if int(N) != N or N < 1:
+    if not (isinstance(N, numbers.Real) and 1 <= N < math.inf and N % 1 == 0):
         raise ValueError(f"number of steps must be a positive integer, got N={N}")
+    if N > sys.float_info.max:  # as 2^x, since N may run to many digits
+        raise ValueError(
+            f"number of steps N=2^{math.log2(N):.10g} is past float range, so h = T/N has no value"
+        )
     return Grid(float(T), int(N))
 
 

@@ -35,6 +35,8 @@ from .schemes import (
     Problem,
     SchemeStepError,
     Trajectory,
+    _bound,
+    _node_norms,
     boundedness_bound,
     explicit_euler,
     semi_implicit_taylor,
@@ -244,17 +246,37 @@ def _validate_config(
     return tuple(sorted(int(k) for k in config.step_exponents)), int(config.ref_exponent), seeds
 
 
-def _certify_bound(problem: Problem, path: SamplePath, trajectory: Trajectory) -> bool:
-    """Assert the a-priori bound on a drift-implicit additive trajectory.
-
-    Applies when 0 <= C_b and 2*C_b*h <= 1.  The bound holds for a
-    contractive drift (C_b < 0) too, but it is not certified: that would add
-    one drift evaluation per node to every stiff study.
-    """
+def _certifies(problem: Problem, h: float) -> bool:
+    """Whether a drift-implicit additive trajectory of step h is certified:
+    when 0 <= C_b and 2*C_b*h <= 1.  The bound holds for a contractive drift
+    (C_b < 0) too, but it is not certified: that would add one drift
+    evaluation per node to every stiff study."""
     cb = problem.drift.one_sided_lipschitz
-    if cb < 0.0 or 2.0 * cb * trajectory.grid.h > 1.0:
-        return False
-    bound = boundedness_bound(problem, path)
+    return cb >= 0.0 and 2.0 * cb * h <= 1.0
+
+
+def _level_bounds(problem: Problem, path: SamplePath, exponents) -> dict[int, float]:
+    """The boundedness bound of each certified level of a seed whose
+    reference ``path`` is certified, by restriction factor f, equal to
+    ``boundedness_bound(problem, restrict(path, f))``.  The reference's is
+    that call, which perfbench times as harness.certify.  The coarse
+    levels' nodes are every f_min-th reference node, f_min the factor of
+    the finest, so their bounds come from one evaluation of the terms at
+    those nodes, each a max over every (f / f_min)-th of them."""
+    bounds = {1: boundedness_bound(problem, path)}
+    N, T = path.grid.N, path.grid.T
+    factors = [N // 2**k for k in exponents if _certifies(problem, T / 2**k)]
+    if factors:
+        step = min(factors)
+        b_norms, x_norms = _node_norms(problem, path.values[::step])
+        for f in factors:
+            s = f // step
+            bounds[f] = _bound(problem, T, b_norms[s - 1 :: s], x_norms[::s])
+    return bounds
+
+
+def _certify_bound(trajectory: Trajectory, bound: float) -> bool:
+    """Assert the a-priori bound on a drift-implicit additive trajectory."""
     peak = float(np.max(np.linalg.norm(trajectory.states, axis=1)))
     if peak > bound:
         raise RuntimeError(
@@ -302,6 +324,7 @@ def _run_seed(problem, scheme, exponents, driver, certify) -> tuple[ErrorTable, 
     fails, its flag marks every row."""
     path_ref = sample_fbm(driver)
     rows, certified, ref, ref_flag = [], 0, None, None
+    bounds = {}  # restriction factor -> bound, for the levels certified
     for k in (None, *exponents):  # None: the reference
         factor = 1 if k is None else driver.grid.N // 2**k
         path = path_ref if k is None else restrict(path_ref, factor)
@@ -314,7 +337,10 @@ def _run_seed(problem, scheme, exponents, driver, certify) -> tuple[ErrorTable, 
             except SchemeStepError as err:
                 flag = f"solver:step={err.step}"
             else:
-                certified += certify and _certify_bound(problem, path, traj)
+                if k is None and certify and _certifies(problem, path.grid.h):
+                    bounds = _level_bounds(problem, path, exponents)
+                if factor in bounds:
+                    certified += _certify_bound(traj, bounds[factor])
         if k is None:
             ref, ref_flag = traj, flag and f"reference-{flag}"
             continue

@@ -368,13 +368,23 @@ def boundedness_bound(problem: Problem, path: SamplePath) -> float:
     cb = problem.drift.one_sided_lipschitz
     if 2.0 * cb * path.grid.h > 1.0:
         raise ValueError(f"boundedness bound needs 2*C_b*h <= 1, got {2.0 * cb * path.grid.h:g}")
-    T = path.grid.T
+    return _bound(problem, path.grid.T, *_node_norms(problem, path.values))
+
+
+def _node_norms(problem: Problem, values: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """|b(x_n)| at the nodes n >= 1 and |x_n| at every node of a driver path's
+    ``values``, the terms of ``boundedness_bound``; a level whose nodes are
+    every f-th of these takes its terms as every f-th entry."""
     b = _on_floats(problem.drift.func) if problem.dim == 1 else problem.drift
-    values = path.values[1:, 0].tolist() if problem.dim == 1 else path.values[1:]
-    b_max = max(_norm(b(x)) for x in values)
-    x_max = float(np.max(np.linalg.norm(path.values, axis=1)))
-    xi_norm = _norm(problem.xi)
-    return float(np.exp(2.0 * max(cb, 0.0) * T) * (xi_norm + b_max * T) + x_max)
+    xs = values[1:, 0].tolist() if problem.dim == 1 else values[1:]
+    return [_norm(b(x)) for x in xs], np.linalg.norm(values, axis=1)
+
+
+def _bound(problem: Problem, T: float, b_norms, x_norms) -> float:
+    """``boundedness_bound`` on [0, T] from the terms ``_node_norms`` gives."""
+    cb = problem.drift.one_sided_lipschitz
+    b_max, x_max = max(b_norms), float(np.max(x_norms))
+    return float(np.exp(2.0 * max(cb, 0.0) * T) * (_norm(problem.xi) + b_max * T) + x_max)
 
 
 def dump_trajectory_csv(trajectory: Trajectory, target) -> None:

@@ -477,12 +477,31 @@ class TestBands:
         assert [band.shape[1] for band in bands] == list(np.cumsum(heights))
         assert sum(band.nbytes for band in bands) <= 4 * N * (N + 263)
 
-    @pytest.mark.parametrize("N", [7, 263, 300, 2048, 4096])
+    @staticmethod
+    def assert_equals_oracle(bands, H, N):
+        want = oracle_schur_bands(fbm._fgn_autocovariance(H, make_grid(1.0, N)))
+        assert [(g.shape, g.strides) for g in bands] == [(w.shape, w.strides) for w in want]
+        assert all(g.tobytes("A") == w.tobytes("A") for g, w in zip(bands, want))
+        # one read-only buffer holds every band of the factor
+        assert len({id(band.base) for band in bands}) == 1
+        assert not bands[0].base.flags.writeable
+        assert not any(band.flags.writeable for band in bands)
+
+    # 259, 263 and 2051 end in a merged tail band of 259, 263 and 259 rows
+    @pytest.mark.parametrize("N", [7, 259, 263, 300, 2048, 2051, 4096])
     def test_bands_equal_block_per_band_build(self, N):
-        c = fbm._fgn_autocovariance(0.75, make_grid(1.0, N))
-        got, want = fbm._schur_bands(c), oracle_schur_bands(c)
-        assert [(g.shape, g.strides) for g in got] == [(w.shape, w.strides) for w in want]
-        assert all(g.tobytes("A") == w.tobytes("A") for g, w in zip(got, want))
+        for H in (0.1, 0.25, 0.5, 0.75):
+            self.assert_equals_oracle(fbm._schur_bands(fbm._fgn_autocovariance(H, make_grid(1.0, N))), H, N)
+
+    @pytest.mark.parametrize("N", [263, 2048])
+    def test_build_into_memory_an_evicted_factor_freed(self, N):
+        # the second build's buffer may be the first one's memory, which holds
+        # its bands; every cell the build does not compute must still read 0
+        grid = make_grid(1.0, N)
+        fbm._chol_cache.clear()
+        fbm._cholesky_factor(0.1, grid)
+        fbm._chol_cache.clear()
+        self.assert_equals_oracle(fbm._cholesky_factor(0.75, grid), 0.75, N)
 
     def test_build_needs_few_rows_beside_the_bands(self):
         # the Schur sweep fills the bands through one scratch block of

@@ -1,4 +1,5 @@
 import errno
+import sys
 
 import numpy as np
 import pytest
@@ -18,10 +19,26 @@ class TestMakeGrid:
     def test_step_size(self):
         assert make_grid(2.0, 8).h == 0.25
 
-    @pytest.mark.parametrize("T,N", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -2)])
+    @pytest.mark.parametrize(
+        "T,N",
+        [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -2), (1.0, 2.5), (1.0, float("inf")), (1.0, float("nan")), (1.0, "4")],
+    )
     def test_rejects_bad_input(self, T, N):
         with pytest.raises(ValueError):
             make_grid(T, N)
+
+    @pytest.mark.parametrize(
+        "N,log2",
+        [(2**1024, "1024"), (int(sys.float_info.max) + 1, "1024"), (10**400, "1328.771238")],
+        ids=["2^1024", "largest_float_plus_1", "10^400"],
+    )
+    def test_rejects_steps_past_float_range(self, N, log2):
+        with pytest.raises(ValueError, match=rf"number of steps N=2\^{log2}\d* is past float range"):
+            make_grid(1.0, N)
+
+    def test_takes_the_largest_float_steps(self):
+        grid = make_grid(1.0, int(sys.float_info.max))
+        assert 0.0 < grid.h == 1.0 / sys.float_info.max
 
     @pytest.mark.parametrize("T", [float("inf"), float("nan"), -float("inf")])
     def test_rejects_non_finite_horizon(self, T):

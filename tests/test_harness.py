@@ -30,7 +30,7 @@ from roughtaylor.harness import (
 )
 from roughtaylor.grids import make_grid
 from roughtaylor.lift import piecewise_linear_lift
-from roughtaylor.schemes import Problem, semi_implicit_taylor
+from roughtaylor.schemes import Problem, boundedness_bound, semi_implicit_taylor
 from roughtaylor.solver import StepSizeError
 
 
@@ -483,6 +483,45 @@ class TestPerSeedKernel:
         assert any(row.flagged for row in aggregate) == flagged
         if not flagged:  # so the study's aggregate is the one in config.seeds order
             assert repr(harness._aggregate(tables[::-1])) != repr(aggregate)
+
+
+class TestCertification:
+    """Each level's bound is the public boundedness_bound on its restricted
+    path, byte for byte, though a seed evaluates the drift for the coarse
+    levels' bounds only once."""
+
+    PROBLEMS = {
+        "example1": lambda: example_problem("example1")[0],
+        "user_1": lambda: Problem(DriftField(1, lambda y: np.sin(y) - y**3, 1.0), xi=[0.3], T=1.0),
+        "cubic_radial_2": lambda: Problem(cubic_radial_drift(2), xi=[1.0, -2.0], T=1.0),
+        "zero_2": lambda: Problem(zero_drift(2), xi=[0.5, 0.0], T=2.0),
+    }
+
+    @pytest.mark.parametrize("exponents", [(0, 1, 3, 5, 7), (2, 6), (4,)])
+    @pytest.mark.parametrize("hurst", [0.1, 0.75])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_level_bounds_are_boundedness_bound(self, name, hurst, exponents):
+        problem = self.PROBLEMS[name]()
+        m = problem.dim
+        path = sample_fbm(FbmConfig((hurst,) * m, m, make_grid(problem.T, 2**8), seed=4))
+        bounds = harness._level_bounds(problem, path, exponents)
+        # the levels that admit the bound: 2*C_b*h <= 1 (C_b is 1 or 0 here)
+        cb = problem.drift.one_sided_lipschitz
+        certified = [1, *(2 ** (8 - k) for k in exponents if 2.0 * cb * problem.T / 2**k <= 1.0)]
+        assert sorted(bounds) == sorted(certified)
+        for f in certified:
+            want = boundedness_bound(problem, restrict(path, f))
+            assert np.float64(bounds[f]).tobytes() == np.float64(want).tobytes()
+
+    def test_coarse_terms_evaluated_once_per_seed(self, monkeypatch):
+        calls = []
+        node_norms = harness._node_norms
+        monkeypatch.setattr(
+            harness, "_node_norms", lambda *a: calls.append(a[1].shape) or node_norms(*a)
+        )
+        config = StudyConfig("example1", "implicit_euler", step_exponents=(3, 4, 5), ref_exponent=7, seeds=(0, 1))
+        assert run_study(config).bound_checks == 8  # reference + three levels, two seeds
+        assert calls == [(2**5 + 1, 1)] * 2  # the nodes of the finest coarse level
 
 
 class TestStabilityDemo:
