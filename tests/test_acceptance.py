@@ -22,8 +22,7 @@ from roughtaylor.lift import piecewise_linear_lift
 from roughtaylor.schemes import Problem, boundedness_bound, semi_implicit_taylor
 from roughtaylor.solver import solve_step
 from lift_checks import chen_defect, geometricity_defect
-from test_schemes import simplified_taylor
-from test_solver import cubic_equation_root
+from oracles import cubic_equation_root, trajectory
 
 
 def test_criterion_1_chen_and_geometricity():
@@ -60,12 +59,9 @@ def test_criterion_2_coincidence_of_simplified_schemes():
     for seed in range(10):
         path = sample_fbm(FbmConfig((5.0 / 12.0, 5.0 / 12.0), 2, grid, seed))
         lift = piecewise_linear_lift(path)
-        gap2 = np.max(
-            np.abs(simplified_taylor(problem, path, 2) - semi_implicit_taylor(problem, lift, 2).states)
-        )
-        gap3 = np.max(
-            np.abs(simplified_taylor(problem, path, 3) - semi_implicit_taylor(problem, lift, 3).states)
-        )
+        simplified = [trajectory(problem, path, k, compositions=True) for k in (2, 3)]
+        full = [semi_implicit_taylor(problem, lift, k).states for k in (2, 3)]
+        gap2, gap3 = (np.max(np.abs(a - b)) for a, b in zip(simplified, full))
         worst2 = max(worst2, float(gap2))
         worst3 = max(worst3, float(gap3))
     elapsed = time.time() - start

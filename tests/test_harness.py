@@ -563,7 +563,7 @@ class TestStabilityDemo:
 # local_error_probe errors (float.hex) per problem and order; they move if the
 # order of the probe's Chen fold or of a Taylor step's arithmetic changes.  The
 # planar reference runs 256 implicit steps from the documented start, and its
-# values equal those of test_solver's oracle_trajectory for that reference.
+# values equal those of the trajectory oracle (oracles.trajectory) for that reference.
 # The default problem's d = 1 multiplicative steps call BLAS for their 1 x 1
 # noise-term products, but each is a single multiplication, which no kernel can
 # fuse or reorder; the planar steps and the error norm call no BLAS.  So they

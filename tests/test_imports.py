@@ -1,7 +1,9 @@
 """Nothing in the package imports SciPy: every study, CLI command and the
 dense ``fbm.cholesky`` oracle run with SciPy blocked, each check in a fresh
-interpreter."""
+interpreter.  No test module imports another: shared oracles and helpers
+live in ``oracles.py`` and ``lift_checks.py``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # SciPy made unimportable: `import scipy...` raises ImportError
 BLOCKED = "import sys\nsys.modules['scipy'] = None\n"
@@ -97,3 +100,16 @@ def test_commands_and_dense_cholesky_run_without_scipy(tmp_path):
     )
     child = _python(code, tmp_path)
     assert child.returncode == 0, child.stderr
+
+
+def test_no_test_module_imports_another():
+    imports = [
+        (path.name, module)
+        for path in sorted(TESTS.glob("test_*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        # `from . import test_x` names the module among the imported names
+        for module in ([node.module] if getattr(node, "module", None) else [a.name for a in node.names])
+        if module.split(".")[-1].startswith("test_")
+    ]
+    assert imports == []

@@ -11,6 +11,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import (
+    ORACLE_ORDERS,
+    composition_term,
+    effective_tol,
+    half_line_sqrt_drift,
+    root_gap_bound,
+    sqrt_kink_drift,
+    trajectory,
+)
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import (
     DiffusionField,
@@ -20,10 +29,8 @@ from roughtaylor.fields import (
     cosine_diffusion,
     cubic_radial_drift,
     double_well_drift,
-    first_order_composition,
     geometric_diffusion,
     linear_drift,
-    second_order_composition,
     zero_drift,
 )
 from roughtaylor.grids import make_grid
@@ -55,81 +62,6 @@ from roughtaylor.solver import (
     _implicit_step,
     solve_step,
 )
-from test_solver import (
-    documented_start_solver,
-    effective_tol,
-    half_line_sqrt_drift,
-    oracle_trajectory,
-    root_gap_bound,
-    sqrt_kink_drift,
-)
-
-
-def simplified_taylor(problem, path, order):
-    """Reference oracle for the "simplified" schemes: the semi-implicit
-    Taylor recursion with the level-2/3 tensors replaced by the increment
-    products v⊗v/2 and v⊗v⊗v/6, in its own loop, each step solved from the
-    documented start.  Returns the states."""
-    sig = problem.diffusion
-    solve = documented_start_solver(problem.drift, path.grid.h)
-    dx = np.diff(path.values, axis=0)
-    y = problem.xi.copy()
-    states = [y]
-    for v in dx:
-        term = sig.func(y) @ v
-        if order >= 2:
-            E = first_order_composition(sig.func(y), sig.dfunc(y))
-            term = term + 0.5 * np.einsum("ija,i,j->a", E, v, v)
-        if order >= 3:
-            F = second_order_composition(sig.func(y), sig.dfunc(y), sig.d2func(y))
-            term = term + np.einsum("ijka,i,j,k->a", F, v, v, v) / 6.0
-        y = solve(y + term)
-        states.append(y)
-    return np.array(states)
-
-
-def array_trajectory(problem, path, solve=None):
-    """Reference oracle for the additive trajectory loop: the loop as it ran
-    on 1-element arrays, with a preallocated state array written per step
-    and the np.linalg.norm blow-up guard, each step solved by ``solve``
-    (r -> root), by default from the documented start.  Returns the
-    states."""
-    grid = path.grid
-    solve = solve or documented_start_solver(problem.drift, grid.h)
-    dx = piecewise_linear_lift(path).increments
-    states = np.empty((grid.N + 1, problem.dim))
-    states[0] = problem.xi
-    y = problem.xi.copy()
-    for j in range(grid.N):
-        r = y + dx[j]
-        try:
-            y = solve(r)
-        except ConvergenceError as err:
-            raise SchemeStepError(j, err) from err
-        n = np.linalg.norm(y)
-        if not np.isfinite(n) or n > BLOWUP_NORM:
-            raise BlowupError(j, n)
-        states[j + 1] = y
-    return states
-
-
-def array_euler(problem, path):
-    """Reference oracle for forward Euler: its loop on arrays, with a
-    preallocated state array written per step and the np.linalg.norm
-    blow-up guard.  Returns the states."""
-    grid = path.grid
-    dx = np.diff(path.values, axis=0)
-    states = np.empty((grid.N + 1, problem.dim))
-    states[0] = problem.xi
-    y = problem.xi.copy()
-    for j in range(grid.N):
-        noise = dx[j] if problem.additive else problem.diffusion.func(y) @ dx[j]
-        y = y + grid.h * problem.drift(y) + noise
-        n = np.linalg.norm(y)
-        if not np.isfinite(n) or n > BLOWUP_NORM:
-            raise BlowupError(j, n)
-        states[j + 1] = y
-    return states
 
 
 def outcome(run):
@@ -280,10 +212,10 @@ class TestScalarLoopAgainstArrayLoop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matches_array_loop(self, case):
         problem, path, ending = SCALAR_CASES[case]()
-        want = outcome(lambda: array_trajectory(problem, path))
+        want = outcome(lambda: trajectory(problem, path))
         assert want[0] == ending
         assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
-        want = outcome(lambda: array_euler(problem, path))
+        want = outcome(lambda: trajectory(problem, path, None))
         assert outcome(lambda: explicit_euler(problem, path).states) == want
 
 
@@ -429,16 +361,9 @@ STEPPER_DRIFTS = {
 }
 
 
-def start_from_r_trajectory(problem, path):
-    """The additive trajectory loop with every step solved by solve_step,
-    which starts each solve at r.  Returns the states."""
-    h = path.grid.h
-    return array_trajectory(problem, path, lambda r: solve_step(problem.drift, h, r).solution)
-
-
 class TestStepperAgainstSolveStep:
     """A trajectory builds one stepper for its (drift, h) and calls it each
-    step; it ends exactly as the array loop from the documented start does,
+    step; it ends exactly as the trajectory oracle does,
     and from each of its states its next state is within the
     inverse-Lipschitz bound of solve_step's root, started at r."""
 
@@ -455,7 +380,7 @@ class TestStepperAgainstSolveStep:
         drift, xi = STEPPER_DRIFTS[name](grid.h)
         problem = Problem(drift, xi=xi, T=1.0)
         path = sample_fbm(FbmConfig(hurst, drift.dim, grid, seed))
-        want = outcome(lambda: array_trajectory(problem, path))
+        want = outcome(lambda: trajectory(problem, path))
         assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
         if want[0] != "states":
             return
@@ -545,7 +470,7 @@ class TestStartAtLastNewtonPoint:
         for r, y in zip(right_hand_sides(states, term), states[1:]):
             r, y = np.atleast_1d(r), np.atleast_1d(y)
             F = y - grid.h * drift(y) - r
-            tol = max(1e-12, 16.0 * np.finfo(float).eps * max(np.linalg.norm(r), np.linalg.norm(y)))
+            tol = effective_tol(r, y)
             assert np.linalg.norm(F) <= tol
         if ending[0] == "states":
             assert report[1] <= tol  # the last step's residual
@@ -564,7 +489,7 @@ class TestStartAtLastNewtonPoint:
         problem = Problem(zero_drift(dim), xi=np.full(dim, 0.5), T=1.0)
         path = sample_fbm(FbmConfig(hurst, dim, make_grid(1.0, n), seed))
         path = SamplePath(path.grid, scale * path.values)
-        want = outcome(lambda: start_from_r_trajectory(problem, path))
+        want = outcome(lambda: trajectory(problem, path))
         assert outcome(lambda: run_scheme("implicit_euler", problem, path).states) == want
 
     @settings(max_examples=60, deadline=None)
@@ -613,23 +538,12 @@ def oracle_problem(d, drift, c, multiplicative):
     return Problem(b, xi=xi, T=1.0, diffusion=diagonal_diffusion(d))
 
 
-def flag(run):
-    """A run's states as bytes, or the kind and step index of its flag."""
-    try:
-        return "states", run().tobytes()
-    except BlowupError as err:
-        return "blowup", err.step
-    except SchemeStepError as err:
-        return "solver", err.step
-
-
 class TestRunAgainstOracle:
-    """One stepper call runs a whole implicit trajectory; where every solve
-    keeps each full Newton step, its states equal oracle_trajectory's (each
-    step on arrays, solved by the reference Newton iteration from the
-    documented start) bitwise, for d = 1, 2 and 3, additive and
-    multiplicative, orders 1 to 3, and a trajectory that is flagged is
-    flagged at the same step."""
+    """One stepper call runs a whole implicit trajectory; its states equal
+    the trajectory oracle's (each step on arrays, solved by the solver
+    oracle from the documented start) bitwise, for d = 1, 2 and 3, additive
+    and multiplicative, orders 1 to 3, and a trajectory that is flagged is
+    flagged at the same step, with the same norm or residual."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -652,12 +566,10 @@ class TestRunAgainstOracle:
         grid = make_grid(1.0, 2**log2_n)
         problem = oracle_problem(d, drift, ch / grid.h, scheme != "implicit_euler")
         path = sample_fbm(FbmConfig(hurst, problem.noise_dim, grid, seed))
-        if drift == "linear":  # Newton's first step is the root: the oracle keeps it at any scale
+        if drift == "linear":  # at scale 30 a growing linear trajectory reaches the blow-up bound
             path = SamplePath(grid, scale * path.values)
-        kept = []
-        want = flag(lambda: oracle_trajectory(scheme, problem, path, kept))
-        assume(all(kept))
-        assert flag(lambda: run_scheme(scheme, problem, path).states) == want
+        want = outcome(lambda: trajectory(problem, path, ORACLE_ORDERS[scheme]))
+        assert outcome(lambda: run_scheme(scheme, problem, path).states) == want
 
 
 class TestNewtonIterationsPerStep:
@@ -929,17 +841,6 @@ class TestMilsteinFamily:
             semi_implicit_taylor(problem, lift, 3)
 
 
-def composition_term(S, D, D2, dx, X2, X3):
-    """The noise term by the composition tensors of ``fields``: sigma dx plus
-    each composition contracted against its level with ``einsum``."""
-    out = S @ dx
-    if X2 is not None:
-        out = out + np.einsum("ija,ij->a", first_order_composition(S, D), X2)
-    if X3 is not None:
-        out = out + np.einsum("ijka,ijk->a", second_order_composition(S, D, D2), X3)
-    return out
-
-
 @st.composite
 def taylor_term_case(draw):
     """Random sigma, derivatives and lift tensors of one step, d, m in {1, 2, 3}
@@ -1061,9 +962,9 @@ class TestSimplifiedSchemes:
         problem = example3_problem()
         path = fbm_path(seed, N=128, m=2, hurst=5.0 / 12.0)
         lift = piecewise_linear_lift(path)
-        s2 = simplified_taylor(problem, path, 2)
+        s2 = trajectory(problem, path, 2, compositions=True)
         f2 = semi_implicit_taylor(problem, lift, 2)
-        s3 = simplified_taylor(problem, path, 3)
+        s3 = trajectory(problem, path, 3, compositions=True)
         f3 = semi_implicit_taylor(problem, lift, 3)
         assert np.max(np.abs(s2 - f2.states)) <= 1e-12
         assert np.max(np.abs(s3 - f3.states)) <= 1e-12
@@ -1075,7 +976,7 @@ class TestSimplifiedSchemes:
         path = fbm_path(9, N=32)
         dx = np.diff(path.values, axis=0)
         lift = RoughLift(path.grid, dx, 0.5 * np.einsum("ni,nj->nij", dx, dx))
-        a = simplified_taylor(problem, path, 2)
+        a = trajectory(problem, path, 2, compositions=True)
         b = semi_implicit_taylor(problem, lift, 2)
         assert np.max(np.abs(a - b.states)) <= 1e-12
 

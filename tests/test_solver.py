@@ -4,7 +4,6 @@ import re
 import sys
 import warnings
 from fractions import Fraction
-from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -12,6 +11,27 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgesv
 
+from oracles import (
+    ORACLE_ORDERS,
+    ROUNDING_FLOOR,
+    SUBNORMAL_SPACING,
+    Solver,
+    bisection_root,
+    cubic_equation_root,
+    effective_tol,
+    fixed_point_root,
+    half_line_sqrt_drift,
+    lu2,
+    newton_floor,
+    reference_fd_jacobian,
+    root_gap_bound,
+    scalar_root,
+    sqrt_kink_drift,
+    trajectory,
+    true_residual_bound,
+    written_norm,
+    written_solve,
+)
 from roughtaylor import solver
 from roughtaylor.fbm import FbmConfig, SamplePath, sample_fbm
 from roughtaylor.fields import (
@@ -29,8 +49,7 @@ from roughtaylor.harness import (
     example_problem,
     run_scheme,
 )
-from roughtaylor.lift import piecewise_linear_lift
-from roughtaylor.schemes import BLOWUP_NORM, BlowupError, Problem, SchemeStepError
+from roughtaylor.schemes import Problem, SchemeStepError
 from roughtaylor.solver import (
     ConvergenceError,
     SolveReport,
@@ -39,315 +58,18 @@ from roughtaylor.solver import (
 )
 
 
-def bisection_root(f, lo, hi, tol=1e-14, max_iter=200):
-    """Scalar bisection oracle on a sign-changing bracket."""
-    flo, fhi = f(lo), f(hi)
-    assert flo * fhi <= 0.0, "no bracket"
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if flo * fmid <= 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
-def cubic_equation_root(h, r):
-    # y - h*(y - y^3) - r = 0 is strictly increasing in y for h < 1/3... but
-    # already for h < 1 since 1 - h + 3*h*y^2 > 0; bracket generously
-    f = lambda y: y - h * (y - y**3) - r
-    lo, hi = -1.0, 1.0
-    while f(lo) > 0:
-        lo *= 2.0
-    while f(hi) < 0:
-        hi *= 2.0
-    return bisection_root(f, lo, hi)
-
-
-def reference_fd_jacobian(drift, y):
-    eps = 1e-7 * max(1.0, float(np.linalg.norm(y)))
-    d = y.size
-    J = np.empty((d, d))
-    for p in range(d):
-        e = np.zeros(d)
-        e[p] = eps
-        J[:, p] = (drift(y + e) - drift(y - e)) / (2.0 * eps)
-    return J
-
-
-def lu2(A, F):
-    """The elimination of a 2x2 system A s = F written out on Python floats,
-    each operation rounded on its own: rows swapped only where |a21| > |a11|,
-    the multiplier l = a21 * (1/a11).  Returns (a11, a12, a22, l, f1, f2)
-    after the swap, so that u22 = a22 - l*a12; LinAlgError at a zero pivot."""
-    (a11, a12), (a21, a22) = np.asarray(A, dtype=float).tolist()
-    f1, f2 = np.asarray(F, dtype=float).tolist()
-    if abs(a21) > abs(a11):
-        a11, a12, a21, a22, f1, f2 = a21, a22, a11, a12, f2, f1
-    if a11 == 0.0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return a11, a12, a22, a21 * (1.0 / a11), f1, f2
-
-
-def written_solve(A, F):
-    """np.linalg.solve(A, F), written out for d = 2, where the solver solves
-    on floats: lu2, forward substitution f2 - l*f1, then back substitution
-    by division.  Holds for the normal pivots of these oracles' systems
-    (TestTwoByTwoKernel holds the solver to dgesv on any)."""
-    if np.size(F) != 2:
-        return np.linalg.solve(A, F)
-    a11, a12, a22, l, f1, f2 = lu2(A, F)
-    u22 = a22 - l * a12
-    if u22 == 0.0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    x2 = (f2 - l * f1) / u22
-    return np.array([(f1 - a12 * x2) / a11, x2])
-
-
-def written_norm(v) -> float:
-    """np.linalg.norm(v), written out for d = 2 as sqrt(v1*v1 + v2*v2),
-    where np.linalg.norm's dot product may fuse its multiply-add."""
-    if np.size(v) != 2:
-        return float(np.linalg.norm(v))
-    v1, v2 = np.asarray(v, dtype=float).tolist()
-    return math.sqrt(v1 * v1 + v2 * v2)
-
-
-# the tolerance floor per unit |r| and the Armijo constant of solve_step
-ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
-ARMIJO = 0.25
-
-
-def effective_tol(r, y=0.0):
-    """solve_step's tolerance for the default tol = 1e-12 at the iterate y:
-    max(1e-12, 16*eps*max(|r|, |y|)), today's bound where |y| <= |r|."""
-    return max(1e-12, ROUNDING_FLOOR * max(written_norm(r), written_norm(y)))
-
-
-def newton_floor(A, y) -> float:
-    """solve_step's second stop at the iterate y: 16*eps*|y| times the
-    largest absolute row sum of the Newton matrix A at y; 0 where A is
-    singular or that product is not finite."""
-    A, y = np.atleast_2d(np.asarray(A, dtype=float)), np.atleast_1d(y)
-    try:
-        written_solve(A, np.ones(y.size))
-    except np.linalg.LinAlgError:
-        return 0.0
-    floor = ROUNDING_FLOOR * written_norm(y) * float(np.abs(A).sum(axis=1).max())
-    return floor if floor < math.inf else 0.0
-
-
 def solver_tol(drift, h, r, y) -> float:
     """The residual bound solve_step's solution y meets: effective_tol(r, y),
     or the newton_floor of I - h*J(y), J the drift's Jacobian or central
-    differences."""
+    differences; effective_tol alone where I - h*J(y) is singular."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     J = drift.jacobian(y) if drift.jacobian is not None else reference_fd_jacobian(drift, y)
-    return max(effective_tol(r, y), newton_floor(np.eye(y.size) - h * np.asarray(J, dtype=float), y))
-
-
-def reference_solve_step(
-    drift, h, r, tol=1e-12, max_newton=50, max_fallback=1000, residuals=None,
-    start=None, jacobians=None,
-):
-    """Oracle: the solver as it was before it was safeguarded and before its
-    per-step overhead was cut.  Newton with a stall counter and a damped
-    fixed-point fallback, with np.linalg.solve and np.linalg.norm (written
-    out for d = 2: written_solve, written_norm), a fresh identity per call
-    and the residual of the returned iterate evaluated a second time.  It
-    stops where the solver does: within max(tol, 16*eps*max(|r|, |y|)) at
-    the iterate y, or at y within the newton_floor of its Newton matrix
-    where the Newton step from y fails the Armijo test.  Newton starts at
-    ``start``, r if none is given.  ``residuals``, if given, collects the
-    residual norm of the initial guess and of every Newton iterate, and
-    ``jacobians`` every drift Jacobian evaluated."""
-    if residuals is None:
-        residuals = []
-    if jacobians is None:
-        jacobians = []
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    cb = drift.one_sided_lipschitz
-    if cb * h >= 1.0:
-        raise StepSizeError(f"C_b*h = {cb * h}")
-    r = np.asarray(r, dtype=float).reshape(drift.dim)
-
-    def residual_of(y):
-        return y - h * drift(y) - r
-
-    def finish(y, iters, method, floor=0.0):
-        res = written_norm(residual_of(y))
-        if res > max(tol, effective_tol(r, y), floor):
-            raise ConvergenceError("implicit step did not converge", res, iters)
-        return SolveReport(y, iters, res, method)
-
-    y = r.copy() if start is None else np.array(start, dtype=float).reshape(drift.dim)
-    F = residual_of(y)
-    res = written_norm(F)
-    residuals.append(res)
-    iters = 0
-    stall = 0
-    eye = np.eye(drift.dim)
-    while iters < max_newton:
-        if res <= max(tol, effective_tol(r, y)):
-            return finish(y, iters, "newton")
-        if drift.jacobian is not None:
-            Jb = np.asarray(drift.jacobian(y), dtype=float)
-        else:
-            Jb = reference_fd_jacobian(drift, y)
-        jacobians.append(Jb)
-        floor = newton_floor(eye - h * Jb, y)
-        try:
-            step = written_solve(eye - h * Jb, F)
-        except np.linalg.LinAlgError:
-            break
-        y, y_last = y - step, y
-        prev = res
-        F = residual_of(y)
-        res = written_norm(F)
-        residuals.append(res)
-        iters += 1
-        if res > effective_tol(r) and res > (1.0 - ARMIJO) * prev and prev <= floor:
-            # the solver rejects this step, and stops at its start within newton_floor
-            return finish(y_last, iters, "safeguarded", floor)
-        if res >= prev:
-            stall += 1
-            if stall >= 5:
-                break
-        else:
-            stall = 0
-    if res <= max(tol, effective_tol(r, y)):
-        return finish(y, iters, "newton")
-    for _ in range(max_fallback):
-        y = 0.5 * (y + r + h * drift(y))
-        iters += 1
-        res = written_norm(residual_of(y))
-        if res <= max(tol, effective_tol(r, y)):
-            return finish(y, iters, "contraction")
-    raise ConvergenceError("implicit step did not converge", res, iters)
-
-
-class DocumentedStart:
-    """Oracle of where a trajectory's stepper starts each solve, on arrays:
-    r_j on the first solve, while no Newton matrix has been formed, where
-    the last one, A = I - h*Jb, is singular, and where the residual at the
-    guess is not finite; else the guess y_j + A^{-1}(r_j - r_{j-1} - F_j),
-    with y_j the last solution, r_{j-1} its right-hand side and F_j its
-    residual.  Jb is the last entry of ``jacobians``, where the oracle's
-    solver appends every Jacobian it evaluates; ``solved`` records each
-    solution."""
-
-    def __init__(self, drift, h):
-        self.drift, self.h = drift, h
-        self.jacobians = []
-        self.last = None
-
-    def __call__(self, r):
-        if self.last is None or not self.jacobians:
-            return r
-        r_last, y_last, F_last = self.last
-        A = np.eye(r.size) - self.h * self.jacobians[-1]
-        try:
-            guess = y_last + written_solve(A, (r - r_last) - F_last)
-        except np.linalg.LinAlgError:
-            return r
-        with np.errstate(all="ignore"):
-            F = guess - self.h * self.drift(guess) - r
-        return guess if np.isfinite(written_norm(F)) else r
-
-    def solved(self, r, y):
-        self.last = r, y, y - self.h * self.drift(y) - r
-
-
-def documented_solve_step(drift, h, r, start, jacobians):
-    """Oracle of one solve of a trajectory's stepper, on arrays: the
-    iteration solve_step documents, from ``start``, with np.linalg.solve and
-    np.linalg.norm (written out for d = 2) and, for d = 1, the bracket on
-    1-element arrays.  Every
-    Jacobian evaluated (the drift's own, or central differences) is
-    appended to ``jacobians``.  Returns the solution; raises
-    ConvergenceError where and with the residual the solver does."""
-    tol = effective_tol(r)
-    m = min(1.0, 1.0 - drift.one_sided_lipschitz * h)
-    jacobian = drift.jacobian or (lambda y: reference_fd_jacobian(drift, y))
-    eye = np.eye(drift.dim)
-
-    def residual(y, iters, last):
-        if iters > solver.MAX_NEWTON:
-            raise ConvergenceError("implicit step did not converge", last, iters - 1)
-        F = y - h * drift(y) - r
-        res = written_norm(F)
-        if not np.isfinite(res):
-            raise ConvergenceError("implicit step residual is not finite", res, iters)
-        return F, res
-
-    y = start
-    F, res = residual(y, 0, None)
-    iters, lo, hi = 0, None, None
-    while res > effective_tol(r, y):
-        jacobians.append(np.array(jacobian(y), dtype=float))
-        floor = newton_floor(eye - h * jacobians[-1], y)
-        try:
-            step = written_solve(eye - h * jacobians[-1], F)
-        except np.linalg.LinAlgError:
-            step = None
-        if drift.dim > 1:
-            # full Newton step, halved until the Armijo test passes;
-            # along the residual where the Newton matrix is singular; a
-            # rejected full step from y within newton_floor stops at y
-            step = F if step is None else step
-            shrink = 1.0
-            while True:
-                iters += 1
-                F_trial, res_trial = residual(y - step, iters, res)
-                if res_trial <= tol or res_trial <= (1.0 - ARMIJO * shrink) * res:
-                    break
-                if shrink == 1.0 and res <= floor:
-                    return y
-                step, shrink = 0.5 * step, 0.5 * shrink
-            y, F, res = y - step, F_trial, res_trial
-            continue
-        # d = 1: the Newton point if it lies in the bracket and passes the
-        # Armijo test, else (or stop at y within newton_floor) the midpoint
-        # of the bracket narrowed by it
-        tried = step is not None and (lo is None or lo < y - step < hi)
-        if tried:
-            iters += 1
-            F_trial, res_trial = residual(y - step, iters, res)
-            if res_trial <= tol or res_trial <= (1.0 - ARMIJO) * res:
-                y, F, res = y - step, F_trial, res_trial
-                continue
-        if res <= floor:
-            break
-        if lo is None:
-            width = 2.0 * res / m
-            lo, hi = y - width, y + width
-        for point, value in [(y, F), (y - step, F_trial)] if tried else [(y, F)]:
-            if value < 0.0:
-                lo = max(lo, point)
-            else:
-                hi = min(hi, point)
-        y = 0.5 * (lo + hi)
-        iters += 1
-        F, res = residual(y, iters, res)
-    return y
-
-
-def documented_start_solver(drift, h):
-    """r -> the solution of y - h*b(y) = r on arrays, for the steps of one
-    trajectory in order: each step is solved by documented_solve_step from
-    the DocumentedStart."""
-    start = DocumentedStart(drift, h)
-
-    def solve(r):
-        y = documented_solve_step(drift, h, r, start(r), start.jacobians)
-        start.solved(r, y)
-        return y
-
-    return solve
+    A = np.eye(y.size) - h * np.asarray(J, dtype=float).reshape(y.size, y.size)
+    try:
+        written_solve(A, np.ones(y.size))
+    except np.linalg.LinAlgError:
+        A = None
+    return max(effective_tol(r, y), newton_floor(A, y))
 
 
 # drifts of the equivalence property: (drift, smallest and largest log10 h)
@@ -363,46 +85,38 @@ EQUIVALENCE_DRIFTS = {
 }
 
 
-def full_newton_steps_kept(residuals, tol):
-    """Whether solve_step keeps every full Newton step of an oracle run with
-    these residual norms and stops where the oracle stops: each step passes
-    the Armijo test, and no iterate before the last is within tolerance."""
-    steps_kept = all(
-        later <= max(tol, (1.0 - ARMIJO) * earlier) for earlier, later in pairwise(residuals)
-    )
-    return steps_kept and all(res > tol for res in residuals[:-1])
+def float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
 
 
-# the spacing of the subnormal doubles: a square that underflows below the
-# smallest normal double is rounded by half of it at most
-SUBNORMAL_SPACING = 2.0**-1074
+def value_bits(x: float):
+    """The bytes of a float, every NaN as one value."""
+    return "nan" if math.isnan(x) else float_bits(x)
 
 
-def true_residual_bound(drift, h, r, rep):
-    """A bound on the exact residual |y - h*b(y) - r| of a report: its
-    computed residual plus the rounding of the three terms and of the norm.
-    The norm sqrt(F.F) of a residual below about 1e-154 squares into the
-    subnormals, where each square is off by less than 2^-1074 absolutely,
-    so it is off by less than d*2^-1074/|F| (and than sqrt(d*2^-1074))."""
-    y = rep.solution
-    terms = np.linalg.norm(y) + h * np.linalg.norm(drift(y)) + np.linalg.norm(r)
-    underflow = y.size * SUBNORMAL_SPACING
-    return rep.residual + ROUNDING_FLOOR * terms + underflow / max(rep.residual, math.sqrt(underflow))
+def report_bits(rep: SolveReport):
+    """A report with every float as its bytes."""
+    return rep.solution.tobytes(), rep.iterations, float_bits(rep.residual), rep.method_used
 
 
-def root_gap_bound(drift, h, r, *reports):
-    """Inverse-Lipschitz bound on the distance between two roots of the same
-    step: |y1 - y2| <= (|F1| + |F2|) / (1 - C_b*h), F the exact residuals."""
-    excess = sum(true_residual_bound(drift, h, r, rep) for rep in reports)
-    return excess / (1.0 - drift.one_sided_lipschitz * h)
+def independent_root(drift, h, r):
+    """The root of the step by another algorithm than the solver's, as a
+    report with its residual: bisection for d = 1, the damped fixed point
+    for d > 1; None where the fixed point does not converge."""
+    if drift.dim == 1:
+        y = np.array([scalar_root(drift, h, r[0])])
+        return SolveReport(y, 0, written_norm(y - h * drift(y) - r), "bisection")
+    try:
+        return fixed_point_root(drift, h, r)
+    except ConvergenceError:
+        return None
 
 
 class TestAgainstReferenceSolver:
-    """Where every full Newton step of the oracle passes the Armijo test, the
-    solver gives bitwise the oracle's report, and so, each solve started
-    where DocumentedStart says, bitwise the oracle's trajectories on the
-    paper's examples.  Elsewhere it converges, to the oracle's root within
-    the inverse-Lipschitz bound when the oracle converges too."""
+    """The solver gives bitwise the solver oracle's report (``Solver``),
+    and so bitwise the trajectory oracle's states on the paper's examples;
+    its root is within the inverse-Lipschitz bound of one that bisection
+    or a damped fixed point finds."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -415,36 +129,26 @@ class TestAgainstReferenceSolver:
         drift, lo, hi = EQUIVALENCE_DRIFTS[name]
         h = 10.0 ** (lo + h_frac * (hi - lo))
         r = 10.0**decade * np.array(direction[: drift.dim])
-        tol = effective_tol(r)
-        residuals = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                want = reference_solve_step(drift, h, r, residuals=residuals)
-            except ConvergenceError:
-                want = None
-            got = solve_step(drift, h, r)
-        if want is not None and want.method_used == "newton" and full_newton_steps_kept(residuals, tol):
-            assert np.array_equal(got.solution, want.solution)
-            assert got.iterations == want.iterations
-            assert got.residual == want.residual
-            assert got.method_used == "newton"
-            return
-        assert got.residual <= tol
-        if want is not None:
-            gap = np.linalg.norm(got.solution - want.solution)
-            assert gap <= root_gap_bound(drift, h, r, got, want)
+            got, want = solve_step(drift, h, r), Solver(drift, h)(r)
+            root = independent_root(drift, h, r)
+        assert report_bits(got) == report_bits(want)
+        assert got.residual <= effective_tol(r)
+        if root is not None:
+            gap = np.linalg.norm(got.solution - root.solution)
+            assert gap <= root_gap_bound(drift, h, r, got, root)
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_DRIFTS))
     @pytest.mark.parametrize("max_newton", [0, 1])
     def test_fixed_point_equals_oracle(self, name, max_newton):
-        # the oracle with Newton starved, so that its damped fixed point does
-        # the work, and the solver reach the same root
+        # a root that at most one Newton step helped the damped fixed point
+        # find, and the solver's, are the same root
         drift = EQUIVALENCE_DRIFTS[name][0]
         for h in (0.002, 0.01):
             for value in (0.3, -1.7, 2.5):
                 r = np.full(drift.dim, value)
-                want = reference_solve_step(drift, h, r, max_newton=max_newton)
+                want = fixed_point_root(drift, h, r, newton_steps=max_newton)
                 got = solve_step(drift, h, r)
                 assert got.residual <= 1e-12
                 gap = np.linalg.norm(got.solution - want.solution)
@@ -466,141 +170,16 @@ class TestAgainstReferenceSolver:
         for seed in range(3):
             path = sample_fbm(FbmConfig(hursts[0], m, make_grid(1.0, 1024), seed))
             for name in names:
-                want = oracle_trajectory(name, problem, path)
+                want = trajectory(problem, path, ORACLE_ORDERS[name])
                 assert np.array_equal(run_scheme(name, problem, path).states, want), (name, seed)
-
-
-# scheme name -> Taylor order of its noise term, or None for forward Euler
-ORACLE_ORDERS = {
-    "implicit_euler": 1,
-    "explicit_euler": None,
-    "semi_implicit_euler": 1,
-    "semi_implicit_milstein": 2,
-    "semi_implicit_milstein3": 3,
-    "simplified_milstein": 2,
-    "simplified_milstein3": 3,
-}
 
 
 def test_oracle_orders_cover_every_scheme():
     assert sorted(ORACLE_ORDERS) == sorted(set(ADDITIVE_SCHEMES + MULTIPLICATIVE_SCHEMES))
 
 
-def written_sum(products) -> float:
-    """A sum over one index of a matrix product, left to right."""
-    total = products[0]
-    for p in products[1:]:
-        total = total + p
-    return total
-
-
-def written_row(row, v) -> float:
-    """One entry of a matrix-vector product as OpenBLAS sums it where it
-    rounds every operation on its own: the even-indexed products left to
-    right, plus the odd-indexed ones."""
-    products = [a * b for a, b in zip(row, v)]
-    if len(products) == 1:
-        return products[0]
-    return written_sum(products[0::2]) + written_sum(products[1::2])
-
-
-def written_term(S, D, D2, v, X2, X3):
-    """The noise term the schemes contract from sigma, dsigma and d2sigma at
-    y (shapes (d, m), (d, m, d), (d, m, d, d)) and one step's lift, written
-    out on Python floats, where S.dot(v) may fuse multiply-adds:
-    sum_{i,k,p} S[p, i] D[a, k, p] X2[i, k] = sum_{k,p} D[a, k, p] W[k, p] with
-    W[k, p] = sum_i X2[i, k] S[p, i], and level 3 as
-    sum_{k,p} D[a, k, p] V[k, p] + sum_{k,p,q} D2[a, k, p, q] (S P)[k, p, q]
-    with P[k, l, q] = sum_i X3[i, l, k] S[q, i] and
-    V[k, p] = sum_{l,q} D[p, l, q] P[k, l, q].  Each sum over one index is
-    left to right, each matrix-vector row written_row."""
-    d, m = S.shape
-    S, D, v = S.tolist(), D.reshape(d, m * d).tolist(), v.tolist()
-    term = [written_row(S[a], v) for a in range(d)]
-    if X2 is None:
-        return np.array(term)
-    X2 = X2.tolist()
-    W = [[written_sum([X2[i][k] * S[p][i] for i in range(m)]) for p in range(d)] for k in range(m)]
-    if X3 is not None:
-        X3 = X3.tolist()
-        P = [
-            [[written_sum([X3[i][l][k] * S[q][i] for i in range(m)]) for q in range(d)] for l in range(m)]
-            for k in range(m)
-        ]
-        flat_P = [[P[k][l][q] for l in range(m) for q in range(d)] for k in range(m)]
-        V = [[written_sum([a * b for a, b in zip(flat_P[k], D[p])]) for p in range(d)] for k in range(m)]
-        W = [[W[k][p] + V[k][p] for p in range(d)] for k in range(m)]
-        SP = [
-            written_sum([S[a][l] * P[k][l][q] for l in range(m)])
-            for k in range(m) for a in range(d) for q in range(d)
-        ]
-        rows = D2.reshape(d, m * d * d).tolist()
-        term = [t + written_row(rows[a], SP) for a, t in enumerate(term)]
-    flat_W = [w for row in W for w in row]
-    return np.array([t + written_row(D[a], flat_W) for a, t in enumerate(term)])
-
-
-def oracle_trajectory(scheme, problem, path, kept=None):
-    """Reference oracle for the trajectory loop: each step on arrays, its
-    noise term contracted from the piecewise-linear lift by the products
-    the schemes use (written_term), and the implicit step solved by
-    reference_solve_step from the DocumentedStart.  Returns the states; a
-    state of norm above BLOWUP_NORM (or NaN) raises BlowupError and a failed
-    solve SchemeStepError, each with its step index.  ``kept``, if given,
-    collects for each solve whether it kept every full Newton step, where
-    the solver's iteration is bitwise the reference's."""
-    explicit = ORACLE_ORDERS[scheme] is None
-    order = ORACLE_ORDERS[scheme] or 1
-    h = path.grid.h
-    lift = piecewise_linear_lift(path, include_level3=order == 3)
-    sig = problem.diffusion
-    start = DocumentedStart(problem.drift, h)
-    y = problem.xi.copy()
-    states = [y]
-    for j, v in enumerate(lift.increments):
-        if problem.additive:
-            term = v
-        else:
-            term = written_term(
-                sig.func(y), sig.dfunc(y), sig.d2func(y), v,
-                lift.level2[j] if order >= 2 else None, lift.level3[j] if order >= 3 else None,
-            )
-        if explicit:
-            y = y + h * problem.drift(y) + term
-        else:
-            r, residuals = y + term, []
-            try:
-                report = reference_solve_step(
-                    problem.drift, h, r, start=start(r), jacobians=start.jacobians,
-                    residuals=residuals,
-                )
-            except ConvergenceError as err:
-                raise SchemeStepError(j, err) from err
-            y = report.solution
-            start.solved(r, y)
-            if kept is not None:
-                kept.append(
-                    report.method_used == "newton"
-                    and full_newton_steps_kept(residuals, effective_tol(r))
-                )
-        n = written_norm(y)
-        if not n <= BLOWUP_NORM:
-            raise BlowupError(j, n)
-        states.append(y)
-    return np.array(states)
-
-
 # finite floats of magnitude up to 1e300, zero and subnormals included
 MAGNITUDES = st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
-
-
-def float_bits(x: float) -> bytes:
-    return np.float64(x).tobytes()
-
-
-def value_bits(x: float):
-    """The bytes of a float, every NaN as one value."""
-    return "nan" if math.isnan(x) else float_bits(x)
 
 
 # the d >= 3 Newton solve: LAPACK dgesv through NumPy, None where dgesv fails
@@ -1000,32 +579,6 @@ def steep_cubic_drift():
     return DriftField(1, lambda y: -1e3 * y**3, 0.0, jacobian=lambda y: np.array([[-3e3 * y[0] ** 2]]))
 
 
-def sqrt_kink_drift():
-    """b(y) = -sign(y) sqrt|y|, with no Jacobian: monotone (C_b = 0), but its
-    slope is infinite at 0, so Newton oscillates about a root near 0."""
-    return DriftField(1, lambda y: -np.sign(y) * np.sqrt(np.abs(y)), 0.0)
-
-
-def half_line_sqrt_drift():
-    """b(y) = -sqrt(y): decreasing (C_b = 0), but NaN for y < 0.  From a
-    small r the first Newton point of the concave y + h sqrt(y) lands
-    below 0, where the residual is NaN."""
-    return DriftField(1, lambda y: -np.sqrt(y), 0.0, jacobian=lambda y: np.array([[-0.5 / np.sqrt(y[0])]]))
-
-
-def scalar_root(drift, h, r):
-    """Bisection oracle for the root of the increasing y - h*b(y) - r."""
-    def f(y):
-        return y - h * drift(np.array([y]))[0] - r
-
-    lo, hi = -1.0, 1.0
-    while f(lo) > 0.0:
-        lo *= 2.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return bisection_root(f, lo, hi)
-
-
 class TestSteepAndKinkedSteps:
     """Well-posed steps the Newton / fixed-point solver failed on: Newton
     stalled at the residual's rounding above 1e-12 and the fixed point then
@@ -1231,7 +784,8 @@ class TestNonFiniteNewtonStep:
     matrix: along the residual for d > 1, by bisection for d = 1.  The
     Jacobians are wrong for b(y) = 0.5*y on purpose: singular with a
     subnormal pivot, [[1/h, 0], [-1e-310/h, 0]] in the leading block, whose
-    dgesv step (and _solve2's) is not finite, and a NaN at d = 1."""
+    dgesv step (and _solve2's) is not finite, and a NaN at d = 1.  The
+    report is bitwise the solver oracle's."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_converges_with_no_warning(self, d):
@@ -1249,6 +803,7 @@ class TestNonFiniteNewtonStep:
         assert rep.method_used == "safeguarded" and rep.residual <= solver.DEFAULT_TOL
         root = r / m
         assert np.linalg.norm(rep.solution - root) <= rep.residual / m + 4e-16 * np.linalg.norm(root)
+        assert report_bits(rep) == report_bits(Solver(drift, h)(r))
 
 
 class TestNonFiniteResidual:
